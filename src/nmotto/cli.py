@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import energetics
+from .cycle import fixed_point
 from .engine import DiagonalState, EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
 from .oracle import discretize_bath, exact_evolve
@@ -240,61 +241,110 @@ def run_dynamics(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_point(task):
-    engine, backend, step = task
+def _stroke_ends(task):
+    """End values of one stroke, or None where it violates positivity."""
+    engine, which, backend, step = task
     try:
-        if engine.lam == 0.0:
+        return energetics.stroke_dynamics(engine, which, backend, step).ends
+    except PositivityViolation:
+        return None
+
+
+def _stack_ends(ends, shape):
+    """Per-stroke ends as one StrokeEnds of arrays of ``shape`` (nan for
+    a failed stroke), and the mask of failed strokes."""
+    failed = np.array([e is None for e in ends]).reshape(shape)
+    nan_ends = (float("nan"),) * len(energetics.StrokeEnds._fields)
+    columns = zip(*(nan_ends if e is None else e for e in ends))
+    return energetics.StrokeEnds._make(
+        np.array(col).reshape(shape) for col in columns), failed
+
+
+def sweep_grid(cfg: RunConfig):
+    """Cycle ledger over the (t1, t2) grid, one block per omega pair.
+
+    Each distinct hot stroke (one per t1) and cold stroke (one per t2)
+    is solved once, across ``cfg.workers`` processes; the limit cycle
+    and ledger of every grid point then follow from the stroke ends by
+    broadcasting.  Returns a list of (engine, works, errors): engine
+    carries the pair's splittings, works the W_ad1, W_ad2, W_I, W_II
+    arrays of shape (t1_count, t2_count), and errors the matching
+    array of failure labels ("" where the point succeeded).
+    """
+    t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
+    t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
+    pairs = cfg.omega_pairs or ((cfg.engine.omega_h, cfg.engine.omega_c),)
+    engines = [replace(cfg.engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
+    shape = (cfg.t1_count, cfg.t2_count)
+
+    if cfg.engine.lam == 0.0:
+        blocks = []
+        for engine in engines:
             w_frozen = (engine.omega_h - engine.omega_c) * (1.0 - _FROZEN_P)
-            return (w_frozen, w_frozen, 0.0, 0.0,
-                    engine.eta_otto, engine.eta_carnot, "")
-        ledger = energetics.evaluate_cycle(engine, backend, step).ledger
-        return (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II,
-                ledger.eta_O, ledger.eta_C, "")
-    except (PositivityViolation, DegenerateCycle) as exc:
-        nan = float("nan")
-        return (nan, nan, nan, nan, engine.eta_otto, engine.eta_carnot,
-                type(exc).__name__)
+            works = [np.full(shape, w) for w in (w_frozen, w_frozen, 0.0, 0.0)]
+            blocks.append((engine, works, np.full(shape, "", dtype=object)))
+        return blocks
+
+    tasks = []
+    for engine in engines:
+        tasks += [(replace(engine, t1=float(t1)), "hot", cfg.backend, cfg.step)
+                  for t1 in t1_values]
+        tasks += [(replace(engine, t2=float(t2)), "cold", cfg.backend, cfg.step)
+                  for t2 in t2_values]
+    if cfg.workers > 1:
+        chunk = max(1, len(tasks) // (cfg.workers * 4))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            ends = list(pool.map(_stroke_ends, tasks, chunksize=chunk))
+    else:
+        ends = [_stroke_ends(task) for task in tasks]
+
+    blocks = []
+    n1, n2 = shape
+    for k, engine in enumerate(engines):
+        first = k * (n1 + n2)
+        # hot ends down a column, cold ends along a row: they broadcast
+        hot, hot_failed = _stack_ends(ends[first:first + n1], (n1, 1))
+        cold, cold_failed = _stack_ends(ends[first + n1:first + n1 + n2], (1, n2))
+        # failed and degenerate points carry nan or inf here; masked below
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
+            ledger = energetics.cycle_ledger(engine.omega_h - engine.omega_c,
+                                             p_h, p_c, hot, cold)
+        errors = np.full(shape, "", dtype=object)
+        errors[degenerate] = DegenerateCycle.__name__
+        errors[hot_failed | cold_failed] = PositivityViolation.__name__
+        failed = errors != ""
+        works = [np.where(failed, np.nan, w) for w in ledger[:4]]
+        blocks.append((engine, works, errors))
+    return blocks
 
 
 def run_sweep(cfg: RunConfig) -> str:
     """(t1, t2) grid of the cycle ledger, t1-major row order.
 
-    Per-point numerical failures land in the trailing ``error`` column
-    and the sweep continues.  The grid is partitioned across worker
-    processes; results are buffered and emitted in deterministic order,
-    so output bytes do not depend on the worker count.
+    Solves each distinct stroke once and evaluates the limit cycle and
+    ledger of all grid points at once (``sweep_grid``); with more than
+    one worker the stroke solves are spread over processes.  Per-point
+    numerical failures land in the trailing ``error`` column and the
+    sweep continues.  Output bytes do not depend on the worker count.
     """
-    t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
-    t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
-    pairs = cfg.omega_pairs or ((cfg.engine.omega_h, cfg.engine.omega_c),)
+    t1_cells = [_fmt(t) for t in np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)]
+    t2_cells = [_fmt(t) for t in np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)]
     with_pairs = cfg.omega_pairs is not None
-
-    tasks, keys = [], []
-    for omega_h, omega_c in pairs:
-        for t1 in t1_values:
-            for t2 in t2_values:
-                engine = replace(cfg.engine, omega_h=omega_h, omega_c=omega_c,
-                                 t1=float(t1), t2=float(t2))
-                tasks.append((engine, cfg.backend, cfg.step))
-                keys.append((omega_h, omega_c, float(t1), float(t2)))
-
-    if cfg.workers > 1:
-        chunk = max(1, len(tasks) // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_sweep_point, tasks, chunksize=chunk))
-    else:
-        results = [_sweep_point(task) for task in tasks]
 
     header = "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error"
     if with_pairs:
         header = "omega_h,omega_c," + header
     lines = [header]
-    for key, res in zip(keys, results):
-        omega_h, omega_c, t1, t2 = key
-        cells = [_fmt(t1), _fmt(t2)] + [_fmt(v) for v in res[:6]] + [res[6]]
-        if with_pairs:
-            cells = [_fmt(omega_h), _fmt(omega_c)] + cells
-        lines.append(",".join(cells))
+    for engine, works, errors in sweep_grid(cfg):
+        lead = f"{_fmt(engine.omega_h)},{_fmt(engine.omega_c)}," if with_pairs else ""
+        etas = f"{_fmt(engine.eta_otto)},{_fmt(engine.eta_carnot)}"
+        values = [w.tolist() for w in works]
+        labels = errors.tolist()
+        for i, t1 in enumerate(t1_cells):
+            for j, t2 in enumerate(t2_cells):
+                cells = ",".join(_fmt(w[i][j]) for w in values)
+                lines.append(f"{lead}{t1},{t2},{cells},{etas},{labels[i][j]}")
     return "\n".join(lines) + "\n"
 
 

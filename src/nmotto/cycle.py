@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import markov, tcl2
 from .engine import EngineParams
 from .errors import DegenerateCycle
@@ -26,6 +28,7 @@ __all__ = [
     "StrokeMap",
     "LimitCycle",
     "stroke_map",
+    "fixed_point",
     "limit_cycle",
     "iterate_cycle",
 ]
@@ -102,22 +105,36 @@ def stroke_map(
     raise ValueError(f"unknown dynamics backend {dynamics!r}")
 
 
-def limit_cycle(hot: StrokeMap, cold: StrokeMap) -> LimitCycle:
-    """Closed-form fixed point of the composed cycle map.
+def fixed_point(hot_r0, hot_r1, cold_r0, cold_r1):
+    """Closed-form fixed point of the composed cycle map, elementwise.
 
-    P_h = p_h / (1 - p0) with p0 the product of the two stroke
-    contractions; raises ``DegenerateCycle`` when |p0| is within
-    ``DEGENERACY_TOL`` of 1 (no relaxation, no unique fixed point).
+    Takes the stroke-map endpoints as floats or as arrays that
+    broadcast against each other, and returns (p0, degenerate, P_h,
+    P_c): p0 the product of the two stroke contractions, P_h =
+    p_h / (1 - p0) and P_c likewise.  ``degenerate`` marks |p0| within
+    ``DEGENERACY_TOL`` of 1 (no relaxation, no unique fixed point);
+    P_h and P_c carry no meaning there.
     """
-    p0 = cold.contraction * hot.contraction
-    if abs(p0) >= 1.0 - DEGENERACY_TOL:
+    p0 = (cold_r0 - cold_r1) * (hot_r0 - hot_r1)
+    degenerate = abs(p0) >= 1.0 - DEGENERACY_TOL
+    p_h = cold_r0 * hot_r1 + cold_r1 * (1.0 - hot_r1)
+    p_c = hot_r0 * cold_r1 + hot_r1 * (1.0 - cold_r1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p0, degenerate, np.divide(p_h, 1.0 - p0), np.divide(p_c, 1.0 - p0)
+
+
+def limit_cycle(hot: StrokeMap, cold: StrokeMap) -> LimitCycle:
+    """Closed-form fixed point of the composed cycle map (``fixed_point``).
+
+    Raises ``DegenerateCycle`` when |p0| is within ``DEGENERACY_TOL``
+    of 1 (no relaxation, no unique fixed point).
+    """
+    p0, degenerate, ph, pc = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
+    if degenerate:
         raise DegenerateCycle(
             f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
         )
-    p_h = cold.r0 * hot.r1 + cold.r1 * (1.0 - hot.r1)
-    p_c = hot.r0 * cold.r1 + hot.r1 * (1.0 - cold.r1)
-    ph = p_h / (1.0 - p0)
-    pc = p_c / (1.0 - p0)
+    ph, pc = float(ph), float(pc)
 
     # direct verification: iterate the composed affine map to the same point
     p, n = 0.0, 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -37,16 +37,18 @@ from scipy.integrate import cumulative_simpson
 from . import markov, tcl2
 from .cycle import LimitCycle, StrokeMap, limit_cycle
 from .engine import EngineParams
-from .kernels import ReservoirSpec, d1, d2
+from .kernels import ReservoirSpec
 
 __all__ = [
     "StrokeDynamics",
+    "StrokeEnds",
     "EnergyLedger",
     "CycleEvaluation",
     "stroke_dynamics",
     "work_adiabatic",
     "work_net_I",
     "work_net_II",
+    "cycle_ledger",
     "system_energy_change",
     "reservoir_energy_change",
     "interaction_energy",
@@ -57,6 +59,25 @@ __all__ = [
 ]
 
 TEMPERATURE_DEGENERACY_TOL = 1e-12
+
+
+def _mixed(p, branch_0, branch_1):
+    """P-mixture of the two pure-start branches, elementwise."""
+    return p * branch_0 + (1.0 - p) * branch_1
+
+
+class StrokeEnds(NamedTuple):
+    """End-of-stroke values of both branches, all the cycle ledger reads.
+
+    r0 / r1 are the final ground populations and corr_0 / corr_1 the
+    final correction integrals C(t_end).  Floats for one stroke, or
+    arrays that broadcast over a grid of strokes.
+    """
+
+    r0: float
+    r1: float
+    corr_0: float
+    corr_1: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +104,17 @@ class StrokeDynamics:
     flow_1: np.ndarray
 
     def rho00_mixed(self, p: float) -> np.ndarray:
-        return p * self.rho00_0 + (1.0 - p) * self.rho00_1
+        return _mixed(p, self.rho00_0, self.rho00_1)
+
+    @property
+    def ends(self) -> StrokeEnds:
+        return StrokeEnds(r0=float(self.rho00_0[-1]), r1=float(self.rho00_1[-1]),
+                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]))
 
     @property
     def as_map(self) -> StrokeMap:
-        return StrokeMap(r0=float(self.rho00_0[-1]), r1=float(self.rho00_1[-1]))
+        ends = self.ends
+        return StrokeMap(r0=ends.r0, r1=ends.r1)
 
     def index_of(self, t: float) -> int:
         """Grid index of time t (must lie on the grid to 1e-9 relative)."""
@@ -98,23 +125,29 @@ class StrokeDynamics:
         return k
 
 
-@lru_cache(maxsize=512)
-def _stroke_dynamics(
-    reservoir: ReservoirSpec,
-    omega: float,
-    t_end: float,
-    h: float | None,
-    backend: str,
+def stroke_dynamics(
+    engine: EngineParams,
     which: str,
+    backend: str = "tcl2",
+    h: float | None = None,
 ) -> StrokeDynamics:
+    """Solve one stroke of the engine with full energetic diagnostics.
+
+    Every call solves afresh; a sweep asks once per distinct stroke.
+    """
+    if which == "hot":
+        reservoir, omega, t_end = engine.hot_reservoir, engine.omega_h, engine.t1
+    elif which == "cold":
+        reservoir, omega, t_end = engine.cold_reservoir, engine.omega_c, engine.t2
+    else:
+        raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
     if backend == "tcl2":
         traj0, traj1 = tcl2.evolve_branch_pair(reservoir, omega, t_end, h)
         times = traj0.times
         dx = times[1] - times[0]
-        d1v = d1(times, reservoir)
-        d2v = d2(times, reservoir)
-        sin_wt = np.sin(omega * times)
-        cos_wt = np.cos(omega * times)
+        # the kernel samples of the coefficient integrals, not recomputed
+        d1v, d2v = traj0.d1_vals, traj0.d2_vals
+        sin_wt, cos_wt = traj0.sin_wt, traj0.cos_wt
         integrand0 = (2.0 * traj0.rho00 - 1.0) * d1v * sin_wt + d2v * cos_wt
         integrand1 = (2.0 * traj1.rho00 - 1.0) * d1v * sin_wt + d2v * cos_wt
         corr0 = cumulative_simpson(integrand0, dx=dx, initial=0.0)
@@ -146,27 +179,6 @@ def _stroke_dynamics(
     raise ValueError(f"unknown dynamics backend {backend!r}")
 
 
-def stroke_dynamics(
-    engine: EngineParams,
-    which: str,
-    backend: str = "tcl2",
-    h: float | None = None,
-) -> StrokeDynamics:
-    """Solve one stroke of the engine with full energetic diagnostics.
-
-    Results are memoized on the physical inputs, so sweeps that revisit
-    a stroke (same reservoir, splitting, duration, grid) pay only once.
-    """
-    if which == "hot":
-        reservoir, omega, t_end = engine.hot_reservoir, engine.omega_h, engine.t1
-    elif which == "cold":
-        reservoir, omega, t_end = engine.cold_reservoir, engine.omega_c, engine.t2
-    else:
-        raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
-    h_eff = tcl2.default_step(t_end) if h is None else h
-    return _stroke_dynamics(reservoir, omega, t_end, h_eff, backend, which)
-
-
 def _at(profile: np.ndarray, stroke: StrokeDynamics, t):
     return profile if t is None else float(profile[stroke.index_of(t)])
 
@@ -187,7 +199,7 @@ def interaction_energy(p: float, stroke: StrokeDynamics, t=None):
     Zero at t = 0 (factorized start) and identically zero for the
     Markov backend.
     """
-    profile = -(p * stroke.corr_0 + (1.0 - p) * stroke.corr_1)
+    profile = -_mixed(p, stroke.corr_0, stroke.corr_1)
     return _at(profile, stroke, t)
 
 
@@ -204,7 +216,7 @@ def energy_flow(p: float, stroke: StrokeDynamics):
     stretch is energy backflow (only the non-Markovian backend shows
     one).  Returns (times, theta).
     """
-    theta = p * stroke.flow_0 + (1.0 - p) * stroke.flow_1
+    theta = _mixed(p, stroke.flow_0, stroke.flow_1)
     return stroke.times, theta
 
 
@@ -241,9 +253,7 @@ def work_adiabatic(engine: EngineParams, P_h: float, P_c: float,
     after the cold stroke.  Both nonnegative.
     """
     gap = engine.omega_h - engine.omega_c
-    w_ad1 = gap * (1.0 - float(hot.rho00_mixed(P_h)[-1]))
-    w_ad2 = gap * (1.0 - float(cold.rho00_mixed(P_c)[-1]))
-    return w_ad1, w_ad2
+    return cycle_ledger(gap, P_h, P_c, hot.ends, cold.ends)[:2]
 
 
 def work_net_I(w_ad1: float, w_ad2: float) -> float:
@@ -255,6 +265,22 @@ def work_net_II(w_net_1: float, e_int_hot: float, e_int_cold: float) -> float:
     """Net extracted work including the cost of detaching against the
     end-of-stroke interaction energies."""
     return w_net_1 + e_int_hot + e_int_cold
+
+
+def cycle_ledger(gap, P_h, P_c, hot: StrokeEnds, cold: StrokeEnds):
+    """Works and detachment energies at the limit cycle (P_h, P_c).
+
+    gap is omega_h - omega_c.  Elementwise over floats or arrays that
+    broadcast against each other, such as a column of hot-stroke ends
+    against a row of cold-stroke ends.  Returns (W_ad1, W_ad2, W_I,
+    W_II, E_I_h, E_I_c) with E_I = -C(t_end), as ``interaction_energy``.
+    """
+    w_ad1 = gap * (1.0 - _mixed(P_h, hot.r0, hot.r1))
+    w_ad2 = gap * (1.0 - _mixed(P_c, cold.r0, cold.r1))
+    e_i_h = -_mixed(P_h, hot.corr_0, hot.corr_1)
+    e_i_c = -_mixed(P_c, cold.corr_0, cold.corr_1)
+    w_1 = work_net_I(w_ad1, w_ad2)
+    return w_ad1, w_ad2, w_1, work_net_II(w_1, e_i_h, e_i_c), e_i_h, e_i_c
 
 
 @dataclass(frozen=True)
@@ -300,17 +326,15 @@ def evaluate_cycle(
     cold = stroke_dynamics(engine, "cold", backend, h)
     cyc = limit_cycle(hot.as_map, cold.as_map)
 
-    e_i_h = interaction_energy(cyc.P_h, hot, engine.t1)
-    e_i_c = interaction_energy(cyc.P_c, cold, engine.t2)
+    w_ad1, w_ad2, w_1, w_2, e_i_h, e_i_c = cycle_ledger(
+        engine.omega_h - engine.omega_c, cyc.P_h, cyc.P_c, hot.ends, cold.ends)
     des_h = system_energy_change(cyc.P_h, hot, engine.t1)
     des_c = system_energy_change(cyc.P_c, cold, engine.t2)
-    w_ad1, w_ad2 = work_adiabatic(engine, cyc.P_h, cyc.P_c, hot, cold)
-    w_1 = work_net_I(w_ad1, w_ad2)
     ledger = EnergyLedger(
         W_ad1=w_ad1,
         W_ad2=w_ad2,
         W_I=w_1,
-        W_II=work_net_II(w_1, e_i_h, e_i_c),
+        W_II=w_2,
         E_I_h=e_i_h,
         E_I_c=e_i_c,
         dES_h=des_h,

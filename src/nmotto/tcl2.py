@@ -96,8 +96,10 @@ class StrokeInput:
 class Trajectory:
     """Solution of one stroke on its grid.
 
-    cum_a is the running integral A(t) of the decay coefficient, kept
-    because the energy bookkeeping reuses it.
+    cum_a is the running integral A(t) of the decay coefficient; the
+    kernel samples d1_vals, d2_vals and the level phases sin_wt, cos_wt
+    the coefficients were built from are kept because the energy
+    bookkeeping reuses them.
     """
 
     times: np.ndarray
@@ -105,6 +107,10 @@ class Trajectory:
     cum_a: np.ndarray
     a_vals: np.ndarray
     b_vals: np.ndarray
+    d1_vals: np.ndarray
+    d2_vals: np.ndarray
+    sin_wt: np.ndarray
+    cos_wt: np.ndarray
 
     @property
     def rho11(self) -> np.ndarray:
@@ -115,25 +121,29 @@ def _cumulative(y: np.ndarray, dx: float) -> np.ndarray:
     return cumulative_simpson(y, dx=dx, initial=0.0)
 
 
-def _coefficients(reservoir: ReservoirSpec, omega: float, times: np.ndarray):
+def _coefficients(reservoir: ReservoirSpec, omega: float, times: np.ndarray) -> dict:
+    """a(t), b(t) and the samples they are built from, keyed by
+    ``Trajectory`` field."""
     dx = times[1] - times[0]
-    k1 = d1(times, reservoir) * np.cos(omega * times)
-    k2 = d2(times, reservoir) * np.sin(omega * times)
-    a = -2.0 * _cumulative(k1, dx)
-    b = 0.5 * a - _cumulative(k2, dx)
-    return a, b
+    d1_vals, d2_vals = d1(times, reservoir), d2(times, reservoir)
+    sin_wt, cos_wt = np.sin(omega * times), np.cos(omega * times)
+    a = -2.0 * _cumulative(d1_vals * cos_wt, dx)
+    b = 0.5 * a - _cumulative(d2_vals * sin_wt, dx)
+    return {"a_vals": a, "b_vals": b, "d1_vals": d1_vals, "d2_vals": d2_vals,
+            "sin_wt": sin_wt, "cos_wt": cos_wt}
 
 
 def _solve(reservoir: ReservoirSpec, omega: float, t_end: float, h: float | None):
-    """Shared solution pieces: rho00(t) = decay(t) * (rho00(0) - inner(t))."""
+    """Shared solution pieces: rho00(t) = decay(t) * (rho00(0) - inner(t)),
+    plus every ``Trajectory`` field except rho00."""
     times = time_grid(t_end, h)
     dx = times[1] - times[0]
-    a, b = _coefficients(reservoir, omega, times)
-    cum_a = _cumulative(a, dx)
+    shared = _coefficients(reservoir, omega, times)
+    cum_a = _cumulative(shared["a_vals"], dx)
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(cum_a)
-        inner = _cumulative(b * np.exp(-cum_a), dx)
-    return times, a, b, cum_a, decay, inner
+        inner = _cumulative(shared["b_vals"] * np.exp(-cum_a), dx)
+    return decay, inner, dict(shared, times=times, cum_a=cum_a)
 
 
 def _check_positivity(rho00: np.ndarray, times: np.ndarray):
@@ -164,8 +174,7 @@ def coeff_a(t: float, stroke: StrokeInput) -> float:
     if t == 0:
         return 0.0
     times = time_grid(t, stroke.h)
-    a, _ = _coefficients(stroke.reservoir, stroke.omega, times)
-    return float(a[-1])
+    return float(_coefficients(stroke.reservoir, stroke.omega, times)["a_vals"][-1])
 
 
 def coeff_b(t: float, stroke: StrokeInput) -> float:
@@ -175,8 +184,7 @@ def coeff_b(t: float, stroke: StrokeInput) -> float:
     if t == 0:
         return 0.0
     times = time_grid(t, stroke.h)
-    _, b = _coefficients(stroke.reservoir, stroke.omega, times)
-    return float(b[-1])
+    return float(_coefficients(stroke.reservoir, stroke.omega, times)["b_vals"][-1])
 
 
 def evolve_diagonal(stroke: StrokeInput) -> Trajectory:
@@ -185,12 +193,10 @@ def evolve_diagonal(stroke: StrokeInput) -> Trajectory:
     Deterministic for fixed inputs and grid.  Raises
     ``PositivityViolation`` when the result leaves [0, 1].
     """
-    times, a, b, cum_a, decay, inner = _solve(
-        stroke.reservoir, stroke.omega, stroke.t_end, stroke.h
-    )
+    decay, inner, shared = _solve(stroke.reservoir, stroke.omega, stroke.t_end, stroke.h)
     rho00 = decay * (stroke.rho00_init - inner)
-    _check_positivity(rho00, times)
-    return Trajectory(times=times, rho00=rho00, cum_a=cum_a, a_vals=a, b_vals=b)
+    _check_positivity(rho00, shared["times"])
+    return Trajectory(rho00=rho00, **shared)
 
 
 def evolve_branch_pair(
@@ -203,11 +209,9 @@ def evolve_branch_pair(
     what makes a full cycle evaluation cheap; the solution is affine in
     the initial condition so no generality is lost.
     """
-    times, a, b, cum_a, decay, inner = _solve(reservoir, omega, t_end, h)
+    decay, inner, shared = _solve(reservoir, omega, t_end, h)
     rho_from0 = decay * (1.0 - inner)
     rho_from1 = decay * (0.0 - inner)
-    _check_positivity(rho_from0, times)
-    _check_positivity(rho_from1, times)
-    traj0 = Trajectory(times=times, rho00=rho_from0, cum_a=cum_a, a_vals=a, b_vals=b)
-    traj1 = Trajectory(times=times, rho00=rho_from1, cum_a=cum_a, a_vals=a, b_vals=b)
-    return traj0, traj1
+    _check_positivity(rho_from0, shared["times"])
+    _check_positivity(rho_from1, shared["times"])
+    return Trajectory(rho00=rho_from0, **shared), Trajectory(rho00=rho_from1, **shared)

@@ -1,8 +1,11 @@
 """Command-line surface: config handling, CSV contracts, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from nmotto import evaluate_cycle
 from nmotto.cli import (
     build_config,
     main,
@@ -10,8 +13,9 @@ from nmotto.cli import (
     run_dynamics,
     run_sweep,
     serialize_config,
+    sweep_grid,
 )
-from nmotto.errors import ConfigError
+from nmotto.errors import ConfigError, DegenerateCycle, PositivityViolation
 
 REF_SETS = [
     "t1=5", "t2=60", "omega_h=1.0", "omega_c=0.18", "T_h=5.0", "T_c=1.0",
@@ -30,6 +34,18 @@ def column(text, name):
     header, rows = read_rows(text)
     i = header.index(name)
     return np.array([float(r[i]) for r in rows])
+
+
+def point_ledger(engine, backend, step):
+    """One sweep point the per-point way: (W_ad1, W_ad2, W_I, W_II), label."""
+    if engine.lam == 0.0:
+        w_frozen = (engine.omega_h - engine.omega_c) * (1.0 - 0.5)
+        return (w_frozen, w_frozen, 0.0, 0.0), ""
+    try:
+        ledger = evaluate_cycle(engine, backend, step).ledger
+    except (PositivityViolation, DegenerateCycle) as exc:
+        return (float("nan"),) * 4, type(exc).__name__
+    return (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II), ""
 
 
 class TestConfig:
@@ -123,10 +139,38 @@ class TestSweep:
         assert t2s == [2.0, 8.0, 2.0, 8.0, 2.0, 8.0]
         assert all(r[-1] == "" for r in rows)
 
-    def test_worker_count_does_not_change_bytes(self):
-        one = run_sweep(build_config({**self.SMALL, "workers": "1"}))
-        two = run_sweep(build_config({**self.SMALL, "workers": "2"}))
+    POSITIVITY = {"omega_pairs": "4:0.5,1:0.18", "T_h": "50", "lambda": "0.3"}
+
+    @pytest.mark.parametrize("extra", [{}, POSITIVITY], ids=["small", "positivity"])
+    def test_worker_count_does_not_change_bytes(self, extra):
+        one = run_sweep(build_config({**self.SMALL, **extra, "workers": "1"}))
+        two = run_sweep(build_config({**self.SMALL, **extra, "workers": "2"}))
         assert one == two
+        assert ("PositivityViolation" in one) == bool(extra)
+
+    @pytest.mark.parametrize("extra, outcomes", [
+        ({}, {""}),
+        ({"backend": "markov", "omega_pairs": "1.0:0.18,0.9:0.2"}, {""}),
+        ({"lambda": "0"}, {""}),
+        ({**POSITIVITY, "t1_max": "10", "t1_count": "2"}, {"", "PositivityViolation"}),
+        ({"backend": "markov", "lambda": "1e-16", "t1_max": "3", "t2_max": "3"},
+         {"DegenerateCycle"}),
+    ], ids=["tcl2", "markov-pairs", "zero-coupling", "positivity", "degenerate"])
+    def test_grid_matches_per_point_bit_for_bit(self, extra, outcomes):
+        cfg = build_config({**self.SMALL, **extra})
+        t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
+        t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
+        labels = set()
+        for engine, works, errors in sweep_grid(cfg):
+            for i, t1 in enumerate(t1_values):
+                for j, t2 in enumerate(t2_values):
+                    point = replace(engine, t1=float(t1), t2=float(t2))
+                    ref, label = point_ledger(point, cfg.backend, cfg.step)
+                    got = [float(w[i, j]).hex() for w in works]
+                    assert got == [w.hex() for w in ref], (t1, t2)
+                    assert errors[i, j] == label, (t1, t2)
+                    labels.add(label)
+        assert labels == outcomes
 
     def test_per_point_failures_recorded(self):
         cfg = build_config({
