@@ -10,7 +10,7 @@ cycle.  An exact few-mode diagonalization serves as a brute-force
 reference.  Units: k_B = hbar = 1.
 """
 
-from .cycle import LimitCycle, StrokeMap, iterate_cycle, limit_cycle, stroke_map
+from .cycle import LimitCycle, StrokeMap, iterate_cycle, limit_cycle
 from .energetics import (
     CycleEvaluation,
     EnergyLedger,
@@ -29,23 +29,9 @@ from .energetics import (
 from .engine import DiagonalState, EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation, TruncationWarning
 from .kernels import ReservoirSpec, d1, d2, ohmic_j, trigamma
-from .markov import (
-    MarkovStroke,
-    bose_n,
-    markov_rho00,
-    positive_work_condition,
-    relaxation_rate,
-    stationary_rho00,
-)
+from .markov import bose_n, positive_work_condition, relaxation_rate, stationary_rho00
 from .oracle import DiscretizedBath, OracleResult, discretize_bath, exact_evolve
-from .tcl2 import (
-    StrokeInput,
-    Trajectory,
-    coeff_a,
-    coeff_b,
-    evolve_branch_pair,
-    evolve_diagonal,
-)
+from .tcl2 import Trajectory, evolve_branch_pair
 
 __version__ = "0.1.0"
 
@@ -58,18 +44,14 @@ __all__ = [
     "EnergyLedger",
     "EngineParams",
     "LimitCycle",
-    "MarkovStroke",
     "OracleResult",
     "PositivityViolation",
     "ReservoirSpec",
     "StrokeDynamics",
-    "StrokeInput",
     "StrokeMap",
     "Trajectory",
     "TruncationWarning",
     "bose_n",
-    "coeff_a",
-    "coeff_b",
     "d1",
     "d2",
     "discretize_bath",
@@ -77,19 +59,16 @@ __all__ = [
     "energy_flow",
     "evaluate_cycle",
     "evolve_branch_pair",
-    "evolve_diagonal",
     "exact_evolve",
     "interaction_energy",
     "iterate_cycle",
     "limit_cycle",
-    "markov_rho00",
     "ohmic_j",
     "positive_work_condition",
     "relaxation_rate",
     "reservoir_energy_change",
     "stationary_rho00",
     "stroke_dynamics",
-    "stroke_map",
     "system_energy_change",
     "trigamma",
     "work_adiabatic",

@@ -212,14 +212,27 @@ def _fmt(x: float) -> str:
 _FROZEN_P = 0.5
 
 
+def _cycle_probabilities(engine: EngineParams, hot, cold):
+    """(p0, degenerate, P_h, P_c) of the limit cycle from the hot and
+    cold stroke ends, floats or broadcasting arrays (``fixed_point``).
+    At zero coupling every point takes _FROZEN_P and none counts as
+    degenerate."""
+    p0, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
+    if engine.lam == 0.0:
+        return p0, np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
+    return p0, degenerate, p_h, p_c
+
+
 def _hot_stroke_state(cfg: RunConfig):
     """Hot-stroke dynamics and pre-contact ground probability at the
-    limit cycle (frozen-population convention at zero coupling)."""
-    if cfg.engine.lam == 0.0:
-        hot = energetics.stroke_dynamics(cfg.engine, "hot", cfg.backend, cfg.step)
-        return hot, _FROZEN_P
-    ev = energetics.evaluate_cycle(cfg.engine, cfg.backend, cfg.step)
-    return ev.hot, ev.cycle.P_h
+    limit cycle."""
+    hot, cold = (energetics.stroke_dynamics(cfg.engine, which, cfg.backend, cfg.step)
+                 for which in ("hot", "cold"))
+    p0, degenerate, p_h, _ = _cycle_probabilities(cfg.engine, hot.ends, cold.ends)
+    if degenerate:
+        raise DegenerateCycle(
+            f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0)
+    return hot, float(p_h)
 
 
 def run_dynamics(cfg: RunConfig) -> str:
@@ -277,14 +290,6 @@ def sweep_grid(cfg: RunConfig):
     engines = [replace(cfg.engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
     shape = (cfg.t1_count, cfg.t2_count)
 
-    if cfg.engine.lam == 0.0:
-        blocks = []
-        for engine in engines:
-            w_frozen = (engine.omega_h - engine.omega_c) * (1.0 - _FROZEN_P)
-            works = [np.full(shape, w) for w in (w_frozen, w_frozen, 0.0, 0.0)]
-            blocks.append((engine, works, np.full(shape, "", dtype=object)))
-        return blocks
-
     tasks = []
     for engine in engines:
         tasks += [(replace(engine, t1=float(t1)), "hot", cfg.backend, cfg.step)
@@ -307,7 +312,7 @@ def sweep_grid(cfg: RunConfig):
         cold, cold_failed = _stack_ends(ends[first + n1:first + n1 + n2], (1, n2))
         # failed and degenerate points carry nan or inf here; masked below
         with np.errstate(invalid="ignore", over="ignore"):
-            _, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
+            _, degenerate, p_h, p_c = _cycle_probabilities(engine, hot, cold)
             ledger = energetics.cycle_ledger(engine.omega_h - engine.omega_c,
                                              p_h, p_c, hot, cold)
         errors = np.full(shape, "", dtype=object)

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import markov, tcl2
-from .engine import EngineParams
+from . import tcl2
 from .errors import DegenerateCycle
 
 __all__ = [
     "DEGENERACY_TOL",
     "StrokeMap",
     "LimitCycle",
-    "stroke_map",
     "fixed_point",
     "limit_cycle",
     "iterate_cycle",
@@ -66,43 +64,12 @@ class LimitCycle:
     """Fixed point of the repeated protocol.
 
     P_h / P_c are the ground-state probabilities just before the hot /
-    cold contact, p0 the per-cycle contraction factor, n_iter_check the
-    number of fixed-point iterations a direct verification needed
-    (capped at 10000 for maps contracting very slowly).
+    cold contact, p0 the per-cycle contraction factor.
     """
 
     P_h: float
     P_c: float
     p0: float
-    n_iter_check: int
-
-
-def stroke_map(
-    engine: EngineParams,
-    which: str,
-    dynamics: str = "tcl2",
-    h: float | None = None,
-) -> StrokeMap:
-    """Propagate both pure initial states through one stroke.
-
-    which: "hot" (splitting omega_h, reservoir T_h, duration t1) or
-    "cold".  dynamics selects the backend, "tcl2" or "markov".
-    """
-    if which == "hot":
-        reservoir, omega, t_end = engine.hot_reservoir, engine.omega_h, engine.t1
-    elif which == "cold":
-        reservoir, omega, t_end = engine.cold_reservoir, engine.omega_c, engine.t2
-    else:
-        raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
-
-    if dynamics == "tcl2":
-        traj0, traj1 = tcl2.evolve_branch_pair(reservoir, omega, t_end, h)
-        return StrokeMap(r0=float(traj0.rho00[-1]), r1=float(traj1.rho00[-1]))
-    if dynamics == "markov":
-        r0 = markov.markov_rho00(t_end, markov.MarkovStroke(reservoir, omega, 1.0, t_end))
-        r1 = markov.markov_rho00(t_end, markov.MarkovStroke(reservoir, omega, 0.0, t_end))
-        return StrokeMap(r0=r0, r1=r1)
-    raise ValueError(f"unknown dynamics backend {dynamics!r}")
 
 
 def fixed_point(hot_r0, hot_r1, cold_r0, cold_r1):
@@ -134,14 +101,7 @@ def limit_cycle(hot: StrokeMap, cold: StrokeMap) -> LimitCycle:
         raise DegenerateCycle(
             f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
         )
-    ph, pc = float(ph), float(pc)
-
-    # direct verification: iterate the composed affine map to the same point
-    p, n = 0.0, 0
-    while abs(p - ph) > 1e-12 and n < 10_000:
-        p = cold.apply(hot.apply(p))
-        n += 1
-    return LimitCycle(P_h=ph, P_c=pc, p0=p0, n_iter_check=n)
+    return LimitCycle(P_h=float(ph), P_c=float(pc), p0=p0)
 
 
 def iterate_cycle(hot: StrokeMap, cold: StrokeMap, p_start: float, n: int):

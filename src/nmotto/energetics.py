@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import markov, tcl2
 from .cycle import LimitCycle, StrokeMap, limit_cycle
@@ -150,8 +149,8 @@ def stroke_dynamics(
         sin_wt, cos_wt = traj0.sin_wt, traj0.cos_wt
         integrand0 = (2.0 * traj0.rho00 - 1.0) * d1v * sin_wt + d2v * cos_wt
         integrand1 = (2.0 * traj1.rho00 - 1.0) * d1v * sin_wt + d2v * cos_wt
-        corr0 = cumulative_simpson(integrand0, dx=dx, initial=0.0)
-        corr1 = cumulative_simpson(integrand1, dx=dx, initial=0.0)
+        corr0 = tcl2.cumulative_simpson(integrand0, dx)
+        corr1 = tcl2.cumulative_simpson(integrand1, dx)
         # theta = -d(dE_S)/dt + dC/dt, with d rho00/dt = a rho00 - b
         flow0 = omega * (traj0.a_vals * traj0.rho00 - traj0.b_vals) + integrand0
         flow1 = omega * (traj1.a_vals * traj1.rho00 - traj1.b_vals) + integrand1
@@ -162,15 +161,8 @@ def stroke_dynamics(
         )
     if backend == "markov":
         times = tcl2.time_grid(t_end, h)
-        rho_inf = markov.stationary_rho00(omega, reservoir.temperature)
-        gamma = markov.relaxation_rate(omega, reservoir)
-        e = np.exp(-gamma * times)
-        rho0 = rho_inf + (1.0 - rho_inf) * e
-        rho1 = rho_inf * (1.0 - e)
-        zero = np.zeros_like(times)
-        # no interaction storage: the reservoir absorbs the system's loss
-        flow0 = omega * gamma * (rho_inf - rho0)
-        flow1 = omega * gamma * (rho_inf - rho1)
+        rho0, rho1, flow0, flow1 = markov.branch_pair(reservoir, omega, times)
+        zero = np.zeros_like(times)  # no interaction storage
         return StrokeDynamics(
             which=which, backend=backend, omega=omega, reservoir=reservoir,
             times=times, rho00_0=rho0, rho00_1=rho1,

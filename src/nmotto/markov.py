@@ -14,19 +14,16 @@ and both net-work definitions coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import EngineParams
 from .kernels import ReservoirSpec, ohmic_j
 
 __all__ = [
-    "MarkovStroke",
     "bose_n",
     "stationary_rho00",
     "relaxation_rate",
-    "markov_rho00",
+    "branch_pair",
     "positive_work_condition",
 ]
 
@@ -50,33 +47,23 @@ def relaxation_rate(omega: float, reservoir: ReservoirSpec) -> float:
     return 2.0 * np.pi * ohmic_j(omega, reservoir) * (1.0 + 2.0 * n)
 
 
-@dataclass(frozen=True)
-class MarkovStroke:
-    """One isochoric stroke under Born-Markov relaxation."""
+def branch_pair(reservoir: ReservoirSpec, omega: float, t):
+    """Both pure-start branches of one stroke at time(s) t >= 0.
 
-    reservoir: ReservoirSpec
-    omega: float
-    rho00_init: float
-    t_end: float
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("level splitting must be positive")
-        if not 0.0 <= self.rho00_init <= 1.0:
-            raise ValueError("initial population must lie in [0, 1]")
-        if not self.t_end > 0:
-            raise ValueError("stroke duration must be positive")
-
-
-def markov_rho00(t, stroke: MarkovStroke):
-    """Ground population at time(s) t; monotonic from rho00(0) to rho_inf."""
+    Returns (rho00 from |0>, rho00 from |1>, flow from |0>, flow from
+    |1>), arrays or floats like t.  Each population relaxes
+    monotonically to rho_inf, and the reservoir takes up exactly the
+    energy the system gives off, at the rate omega Gamma (rho_inf - rho00).
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    rho_inf = stationary_rho00(stroke.omega, stroke.reservoir.temperature)
-    gamma = relaxation_rate(stroke.omega, stroke.reservoir)
-    out = rho_inf + (stroke.rho00_init - rho_inf) * np.exp(-gamma * t)
-    return out if out.ndim else float(out)
+    rho_inf = stationary_rho00(omega, reservoir.temperature)
+    gamma = relaxation_rate(omega, reservoir)
+    e = np.exp(-gamma * t)
+    rho0 = rho_inf + (1.0 - rho_inf) * e
+    rho1 = rho_inf * (1.0 - e)
+    return rho0, rho1, omega * gamma * (rho_inf - rho0), omega * gamma * (rho_inf - rho1)
 
 
 def positive_work_condition(params: EngineParams) -> bool:

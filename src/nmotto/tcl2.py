@@ -31,20 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import PositivityViolation
 from .kernels import ReservoirSpec, d1, d2
 
 __all__ = [
     "POSITIVITY_TOL",
-    "StrokeInput",
     "Trajectory",
     "default_step",
     "time_grid",
-    "coeff_a",
-    "coeff_b",
-    "evolve_diagonal",
+    "cumulative_simpson",
     "evolve_branch_pair",
 ]
 
@@ -68,28 +64,6 @@ def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
         raise ValueError("grid step must be positive")
     n = max(2, int(np.ceil(t_end / h - 1e-12)))
     return np.linspace(0.0, t_end, n + 1)
-
-
-@dataclass(frozen=True)
-class StrokeInput:
-    """One isochoric stroke: reservoir, level splitting, initial ground
-    population, duration, and optional grid step (None: default rule)."""
-
-    reservoir: ReservoirSpec
-    omega: float
-    rho00_init: float
-    t_end: float
-    h: float | None = None
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("level splitting must be positive")
-        if not 0.0 <= self.rho00_init <= 1.0:
-            raise ValueError("initial population must lie in [0, 1]")
-        if not self.t_end > 0:
-            raise ValueError("stroke duration must be positive")
-        if self.h is not None and not self.h > 0:
-            raise ValueError("grid step must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,33 +91,23 @@ class Trajectory:
         return 1.0 - self.rho00
 
 
-def _cumulative(y: np.ndarray, dx: float) -> np.ndarray:
-    return cumulative_simpson(y, dx=dx, initial=0.0)
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running integral of y on a uniform grid of step dx (len(y) >= 3),
+    starting from 0 at the first sample.
 
-
-def _coefficients(reservoir: ReservoirSpec, omega: float, times: np.ndarray) -> dict:
-    """a(t), b(t) and the samples they are built from, keyed by
-    ``Trajectory`` field."""
-    dx = times[1] - times[0]
-    d1_vals, d2_vals = d1(times, reservoir), d2(times, reservoir)
-    sin_wt, cos_wt = np.sin(omega * times), np.cos(omega * times)
-    a = -2.0 * _cumulative(d1_vals * cos_wt, dx)
-    b = 0.5 * a - _cumulative(d2_vals * sin_wt, dx)
-    return {"a_vals": a, "b_vals": b, "d1_vals": d1_vals, "d2_vals": d2_vals,
-            "sin_wt": sin_wt, "cos_wt": cos_wt}
-
-
-def _solve(reservoir: ReservoirSpec, omega: float, t_end: float, h: float | None):
-    """Shared solution pieces: rho00(t) = decay(t) * (rho00(0) - inner(t)),
-    plus every ``Trajectory`` field except rho00."""
-    times = time_grid(t_end, h)
-    dx = times[1] - times[0]
-    shared = _coefficients(reservoir, omega, times)
-    cum_a = _cumulative(shared["a_vals"], dx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(cum_a)
-        inner = _cumulative(shared["b_vals"] * np.exp(-cum_a), dx)
-    return decay, inner, dict(shared, times=times, cum_a=cum_a)
+    Subinterval k is integrated over the parabola through samples k to
+    k + 2 for even k, and through k - 1 to k + 1 for odd k and for the
+    last one.  Keep the operation order: the tests hold the result bit
+    for bit to their reference quadrature.
+    """
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    ahead = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    back = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    pieces = np.empty(len(y) - 1)
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = back[::2]
+    pieces[-1] = back[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
 def _check_positivity(rho00: np.ndarray, times: np.ndarray):
@@ -166,39 +130,6 @@ def _check_positivity(rho00: np.ndarray, times: np.ndarray):
         )
 
 
-def coeff_a(t: float, stroke: StrokeInput) -> float:
-    """Decay coefficient a(t); a(0) = 0, and a(t) -> -Gamma (the
-    Born-Markov rate) once t exceeds the kernel correlation time."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    times = time_grid(t, stroke.h)
-    return float(_coefficients(stroke.reservoir, stroke.omega, times)["a_vals"][-1])
-
-
-def coeff_b(t: float, stroke: StrokeInput) -> float:
-    """Inhomogeneous coefficient b(t) = a(t)/2 - Int_0^t D2 sin(omega s) ds."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    times = time_grid(t, stroke.h)
-    return float(_coefficients(stroke.reservoir, stroke.omega, times)["b_vals"][-1])
-
-
-def evolve_diagonal(stroke: StrokeInput) -> Trajectory:
-    """Propagate the ground population through one stroke.
-
-    Deterministic for fixed inputs and grid.  Raises
-    ``PositivityViolation`` when the result leaves [0, 1].
-    """
-    decay, inner, shared = _solve(stroke.reservoir, stroke.omega, stroke.t_end, stroke.h)
-    rho00 = decay * (stroke.rho00_init - inner)
-    _check_positivity(rho00, shared["times"])
-    return Trajectory(rho00=rho00, **shared)
-
-
 def evolve_branch_pair(
     reservoir: ReservoirSpec, omega: float, t_end: float, h: float | None = None
 ):
@@ -209,9 +140,21 @@ def evolve_branch_pair(
     what makes a full cycle evaluation cheap; the solution is affine in
     the initial condition so no generality is lost.
     """
-    decay, inner, shared = _solve(reservoir, omega, t_end, h)
+    times = time_grid(t_end, h)
+    dx = times[1] - times[0]
+    d1_vals, d2_vals = d1(times, reservoir), d2(times, reservoir)
+    sin_wt, cos_wt = np.sin(omega * times), np.cos(omega * times)
+    a = -2.0 * cumulative_simpson(d1_vals * cos_wt, dx)
+    b = 0.5 * a - cumulative_simpson(d2_vals * sin_wt, dx)
+    cum_a = cumulative_simpson(a, dx)
+    # rho00(t) = decay(t) * (rho00(0) - inner(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(cum_a)
+        inner = cumulative_simpson(b * np.exp(-cum_a), dx)
     rho_from0 = decay * (1.0 - inner)
     rho_from1 = decay * (0.0 - inner)
-    _check_positivity(rho_from0, shared["times"])
-    _check_positivity(rho_from1, shared["times"])
+    _check_positivity(rho_from0, times)
+    _check_positivity(rho_from1, times)
+    shared = dict(times=times, cum_a=cum_a, a_vals=a, b_vals=b, d1_vals=d1_vals,
+                  d2_vals=d2_vals, sin_wt=sin_wt, cos_wt=cos_wt)
     return Trajectory(rho00=rho_from0, **shared), Trajectory(rho00=rho_from1, **shared)

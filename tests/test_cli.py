@@ -1,10 +1,15 @@
 """Command-line surface: config handling, CSV contracts, determinism."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmotto
 from nmotto import evaluate_cycle
 from nmotto.cli import (
     build_config,
@@ -262,3 +267,15 @@ class TestMain:
                    "--set", "T_h=50", "--set", "lambda=0.3", "--set", "t1=10"])
         assert rc == 3
         assert "PositivityViolation" in capsys.readouterr().err
+
+
+class TestRuntime:
+    def test_numpy_only_import(self):
+        # a fresh interpreter, so no test module has pulled in scipy yet
+        src = str(Path(nmotto.__file__).resolve().parents[1])
+        code = ("import sys, nmotto, nmotto.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

@@ -5,17 +5,22 @@ import pytest
 
 from nmotto import (
     EngineParams,
-    MarkovStroke,
     ReservoirSpec,
     bose_n,
     evaluate_cycle,
-    markov_rho00,
     positive_work_condition,
     relaxation_rate,
     stationary_rho00,
 )
+from nmotto.markov import branch_pair
 
 COLD = ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.4)
+
+
+def markov_rho00(p, reservoir, omega, t):
+    """Ground population at time(s) t of the stroke started from p."""
+    rho0, rho1 = branch_pair(reservoir, omega, t)[:2]
+    return p * rho0 + (1.0 - p) * rho1
 
 
 class TestBose:
@@ -38,12 +43,11 @@ class TestBose:
 
 class TestRelaxation:
     def test_identity_at_zero_time(self):
-        stroke = MarkovStroke(COLD, 0.18, 0.37, 10.0)
-        assert markov_rho00(0.0, stroke) == pytest.approx(0.37, rel=1e-15)
+        assert markov_rho00(0.37, COLD, 0.18, 0.0) == pytest.approx(0.37, rel=1e-15)
 
     def test_stationary_value(self):
-        stroke = MarkovStroke(COLD, 0.18, 0.0, 10.0)
-        assert markov_rho00(1e6, stroke) == pytest.approx(0.54487889237358, rel=1e-12)
+        assert markov_rho00(0.0, COLD, 0.18, 1e6) == pytest.approx(0.54487889237358,
+                                                                    rel=1e-12)
         assert stationary_rho00(0.18, 1.0) == pytest.approx(0.5449, abs=1e-4)
 
     def test_ground_state_saturation(self):
@@ -58,8 +62,7 @@ class TestRelaxation:
             temp = rng.uniform(0.2, 10.0)
             r0 = rng.uniform(0.0, 1.0)
             res = ReservoirSpec(temperature=temp, lam=0.01, cutoff=0.4)
-            stroke = MarkovStroke(res, omega, r0, 200.0)
-            rho = markov_rho00(t, stroke)
+            rho = markov_rho00(r0, res, omega, t)
             d = np.diff(rho)
             assert np.all(d >= -1e-15) or np.all(d <= 1e-15)
             rinf = stationary_rho00(omega, temp)

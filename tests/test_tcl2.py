@@ -4,23 +4,30 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
-from nmotto import (
-    PositivityViolation,
-    ReservoirSpec,
-    StrokeInput,
-    coeff_a,
-    coeff_b,
-    evolve_branch_pair,
-    evolve_diagonal,
-)
+from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair
 from nmotto.kernels import d1, d2
-from nmotto.markov import MarkovStroke, markov_rho00, stationary_rho00
-from nmotto.tcl2 import default_step, time_grid
+from nmotto.markov import branch_pair, stationary_rho00
+from nmotto.tcl2 import cumulative_simpson, default_step, time_grid
 
 HOT = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
-STROKE = StrokeInput(reservoir=HOT, omega=1.0, rho00_init=1.0, t_end=5.0)
+OFF = ReservoirSpec(temperature=5.0, lam=0.0, cutoff=0.4)
+
+
+def mixed(p, reservoir, omega, t_end, h=None):
+    """rho00 of the stroke started from ground population p."""
+    traj0, traj1 = evolve_branch_pair(reservoir, omega, t_end, h)
+    return p * traj0.rho00 + (1.0 - p) * traj1.rho00
+
+
+def closed_form(p, traj):
+    """rho00(t) = e^A (p - Int b e^-A) rebuilt from the trajectory's own
+    coefficient samples."""
+    dx = traj.times[1] - traj.times[0]
+    inner = cumulative_simpson(traj.b_vals * np.exp(-traj.cum_a), dx)
+    return np.exp(traj.cum_a) * (p - inner)
 
 
 def quad_coefficient(kind, t, reservoir, omega):
@@ -53,55 +60,61 @@ class TestGrid:
         assert t[1] - t[0] <= 0.3 + 1e-15
 
 
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 2001, 6001])
+    def test_bit_identical_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y, dx = rng.standard_normal(n), rng.uniform(1e-3, 1.0)
+        ref = scipy.integrate.cumulative_simpson(y, dx=dx, initial=0.0)
+        assert np.array_equal(cumulative_simpson(y, dx), ref)
+
+
 class TestCoefficients:
     def test_zero_time(self):
-        assert coeff_a(0.0, STROKE) == 0.0
-        assert coeff_b(0.0, STROKE) == 0.0
+        traj = evolve_branch_pair(HOT, 1.0, 5.0)[0]
+        assert traj.a_vals[0] == 0.0
+        assert traj.b_vals[0] == 0.0
 
     def test_zero_coupling(self):
-        off = StrokeInput(
-            reservoir=ReservoirSpec(temperature=5.0, lam=0.0, cutoff=0.4),
-            omega=1.0, rho00_init=0.3, t_end=5.0)
-        assert coeff_a(5.0, off) == 0.0
-        assert coeff_b(5.0, off) == 0.0
+        traj = evolve_branch_pair(OFF, 1.0, 5.0)[0]
+        assert traj.a_vals[-1] == 0.0
+        assert traj.b_vals[-1] == 0.0
 
     def test_cross_scheme_agreement(self):
-        ours = coeff_a(5.0, STROKE)
+        ours = evolve_branch_pair(HOT, 1.0, 5.0)[0].a_vals[-1]
         ref = quad_coefficient("a", 5.0, HOT, 1.0)
         assert ours == pytest.approx(ref, rel=1e-8)
 
     def test_cross_scheme_agreement_b(self):
-        ours = coeff_b(5.0, STROKE)
+        ours = evolve_branch_pair(HOT, 1.0, 5.0)[0].b_vals[-1]
         ref = quad_coefficient("b", 5.0, HOT, 1.0)
         assert ours == pytest.approx(ref, rel=1e-8)
 
 
 class TestEvolveDiagonal:
+    """The stroke solution, through ``evolve_branch_pair``."""
+
     def test_initial_condition_exact(self):
         for r0 in (0.0, 0.25, 1.0):
-            traj = evolve_diagonal(StrokeInput(HOT, 1.0, r0, 5.0))
-            assert traj.rho00[0] == r0
+            assert mixed(r0, HOT, 1.0, 5.0)[0] == r0
+        for traj in evolve_branch_pair(HOT, 1.0, 5.0):
             assert traj.cum_a[0] == 0.0
 
     def test_population_conservation(self):
-        traj = evolve_diagonal(STROKE)
-        assert np.all(traj.rho00 + traj.rho11 == 1.0)
+        for traj in evolve_branch_pair(HOT, 1.0, 5.0):
+            assert np.all(traj.rho00 + traj.rho11 == 1.0)
 
     def test_zero_coupling_frozen(self):
-        off = StrokeInput(
-            reservoir=ReservoirSpec(temperature=5.0, lam=0.0, cutoff=0.4),
-            omega=1.0, rho00_init=0.7, t_end=10.0)
-        traj = evolve_diagonal(off)
-        assert np.all(traj.rho00 == 0.7)
+        assert np.all(mixed(0.7, OFF, 1.0, 10.0) == 0.7)
 
     def test_grid_convergence(self):
-        coarse = evolve_diagonal(StrokeInput(HOT, 1.0, 1.0, 5.0, h=0.0025))
-        fine = evolve_diagonal(StrokeInput(HOT, 1.0, 1.0, 5.0, h=0.00125))
+        coarse = evolve_branch_pair(HOT, 1.0, 5.0, h=0.0025)[0]
+        fine = evolve_branch_pair(HOT, 1.0, 5.0, h=0.00125)[0]
         assert abs(coarse.rho00[-1] - fine.rho00[-1]) < 1e-7
 
     def test_deterministic(self):
-        a = evolve_diagonal(STROKE)
-        b = evolve_diagonal(STROKE)
+        a = evolve_branch_pair(HOT, 1.0, 5.0)[0]
+        b = evolve_branch_pair(HOT, 1.0, 5.0)[0]
         assert np.array_equal(a.rho00, b.rho00)
 
     def test_markovian_limit_large_cutoff(self):
@@ -111,8 +124,8 @@ class TestEvolveDiagonal:
         diffs = []
         for cutoff in (1.0, 5.0, 10.0):
             res = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=cutoff)
-            traj = evolve_diagonal(StrokeInput(res, 1.0, 1.0, 20.0))
-            baseline = markov_rho00(20.0, MarkovStroke(res, 1.0, 1.0, 20.0))
+            traj = evolve_branch_pair(res, 1.0, 20.0)[0]
+            baseline = branch_pair(res, 1.0, 20.0)[0]
             diffs.append(abs(traj.rho00[-1] - baseline))
             assert abs(traj.rho00[-1] - stationary_rho00(1.0, 5.0)) < 2e-2
         assert diffs[0] > diffs[1] > diffs[2]
@@ -128,7 +141,7 @@ class TestEvolveDiagonal:
         # second-order map stops being positive
         hot = ReservoirSpec(temperature=50.0, lam=0.3, cutoff=0.4)
         with pytest.raises(PositivityViolation):
-            evolve_diagonal(StrokeInput(hot, 4.0, 1.0, 10.0))
+            evolve_branch_pair(hot, 4.0, 10.0)
 
 
 class TestSolutionFormula:
@@ -154,21 +167,19 @@ class TestSolutionFormula:
         b_sp = CubicSpline(tgrid, b_pts)
         sol = solve_ivp(lambda t, y: a_sp(t) * y - b_sp(t), (0.0, 5.0), [1.0],
                         rtol=1e-11, atol=1e-13, t_eval=[5.0])
-        traj = evolve_diagonal(StrokeInput(HOT, 1.0, 1.0, 5.0))
+        traj = evolve_branch_pair(HOT, 1.0, 5.0)[0]
         assert abs(traj.rho00[-1] - sol.y[0, -1]) < 1e-9
 
 
 class TestBranchPair:
     def test_matches_single_branch(self):
+        # each branch is the closed-form solution for its own start
         traj0, traj1 = evolve_branch_pair(HOT, 1.0, 5.0)
-        single0 = evolve_diagonal(StrokeInput(HOT, 1.0, 1.0, 5.0))
-        single1 = evolve_diagonal(StrokeInput(HOT, 1.0, 0.0, 5.0))
-        assert np.array_equal(traj0.rho00, single0.rho00)
-        assert np.array_equal(traj1.rho00, single1.rho00)
+        assert np.array_equal(traj0.rho00, closed_form(1.0, traj0))
+        assert np.array_equal(traj1.rho00, closed_form(0.0, traj1))
 
     def test_affine_mixture(self):
         # the solution is affine in the initial population
         traj0, traj1 = evolve_branch_pair(HOT, 1.0, 5.0)
-        mixed = evolve_diagonal(StrokeInput(HOT, 1.0, 0.3, 5.0))
         combo = 0.3 * traj0.rho00 + 0.7 * traj1.rho00
-        assert np.allclose(combo, mixed.rho00, rtol=0.0, atol=1e-15)
+        assert np.allclose(combo, closed_form(0.3, traj0), rtol=0.0, atol=1e-15)
