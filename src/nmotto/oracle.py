@@ -5,7 +5,9 @@ grid, each truncated at M quanta, and the full Hamiltonian
 
     H = omega/2 sigma_z + sum_k eps_k n_k + sigma_x sum_k g_k (b_k + b_k+)
 
-is diagonalized densely.  Expectation values of the three energy pieces
+conserves the parity of qubit excitation plus total bath quanta.  It is
+diagonalized in its two parity blocks, each of dimension (M + 1)^N.
+Expectation values of the three energy pieces
 under exact unitary evolution then provide reference trajectories for
 dE_S, dE_B and E_I with conservation holding to linear-algebra
 precision.  A handful of modes cannot mimic a continuum for long (the
@@ -132,13 +134,6 @@ class OracleResult:
         return self.d_system + self.d_bath + self.interaction
 
 
-def _kron_chain(ops) -> np.ndarray:
-    out = np.array([[1.0]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def _thermal_weights(bath: DiscretizedBath, weight_cutoff: float) -> np.ndarray:
     """Product Gibbs weights over the truncated Fock grid.
 
@@ -168,11 +163,16 @@ def exact_evolve(
 ) -> OracleResult:
     """Exact energy trajectories for a factorized diagonal start.
 
-    The composite Hamiltonian is diagonalized once and every
-    observable is evaluated through the eigenbasis phases, so arbitrary
-    time grids cost one matrix product each.  Emits
-    ``TruncationWarning`` when the top Fock level of any mode ever
-    carries population above the reporting threshold.
+    H conserves the parity of qubit excitation plus total bath quanta,
+    and the start and every observable read here are block-diagonal in
+    it.  A parity block holds one state per bath occupation, the qubit
+    level being fixed by the parity, so both blocks have dimension
+    ``bath_dimension``.  Each block is diagonalized once and every
+    observable is evaluated through its eigenbasis phases, so arbitrary
+    time grids cost one matrix product each; the expectations are the
+    sums over the two blocks.  Emits ``TruncationWarning`` when the top
+    Fock level of any mode ever carries population above the reporting
+    threshold.
     """
     if not omega > 0:
         raise ValueError("level splitting must be positive")
@@ -180,67 +180,52 @@ def exact_evolve(
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
 
-    m = bath.fock_cutoff
-    dim_b = bath.bath_dimension
-    ident_mode = np.eye(m + 1)
-    lower = np.diag(np.sqrt(np.arange(1.0, m + 1)), 1)
-    number = np.diag(np.arange(m + 1, dtype=float))
-    top = np.zeros((m + 1, m + 1))
-    top[m, m] = 1.0
-
-    h_bath = np.zeros((dim_b, dim_b))
+    m, n_modes, dim_b = bath.fock_cutoff, bath.n_modes, bath.bath_dimension
+    # row s: the quanta in each mode of bath state s, mode 0 most
+    # significant as in a Kronecker product over the modes
+    occupation = np.indices((m + 1,) * n_modes).reshape(n_modes, dim_b).T
     coupling = np.zeros((dim_b, dim_b))
-    top_diags = []
-    for k in range(bath.n_modes):
-        h_bath += bath.frequencies[k] * _kron_chain(
-            number if i == k else ident_mode for i in range(bath.n_modes)
-        )
-        coupling += bath.couplings[k] * _kron_chain(
-            (lower + lower.T) if i == k else ident_mode for i in range(bath.n_modes)
-        )
-        top_diags.append(np.diag(_kron_chain(
-            top if i == k else ident_mode for i in range(bath.n_modes)
-        )).copy())
-
-    ident_b = np.eye(dim_b)
-    sigma_z = np.diag([-1.0, 1.0])  # |0> is the lower level
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h_sys = omega / 2.0 * np.kron(sigma_z, ident_b)
-    h_bath_full = np.kron(np.eye(2), h_bath)
-    h_int = np.kron(sigma_x, coupling)
-
-    energies, vectors = np.linalg.eigh(h_sys + h_bath_full + h_int)
-
+    for k, g in enumerate(bath.couplings):
+        below = np.flatnonzero(occupation[:, k] < m)
+        coupling[below, below + (m + 1) ** (n_modes - 1 - k)] = (
+            g * np.sqrt(occupation[below, k] + 1.0))
+    coupling += coupling.T  # links occupations of opposite quanta parity
+    quanta = occupation.sum(axis=1)
+    h_bath = occupation @ bath.frequencies
     w_bath = _thermal_weights(bath, weight_cutoff)
-    w = np.kron(np.array([qubit_init.rho00, qubit_init.rho11]), w_bath)
-    rho_eig = (vectors.T * w) @ vectors
 
-    phases = np.exp(1j * np.outer(energies, times))
+    n_t = len(times)
+    # rows: qubit excited population, h_bath, each mode's top-level projector
+    values = np.zeros((2 + n_modes, n_t))
+    at_zero = np.zeros(2 + n_modes)
+    e_int = np.zeros(n_t)  # zero at t = 0 for a factorized diagonal start
+    for parity in (0, 1):
+        excited = (quanta + parity) % 2  # the qubit level of each block state
+        energies, vectors = np.linalg.eigh(
+            np.diag(omega * (excited - 0.5) + h_bath) + coupling)
+        w = np.where(excited == 1, qubit_init.rho11, qubit_init.rho00) * w_bath
 
-    def expectation(op_diag=None, op_full=None):
-        if op_full is None:
-            op_eig = (vectors.T * op_diag) @ vectors
-        else:
-            op_eig = vectors.T @ op_full @ vectors
-        k_mat = rho_eig * op_eig.T
-        return np.real(np.sum(np.conj(phases) * (k_mat @ phases), axis=0))
+        def in_eigenbasis(diag):
+            rows = np.flatnonzero(diag)  # the top-level projectors are sparse
+            v = vectors[rows]
+            return (v.T * diag[rows]) @ v
 
-    # t = 0 references from the initial weights; H_I starts at exactly
-    # zero for a factorized diagonal start
-    e_sys0 = float(w @ np.diag(h_sys))
-    e_bath0 = float(w @ np.diag(h_bath_full))
+        rho_eig = in_eigenbasis(w)
+        wt = np.outer(energies, times)
+        cos_sin = np.hstack([np.cos(wt), np.sin(wt)])
 
-    e_sys = expectation(op_diag=np.diag(h_sys))
-    e_bath = expectation(op_diag=np.diag(h_bath_full))
-    e_int = expectation(op_full=h_int)
-    top_pop = np.zeros((bath.n_modes, len(times)))
-    top_pop0 = 0.0
-    for k, diag in enumerate(top_diags):
-        full_diag = np.concatenate([diag, diag])
-        top_pop[k] = expectation(op_diag=full_diag)
-        top_pop0 = max(top_pop0, float(w @ full_diag))
-    worst_top = top_pop.max(axis=0)
+        def expectation(op_eig):
+            # Re sum_ij rho_ij op_ji e^{-i(E_i - E_j) t}, in real products
+            both = np.sum(cos_sin * ((rho_eig * op_eig.T) @ cos_sin), axis=0)
+            return both[:n_t] + both[n_t:]
 
+        e_int += expectation(vectors.T @ (coupling @ vectors))
+        for j, diag in enumerate([excited, h_bath, *(occupation.T == m)]):
+            values[j] += expectation(in_eigenbasis(diag))
+            at_zero[j] += w @ diag
+
+    worst_top = values[2:].max(axis=0)
+    top_pop0 = at_zero[2:].max()
     if max(worst_top.max(), top_pop0) > TRUNCATION_THRESHOLD:
         warnings.warn(
             f"top Fock level carries population {max(worst_top.max(), top_pop0):.3g} "
@@ -251,8 +236,9 @@ def exact_evolve(
 
     return OracleResult(
         times=times,
-        d_system=e_sys - e_sys0,
-        d_bath=e_bath - e_bath0,
+        # h_sys = omega (|1><1| - 1/2), and the trace is conserved
+        d_system=omega * (values[0] - at_zero[0]),
+        d_bath=values[1] - at_zero[1],
         interaction=e_int,
         top_level_population=worst_top,
     )

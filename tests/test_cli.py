@@ -279,3 +279,17 @@ class TestRuntime:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_oracle_leaves_numpy_ma_unloaded(self, tmp_path):
+        # numpy.ma costs about 15 ms to import and the oracle needs none of it
+        src = str(Path(nmotto.__file__).resolve().parents[1])
+        sets = sum((["--set", f"{k}={v}"] for k, v in TestOracleCommand.CFG.items()), [])
+        args = ["oracle", "--out", str(tmp_path / "oracle.csv")] + sets
+        code = ("import sys; from nmotto.cli import main; "
+                f"assert main({args!r}) == 0; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

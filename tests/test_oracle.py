@@ -53,7 +53,10 @@ class TestDiscretizeBath:
 
 def brute_force_energies(qubit_init, omega, bath, times):
     """Independent check: build the Hamiltonian from scratch, evolve the
-    full density matrix with expm, trace against each energy piece."""
+    full density matrix with expm, trace against each energy piece.
+
+    Columns: E_S, E_B, E_I, trace, non-hermiticity, then the top-Fock
+    population of each mode."""
     m = bath.fock_cutoff
     dim_b = (m + 1) ** bath.n_modes
     ident = np.eye(m + 1)
@@ -72,6 +75,9 @@ def brute_force_energies(qubit_init, omega, bath, times):
     h_bf = np.kron(np.eye(2), h_b)
     h_i = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), x_b)
     h = h_s + h_bf + h_i
+    top = np.zeros((m + 1, m + 1))
+    top[m, m] = 1.0
+    tops = [np.kron(np.eye(2), chain(k, top)) for k in range(bath.n_modes)]
 
     w_b = np.eye(1)
     for eps in bath.frequencies:
@@ -89,6 +95,7 @@ def brute_force_energies(qubit_init, omega, bath, times):
             np.real(np.trace(rho_t @ h_i)),
             np.real(np.trace(rho_t)),
             np.max(np.abs(rho_t - rho_t.conj().T)),
+            *(np.real(np.trace(rho_t @ p)) for p in tops),
         ])
     return np.array(rows)
 
@@ -137,6 +144,25 @@ class TestExactEvolve:
         # trace preservation and hermiticity of the evolved state
         assert np.allclose(ref[:, 3], 1.0, atol=1e-10)
         assert np.max(ref[:, 4]) < 1e-10
+
+    @pytest.mark.parametrize("n_modes, fock", [(2, 2), (1, 1)])
+    @pytest.mark.parametrize("start", [(0.62, 0.38), (1.0, 0.0), (0.0, 1.0)])
+    def test_parity_blocks_match_dense(self, n_modes, fock, start):
+        # the unblocked space evolved with expm; at Fock cutoff 1 with one
+        # mode each parity block has two states
+        spec = ReservoirSpec(temperature=1.0, lam=0.3, cutoff=0.4)
+        bath = discretize_bath(spec, n_modes, 1.0, fock)
+        times = np.array([0.0, 0.4, 1.3, 2.9, 6.1])
+        state = DiagonalState(*start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            res = exact_evolve(state, 1.1, bath, times)
+        ref = brute_force_energies(state, 1.1, bath, times)
+        np.testing.assert_allclose(res.d_system, ref[:, 0] - ref[0, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.d_bath, ref[:, 1] - ref[0, 1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.interaction, ref[:, 2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.top_level_population, ref[:, 5:].max(axis=1),
+                                   rtol=0, atol=1e-12)
 
     def test_truncation_warning_at_high_temperature(self):
         bath = discretize_bath(REF_SPEC, 2, 1.0, 3)
