@@ -10,28 +10,25 @@ cycle.  An exact few-mode diagonalization serves as a brute-force
 reference.  Units: k_B = hbar = 1.
 """
 
-from .cycle import LimitCycle, StrokeMap, iterate_cycle, limit_cycle
+from .cycle import LimitCycle, StrokeMap, limit_cycle
 from .energetics import (
     CycleEvaluation,
     EnergyLedger,
     StrokeDynamics,
-    effective_temperature,
     energy_flow,
     evaluate_cycle,
+    evaluate_grid,
     interaction_energy,
     reservoir_energy_change,
     stroke_dynamics,
     system_energy_change,
-    work_adiabatic,
-    work_net_I,
-    work_net_II,
 )
-from .engine import DiagonalState, EngineParams
+from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation, TruncationWarning
 from .kernels import ReservoirSpec, d1, d2, ohmic_j, trigamma
 from .markov import bose_n, positive_work_condition, relaxation_rate, stationary_rho00
 from .oracle import DiscretizedBath, OracleResult, discretize_bath, exact_evolve
-from .tcl2 import Trajectory, evolve_branch_pair
+from .tcl2 import evolve_branch_pair
 
 __version__ = "0.1.0"
 
@@ -39,7 +36,6 @@ __all__ = [
     "CycleEvaluation",
     "ConfigError",
     "DegenerateCycle",
-    "DiagonalState",
     "DiscretizedBath",
     "EnergyLedger",
     "EngineParams",
@@ -49,19 +45,17 @@ __all__ = [
     "ReservoirSpec",
     "StrokeDynamics",
     "StrokeMap",
-    "Trajectory",
     "TruncationWarning",
     "bose_n",
     "d1",
     "d2",
     "discretize_bath",
-    "effective_temperature",
     "energy_flow",
     "evaluate_cycle",
+    "evaluate_grid",
     "evolve_branch_pair",
     "exact_evolve",
     "interaction_energy",
-    "iterate_cycle",
     "limit_cycle",
     "ohmic_j",
     "positive_work_condition",
@@ -71,7 +65,4 @@ __all__ = [
     "stroke_dynamics",
     "system_energy_change",
     "trigamma",
-    "work_adiabatic",
-    "work_net_I",
-    "work_net_II",
 ]

@@ -16,14 +16,12 @@ import argparse
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import energetics
-from .cycle import fixed_point
-from .engine import DiagonalState, EngineParams
+from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
 from .oracle import discretize_bath, exact_evolve
 
@@ -59,18 +57,24 @@ _DEFAULT_ENGINE = EngineParams(
     lam=0.01, cutoff=0.4, t1=5.0, t2=60.0,
 )
 
-# config-file key -> value parser
-_ENGINE_KEYS = {
-    "omega_h": float, "omega_c": float, "T_h": float, "T_c": float,
-    "lambda": float, "cutoff": float, "t1": float, "t2": float,
-}
+
+def _finite(text: str) -> float:
+    """float(text), rejecting nan and +-inf with ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+# every engine key is a finite float; run keys map to their value parser
+_ENGINE_KEYS = ("omega_h", "omega_c", "T_h", "T_c", "lambda", "cutoff", "t1", "t2")
 _RUN_KEYS = {
-    "backend": str, "step": float, "workers": int, "out": str,
-    "t1_min": float, "t1_max": float, "t1_count": int,
-    "t2_min": float, "t2_max": float, "t2_count": int,
+    "backend": str, "step": _finite, "workers": int, "out": str,
+    "t1_min": _finite, "t1_max": _finite, "t1_count": int,
+    "t2_min": _finite, "t2_max": _finite, "t2_count": int,
     "omega_pairs": str,
     "oracle_modes": int, "oracle_fock": int,
-    "oracle_omega_max": float, "oracle_samples": int,
+    "oracle_omega_max": _finite, "oracle_samples": int,
 }
 
 
@@ -81,7 +85,7 @@ def _parse_omega_pairs(text: str):
     for chunk in text.split(","):
         try:
             hi, lo = chunk.split(":")
-            pairs.append((float(hi), float(lo)))
+            pairs.append((_finite(hi), _finite(lo)))
         except ValueError as exc:
             raise ConfigError(f"bad omega pair {chunk!r}, expected w_h:w_c") from exc
     return tuple(pairs)
@@ -105,20 +109,15 @@ def parse_config(text: str) -> dict:
 
 def build_config(raw: dict) -> RunConfig:
     """Resolve a raw key -> string dict into a validated RunConfig."""
-    engine_kwargs = {
-        "omega_h": _DEFAULT_ENGINE.omega_h, "omega_c": _DEFAULT_ENGINE.omega_c,
-        "T_h": _DEFAULT_ENGINE.T_h, "T_c": _DEFAULT_ENGINE.T_c,
-        "lam": _DEFAULT_ENGINE.lam, "cutoff": _DEFAULT_ENGINE.cutoff,
-        "t1": _DEFAULT_ENGINE.t1, "t2": _DEFAULT_ENGINE.t2,
-    }
+    engine_kwargs = asdict(_DEFAULT_ENGINE)
     run_kwargs = {}
     for key, value in raw.items():
         try:
             if key in _ENGINE_KEYS:
                 attr = "lam" if key == "lambda" else key
-                engine_kwargs[attr] = float(value)
+                engine_kwargs[attr] = _finite(value)
             elif key == "step":
-                run_kwargs["step"] = None if value.lower() == "auto" else float(value)
+                run_kwargs["step"] = None if value.lower() == "auto" else _finite(value)
             elif key == "out":
                 run_kwargs["out"] = None if value == "-" else value
             elif key == "omega_pairs":
@@ -206,38 +205,9 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-# Zero coupling freezes the populations and makes the cycle map the
-# identity, so no unique limit cycle exists; the symmetric mixture is
-# reported by convention, for which every energy column vanishes.
-_FROZEN_P = 0.5
-
-
-def _cycle_probabilities(engine: EngineParams, hot, cold):
-    """(p0, degenerate, P_h, P_c) of the limit cycle from the hot and
-    cold stroke ends, floats or broadcasting arrays (``fixed_point``).
-    At zero coupling every point takes _FROZEN_P and none counts as
-    degenerate."""
-    p0, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
-    if engine.lam == 0.0:
-        return p0, np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-    return p0, degenerate, p_h, p_c
-
-
-def _hot_stroke_state(cfg: RunConfig):
-    """Hot-stroke dynamics and pre-contact ground probability at the
-    limit cycle."""
-    hot, cold = (energetics.stroke_dynamics(cfg.engine, which, cfg.backend, cfg.step)
-                 for which in ("hot", "cold"))
-    p0, degenerate, p_h, _ = _cycle_probabilities(cfg.engine, hot.ends, cold.ends)
-    if degenerate:
-        raise DegenerateCycle(
-            f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0)
-    return hot, float(p_h)
-
-
 def run_dynamics(cfg: RunConfig) -> str:
     """Hot-stroke observables at the limit cycle, one row per grid time."""
-    hot, p_h = _hot_stroke_state(cfg)
+    hot, p_h = energetics.hot_stroke_at_cycle(cfg.engine, cfg.backend, cfg.step)
     rho00 = hot.rho00_mixed(p_h)
     rho11 = 1.0 - rho00
     t_eff = energetics.effective_temperature_profile(rho00, hot.omega)
@@ -254,97 +224,30 @@ def run_dynamics(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stroke_ends(task):
-    """End values of one stroke, or None where it violates positivity."""
-    engine, which, backend, step = task
-    try:
-        return energetics.stroke_dynamics(engine, which, backend, step).ends
-    except PositivityViolation:
-        return None
-
-
-def _stack_ends(ends, shape):
-    """Per-stroke ends as one StrokeEnds of arrays of ``shape`` (nan for
-    a failed stroke), and the mask of failed strokes."""
-    failed = np.array([e is None for e in ends]).reshape(shape)
-    nan_ends = (float("nan"),) * len(energetics.StrokeEnds._fields)
-    columns = zip(*(nan_ends if e is None else e for e in ends))
-    return energetics.StrokeEnds._make(
-        np.array(col).reshape(shape) for col in columns), failed
-
-
-def sweep_grid(cfg: RunConfig):
-    """Cycle ledger over the (t1, t2) grid, one block per omega pair.
-
-    Each distinct hot stroke (one per t1) and cold stroke (one per t2)
-    is solved once, across ``cfg.workers`` processes; the limit cycle
-    and ledger of every grid point then follow from the stroke ends by
-    broadcasting.  Returns a list of (engine, works, errors): engine
-    carries the pair's splittings, works the W_ad1, W_ad2, W_I, W_II
-    arrays of shape (t1_count, t2_count), and errors the matching
-    array of failure labels ("" where the point succeeded).
-    """
-    t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
-    t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
-    pairs = cfg.omega_pairs or ((cfg.engine.omega_h, cfg.engine.omega_c),)
-    engines = [replace(cfg.engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
-    shape = (cfg.t1_count, cfg.t2_count)
-
-    tasks = []
-    for engine in engines:
-        tasks += [(replace(engine, t1=float(t1)), "hot", cfg.backend, cfg.step)
-                  for t1 in t1_values]
-        tasks += [(replace(engine, t2=float(t2)), "cold", cfg.backend, cfg.step)
-                  for t2 in t2_values]
-    if cfg.workers > 1:
-        chunk = max(1, len(tasks) // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            ends = list(pool.map(_stroke_ends, tasks, chunksize=chunk))
-    else:
-        ends = [_stroke_ends(task) for task in tasks]
-
-    blocks = []
-    n1, n2 = shape
-    for k, engine in enumerate(engines):
-        first = k * (n1 + n2)
-        # hot ends down a column, cold ends along a row: they broadcast
-        hot, hot_failed = _stack_ends(ends[first:first + n1], (n1, 1))
-        cold, cold_failed = _stack_ends(ends[first + n1:first + n1 + n2], (1, n2))
-        # failed and degenerate points carry nan or inf here; masked below
-        with np.errstate(invalid="ignore", over="ignore"):
-            _, degenerate, p_h, p_c = _cycle_probabilities(engine, hot, cold)
-            ledger = energetics.cycle_ledger(engine.omega_h - engine.omega_c,
-                                             p_h, p_c, hot, cold)
-        errors = np.full(shape, "", dtype=object)
-        errors[degenerate] = DegenerateCycle.__name__
-        errors[hot_failed | cold_failed] = PositivityViolation.__name__
-        failed = errors != ""
-        works = [np.where(failed, np.nan, w) for w in ledger[:4]]
-        blocks.append((engine, works, errors))
-    return blocks
-
-
 def run_sweep(cfg: RunConfig) -> str:
     """(t1, t2) grid of the cycle ledger, t1-major row order.
 
-    Solves each distinct stroke once and evaluates the limit cycle and
-    ledger of all grid points at once (``sweep_grid``); with more than
-    one worker the stroke solves are spread over processes.  Per-point
-    numerical failures land in the trailing ``error`` column and the
-    sweep continues.  Output bytes do not depend on the worker count.
+    The grid comes from ``energetics.evaluate_grid``, with the stroke
+    solves spread over ``cfg.workers`` processes.  Per-point numerical
+    failures land in the trailing ``error`` column and the sweep
+    continues.  Output bytes do not depend on the worker count.
     """
-    t1_cells = [_fmt(t) for t in np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)]
-    t2_cells = [_fmt(t) for t in np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)]
+    t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
+    t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
+    blocks = energetics.evaluate_grid(cfg.engine, t1_values, t2_values, cfg.backend,
+                                      cfg.step, cfg.omega_pairs, cfg.workers)
+    t1_cells = [_fmt(t) for t in t1_values]
+    t2_cells = [_fmt(t) for t in t2_values]
     with_pairs = cfg.omega_pairs is not None
 
     header = "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error"
     if with_pairs:
         header = "omega_h,omega_c," + header
     lines = [header]
-    for engine, works, errors in sweep_grid(cfg):
+    for engine, ledger, errors in blocks:
         lead = f"{_fmt(engine.omega_h)},{_fmt(engine.omega_c)}," if with_pairs else ""
         etas = f"{_fmt(engine.eta_otto)},{_fmt(engine.eta_carnot)}"
-        values = [w.tolist() for w in works]
+        values = [w.tolist() for w in ledger[:4]]
         labels = errors.tolist()
         for i, t1 in enumerate(t1_cells):
             for j, t2 in enumerate(t2_cells):
@@ -355,7 +258,7 @@ def run_sweep(cfg: RunConfig) -> str:
 
 def run_oracle(cfg: RunConfig) -> str:
     """Exact few-mode reference against the hot-stroke solver output."""
-    hot, p_h = _hot_stroke_state(cfg)
+    hot, p_h = energetics.hot_stroke_at_cycle(cfg.engine, cfg.backend, cfg.step)
     idx = np.round(
         np.linspace(0, len(hot.times) - 1, cfg.oracle_samples)
     ).astype(int)
@@ -371,8 +274,7 @@ def run_oracle(cfg: RunConfig) -> str:
                            cfg.oracle_omega_max, cfg.oracle_fock)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the flag column carries this
-        ref = exact_evolve(DiagonalState(p_h, 1.0 - p_h), cfg.engine.omega_h,
-                           bath, times)
+        ref = exact_evolve(p_h, cfg.engine.omega_h, bath, times)
 
     lines = ["t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation"]
     flags = ref.truncation_flagged

@@ -28,7 +28,6 @@ __all__ = [
     "LimitCycle",
     "fixed_point",
     "limit_cycle",
-    "iterate_cycle",
 ]
 
 DEGENERACY_TOL = 1e-12
@@ -103,22 +102,3 @@ def limit_cycle(hot: StrokeMap, cold: StrokeMap) -> LimitCycle:
         )
     return LimitCycle(P_h=float(ph), P_c=float(pc), p0=p0)
 
-
-def iterate_cycle(hot: StrokeMap, cold: StrokeMap, p_start: float, n: int):
-    """Explicit n-cycle orbit of the stroboscopic map.
-
-    Returns [(P_h_1, P_c_1), ..., (P_h_n, P_c_n)] with P_h_1 = p_start
-    and P_c_k the probability after the k-th hot contact.  Convergence
-    toward the fixed point is geometric with ratio |p0|.
-    """
-    if not 0.0 <= p_start <= 1.0:
-        raise ValueError("p_start must lie in [0, 1]")
-    if n < 1:
-        raise ValueError("need at least one cycle")
-    orbit = []
-    ph = p_start
-    for _ in range(n):
-        pc = hot.apply(ph)
-        orbit.append((ph, pc))
-        ph = cold.apply(pc)
-    return orbit

@@ -27,15 +27,16 @@ analytic integrands, never by numerical differencing.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import markov, tcl2
-from .cycle import LimitCycle, StrokeMap, limit_cycle
+from .cycle import LimitCycle, StrokeMap, fixed_point, limit_cycle
 from .engine import EngineParams
+from .errors import DegenerateCycle, PositivityViolation
 from .kernels import ReservoirSpec
 
 __all__ = [
@@ -44,17 +45,15 @@ __all__ = [
     "EnergyLedger",
     "CycleEvaluation",
     "stroke_dynamics",
-    "work_adiabatic",
-    "work_net_I",
-    "work_net_II",
     "cycle_ledger",
     "system_energy_change",
     "reservoir_energy_change",
     "interaction_energy",
     "energy_flow",
-    "effective_temperature",
     "effective_temperature_profile",
     "evaluate_cycle",
+    "hot_stroke_at_cycle",
+    "evaluate_grid",
 ]
 
 TEMPERATURE_DEGENERACY_TOL = 1e-12
@@ -141,22 +140,22 @@ def stroke_dynamics(
     else:
         raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
     if backend == "tcl2":
-        traj0, traj1 = tcl2.evolve_branch_pair(reservoir, omega, t_end, h)
-        times = traj0.times
+        pair = tcl2.evolve_branch_pair(reservoir, omega, t_end, h)
+        times, rho0, rho1 = pair.times, pair.rho00_0, pair.rho00_1
         dx = times[1] - times[0]
         # the kernel samples of the coefficient integrals, not recomputed
-        d1v, d2v = traj0.d1_vals, traj0.d2_vals
-        sin_wt, cos_wt = traj0.sin_wt, traj0.cos_wt
-        integrand0 = (2.0 * traj0.rho00 - 1.0) * d1v * sin_wt + d2v * cos_wt
-        integrand1 = (2.0 * traj1.rho00 - 1.0) * d1v * sin_wt + d2v * cos_wt
+        d1v, d2v = pair.d1_vals, pair.d2_vals
+        sin_wt, cos_wt = pair.sin_wt, pair.cos_wt
+        integrand0 = (2.0 * rho0 - 1.0) * d1v * sin_wt + d2v * cos_wt
+        integrand1 = (2.0 * rho1 - 1.0) * d1v * sin_wt + d2v * cos_wt
         corr0 = tcl2.cumulative_simpson(integrand0, dx)
         corr1 = tcl2.cumulative_simpson(integrand1, dx)
         # theta = -d(dE_S)/dt + dC/dt, with d rho00/dt = a rho00 - b
-        flow0 = omega * (traj0.a_vals * traj0.rho00 - traj0.b_vals) + integrand0
-        flow1 = omega * (traj1.a_vals * traj1.rho00 - traj1.b_vals) + integrand1
+        flow0 = omega * (pair.a_vals * rho0 - pair.b_vals) + integrand0
+        flow1 = omega * (pair.a_vals * rho1 - pair.b_vals) + integrand1
         return StrokeDynamics(
             which=which, backend=backend, omega=omega, reservoir=reservoir,
-            times=times, rho00_0=traj0.rho00, rho00_1=traj1.rho00,
+            times=times, rho00_0=rho0, rho00_1=rho1,
             corr_0=corr0, corr_1=corr1, flow_0=flow0, flow_1=flow1,
         )
     if backend == "markov":
@@ -212,51 +211,17 @@ def energy_flow(p: float, stroke: StrokeDynamics):
     return stroke.times, theta
 
 
-def effective_temperature(rho00: float, rho11: float, omega: float) -> float:
-    """T_eff = omega / ln(rho00 / rho11).
+def effective_temperature_profile(rho00: np.ndarray, omega: float) -> np.ndarray:
+    """T_eff = omega / ln(rho00 / rho11) along a population profile,
+    rho11 = 1 - rho00.
 
     Positive for a normal population distribution, negative when
-    inverted, +-inf when the populations are degenerate to 1e-12; zero
-    populations have no defined temperature and raise ``ValueError``.
+    inverted, +inf where the populations are degenerate to 1e-12.
     """
-    if rho00 <= 0.0 or rho11 <= 0.0:
-        raise ValueError("effective temperature needs strictly positive populations")
-    if abs(rho00 - rho11) < TEMPERATURE_DEGENERACY_TOL:
-        return math.inf
-    return omega / math.log(rho00 / rho11)
-
-
-def effective_temperature_profile(rho00: np.ndarray, omega: float) -> np.ndarray:
-    """Vectorized effective temperature along a population profile."""
     rho11 = 1.0 - rho00
     with np.errstate(divide="ignore"):
         out = omega / np.log(rho00 / rho11)
     return np.where(np.abs(rho00 - rho11) < TEMPERATURE_DEGENERACY_TOL, np.inf, out)
-
-
-def work_adiabatic(engine: EngineParams, P_h: float, P_c: float,
-                   hot: StrokeDynamics, cold: StrokeDynamics):
-    """Work of the two adiabatic strokes.
-
-    The populations are frozen while the splitting moves between
-    omega_h and omega_c, so each work is (omega_h - omega_c) times the
-    excited population left at the end of the preceding contact:
-    expansion work W_ad1 after the hot stroke, compression work W_ad2
-    after the cold stroke.  Both nonnegative.
-    """
-    gap = engine.omega_h - engine.omega_c
-    return cycle_ledger(gap, P_h, P_c, hot.ends, cold.ends)[:2]
-
-
-def work_net_I(w_ad1: float, w_ad2: float) -> float:
-    """Net extracted work ignoring the detachment cost."""
-    return w_ad1 - w_ad2
-
-
-def work_net_II(w_net_1: float, e_int_hot: float, e_int_cold: float) -> float:
-    """Net extracted work including the cost of detaching against the
-    end-of-stroke interaction energies."""
-    return w_net_1 + e_int_hot + e_int_cold
 
 
 def cycle_ledger(gap, P_h, P_c, hot: StrokeEnds, cold: StrokeEnds):
@@ -265,14 +230,25 @@ def cycle_ledger(gap, P_h, P_c, hot: StrokeEnds, cold: StrokeEnds):
     gap is omega_h - omega_c.  Elementwise over floats or arrays that
     broadcast against each other, such as a column of hot-stroke ends
     against a row of cold-stroke ends.  Returns (W_ad1, W_ad2, W_I,
-    W_II, E_I_h, E_I_c) with E_I = -C(t_end), as ``interaction_energy``.
+    W_II, E_I_h, E_I_c):
+
+    * the populations are frozen while the splitting moves between
+      omega_h and omega_c, so each adiabatic work is gap times the
+      excited population left by the preceding contact: expansion work
+      W_ad1 after the hot stroke, compression work W_ad2 after the cold
+      one, both nonnegative;
+    * E_I = -C(t_end) at the end of each contact, as
+      ``interaction_energy``;
+    * W_I = W_ad1 - W_ad2 ignores the detachment cost, and
+      W_II = W_I + E_I_h + E_I_c includes the cost of detaching against
+      the end-of-stroke interaction energies.
     """
     w_ad1 = gap * (1.0 - _mixed(P_h, hot.r0, hot.r1))
     w_ad2 = gap * (1.0 - _mixed(P_c, cold.r0, cold.r1))
     e_i_h = -_mixed(P_h, hot.corr_0, hot.corr_1)
     e_i_c = -_mixed(P_c, cold.corr_0, cold.corr_1)
-    w_1 = work_net_I(w_ad1, w_ad2)
-    return w_ad1, w_ad2, w_1, work_net_II(w_1, e_i_h, e_i_c), e_i_h, e_i_c
+    w_1 = w_ad1 - w_ad2
+    return w_ad1, w_ad2, w_1, w_1 + e_i_h + e_i_c, e_i_h, e_i_c
 
 
 @dataclass(frozen=True)
@@ -318,23 +294,101 @@ def evaluate_cycle(
     cold = stroke_dynamics(engine, "cold", backend, h)
     cyc = limit_cycle(hot.as_map, cold.as_map)
 
-    w_ad1, w_ad2, w_1, w_2, e_i_h, e_i_c = cycle_ledger(
+    # W_ad1, W_ad2, W_I, W_II, E_I_h, E_I_c: the first six ledger fields
+    works = cycle_ledger(
         engine.omega_h - engine.omega_c, cyc.P_h, cyc.P_c, hot.ends, cold.ends)
     des_h = system_energy_change(cyc.P_h, hot, engine.t1)
     des_c = system_energy_change(cyc.P_c, cold, engine.t2)
     ledger = EnergyLedger(
-        W_ad1=w_ad1,
-        W_ad2=w_ad2,
-        W_I=w_1,
-        W_II=w_2,
-        E_I_h=e_i_h,
-        E_I_c=e_i_c,
-        dES_h=des_h,
-        dES_c=des_c,
-        dEB_h=-des_h - e_i_h,
-        dEB_c=-des_c - e_i_c,
-        eta_O=engine.eta_otto,
-        eta_C=engine.eta_carnot,
-    )
+        *works, dES_h=des_h, dES_c=des_c, dEB_h=-des_h - works[4],
+        dEB_c=-des_c - works[5], eta_O=engine.eta_otto, eta_C=engine.eta_carnot)
     return CycleEvaluation(engine=engine, backend=backend, cycle=cyc,
                            ledger=ledger, hot=hot, cold=cold)
+
+
+# Zero coupling freezes the populations and makes the cycle map the
+# identity, so no unique limit cycle exists; the symmetric mixture is
+# reported by convention, for which every energy column vanishes.
+_FROZEN_P = 0.5
+
+
+def hot_stroke_at_cycle(engine: EngineParams, backend: str = "tcl2",
+                        h: float | None = None):
+    """Hot-stroke dynamics and the pre-contact ground probability P_h of
+    the limit cycle.  Zero coupling takes the frozen symmetric mixture,
+    as in ``evaluate_grid``, where ``evaluate_cycle`` raises."""
+    if engine.lam == 0.0:
+        return stroke_dynamics(engine, "hot", backend, h), _FROZEN_P
+    ev = evaluate_cycle(engine, backend, h)
+    return ev.hot, ev.cycle.P_h
+
+
+def _stroke_ends(task):
+    """End values of one stroke, or None where it violates positivity."""
+    engine, which, backend, h = task
+    try:
+        return stroke_dynamics(engine, which, backend, h).ends
+    except PositivityViolation:
+        return None
+
+
+def _stack_ends(ends, shape):
+    """Per-stroke ends as one StrokeEnds of arrays of ``shape`` (nan for
+    a failed stroke), and the mask of failed strokes."""
+    failed = np.array([e is None for e in ends]).reshape(shape)
+    nan_ends = (float("nan"),) * len(StrokeEnds._fields)
+    columns = zip(*(nan_ends if e is None else e for e in ends))
+    return StrokeEnds._make(np.array(col).reshape(shape) for col in columns), failed
+
+
+def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tcl2",
+                  h: float | None = None, omega_pairs=None, workers: int = 1):
+    """Cycle ledger over a (t1, t2) grid, one block per omega pair.
+
+    Each distinct hot stroke (one per t1) and cold stroke (one per t2)
+    is solved once, across up to ``workers`` processes; the limit cycle
+    and ledger of every grid point then follow from the stroke ends by
+    broadcasting, bit for bit as ``evaluate_cycle`` point by point,
+    except that zero coupling takes the frozen symmetric mixture.
+    ``omega_pairs`` lists (omega_h, omega_c) splittings, None meaning
+    the engine's own.  Returns one (engine, ledger, errors) per pair:
+    engine carries the pair's splittings, ledger the six
+    ``cycle_ledger`` arrays of shape (len(t1_values), len(t2_values)),
+    nan at failed points, and errors the failure labels ("" where the
+    point succeeded).
+    """
+    pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
+    engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
+    n1, n2 = len(t1_values), len(t2_values)
+
+    tasks = []
+    for eng in engines:
+        tasks += [(replace(eng, t1=float(t1)), "hot", backend, h) for t1 in t1_values]
+        tasks += [(replace(eng, t2=float(t2)), "cold", backend, h) for t2 in t2_values]
+    # a fork-started pool forks every worker at the first submit
+    n_proc = min(workers, len(tasks))
+    if n_proc > 1:
+        chunk = max(1, len(tasks) // (n_proc * 4))
+        with ProcessPoolExecutor(max_workers=n_proc) as pool:
+            ends = list(pool.map(_stroke_ends, tasks, chunksize=chunk))
+    else:
+        ends = [_stroke_ends(task) for task in tasks]
+
+    blocks = []
+    for k, eng in enumerate(engines):
+        first = k * (n1 + n2)
+        # hot ends down a column, cold ends along a row: they broadcast
+        hot, hot_failed = _stack_ends(ends[first:first + n1], (n1, 1))
+        cold, cold_failed = _stack_ends(ends[first + n1:first + n1 + n2], (1, n2))
+        # failed and degenerate points carry nan or inf here; masked below
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
+            if eng.lam == 0.0:
+                degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
+            ledger = cycle_ledger(eng.omega_h - eng.omega_c, p_h, p_c, hot, cold)
+        errors = np.full((n1, n2), "", dtype=object)
+        errors[degenerate] = DegenerateCycle.__name__
+        errors[hot_failed | cold_failed] = PositivityViolation.__name__
+        failed = errors != ""
+        blocks.append((eng, tuple(np.where(failed, np.nan, v) for v in ledger), errors))
+    return blocks

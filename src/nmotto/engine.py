@@ -1,4 +1,4 @@
-"""Engine configuration and elementary state records."""
+"""Engine configuration."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .kernels import ReservoirSpec
 
-__all__ = ["EngineParams", "DiagonalState"]
+__all__ = ["EngineParams"]
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,3 @@ class EngineParams:
         """Carnot efficiency 1 - T_c / T_h."""
         return 1.0 - self.T_c / self.T_h
 
-
-@dataclass(frozen=True)
-class DiagonalState:
-    """Populations of the two-level system; all the cycle ever needs.
-
-    rho00 is the lower level.  Coherences are not tracked: for the
-    transversal coupling used here they decouple from the populations
-    and never enter the work formulas.
-    """
-
-    rho00: float
-    rho11: float
-
-    def __post_init__(self):
-        if self.rho00 < 0 or self.rho11 < 0:
-            raise ValueError("populations must be nonnegative")
-        if abs(self.rho00 + self.rho11 - 1.0) > 1e-12:
-            raise ValueError("populations must sum to one")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DiagonalState
 from .errors import TruncationWarning
 from .kernels import ReservoirSpec
 
@@ -155,13 +154,14 @@ def _thermal_weights(bath: DiscretizedBath, weight_cutoff: float) -> np.ndarray:
 
 
 def exact_evolve(
-    qubit_init: DiagonalState,
+    p: float,
     omega: float,
     bath: DiscretizedBath,
     times,
     weight_cutoff: float = 1e-6,
 ) -> OracleResult:
-    """Exact energy trajectories for a factorized diagonal start.
+    """Exact energy trajectories for a factorized diagonal start with
+    qubit ground probability p.
 
     H conserves the parity of qubit excitation plus total bath quanta,
     and the start and every observable read here are block-diagonal in
@@ -174,6 +174,8 @@ def exact_evolve(
     Fock level of any mode ever carries population above the reporting
     threshold.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("ground probability p must lie in [0, 1]")
     if not omega > 0:
         raise ValueError("level splitting must be positive")
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -203,7 +205,7 @@ def exact_evolve(
         excited = (quanta + parity) % 2  # the qubit level of each block state
         energies, vectors = np.linalg.eigh(
             np.diag(omega * (excited - 0.5) + h_bath) + coupling)
-        w = np.where(excited == 1, qubit_init.rho11, qubit_init.rho00) * w_bath
+        w = np.where(excited == 1, 1.0 - p, p) * w_bath
 
         def in_eigenbasis(diag):
             rows = np.flatnonzero(diag)  # the top-level projectors are sparse

@@ -37,7 +37,7 @@ from .kernels import ReservoirSpec, d1, d2
 
 __all__ = [
     "POSITIVITY_TOL",
-    "Trajectory",
+    "BranchPair",
     "default_step",
     "time_grid",
     "cumulative_simpson",
@@ -67,17 +67,19 @@ def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Solution of one stroke on its grid.
+class BranchPair:
+    """Both pure-start branches of one stroke on their shared grid.
 
-    cum_a is the running integral A(t) of the decay coefficient; the
-    kernel samples d1_vals, d2_vals and the level phases sin_wt, cos_wt
-    the coefficients were built from are kept because the energy
+    rho00_0 / rho00_1 start from ground population 1 / 0.  cum_a is
+    the running integral A(t) of the decay coefficient; the kernel
+    samples d1_vals, d2_vals and the level phases sin_wt, cos_wt the
+    coefficients were built from are kept because the energy
     bookkeeping reuses them.
     """
 
     times: np.ndarray
-    rho00: np.ndarray
+    rho00_0: np.ndarray
+    rho00_1: np.ndarray
     cum_a: np.ndarray
     a_vals: np.ndarray
     b_vals: np.ndarray
@@ -85,10 +87,6 @@ class Trajectory:
     d2_vals: np.ndarray
     sin_wt: np.ndarray
     cos_wt: np.ndarray
-
-    @property
-    def rho11(self) -> np.ndarray:
-        return 1.0 - self.rho00
 
 
 def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -135,10 +133,11 @@ def evolve_branch_pair(
 ):
     """Both pure-state branches of one stroke in a single pass.
 
-    Returns (from |0>, from |1>) trajectories, i.e. initial ground
-    population 1 and 0.  The coefficient integrals are shared, which is
-    what makes a full cycle evaluation cheap; the solution is affine in
-    the initial condition so no generality is lost.
+    Returns one ``BranchPair``: the branches from |0> and |1>, i.e.
+    initial ground population 1 and 0, and the shared coefficient
+    samples.  Sharing the coefficient integrals is what makes a full
+    cycle evaluation cheap; the solution is affine in the initial
+    condition so no generality is lost.
     """
     times = time_grid(t_end, h)
     dx = times[1] - times[0]
@@ -155,6 +154,6 @@ def evolve_branch_pair(
     rho_from1 = decay * (0.0 - inner)
     _check_positivity(rho_from0, times)
     _check_positivity(rho_from1, times)
-    shared = dict(times=times, cum_a=cum_a, a_vals=a, b_vals=b, d1_vals=d1_vals,
-                  d2_vals=d2_vals, sin_wt=sin_wt, cos_wt=cos_wt)
-    return Trajectory(rho00=rho_from0, **shared), Trajectory(rho00=rho_from1, **shared)
+    return BranchPair(times=times, rho00_0=rho_from0, rho00_1=rho_from1, cum_a=cum_a,
+                      a_vals=a, b_vals=b, d1_vals=d1_vals, d2_vals=d2_vals,
+                      sin_wt=sin_wt, cos_wt=cos_wt)

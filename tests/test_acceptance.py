@@ -32,12 +32,12 @@ import numpy as np
 import pytest
 
 from nmotto import (
-    DiagonalState,
     EngineParams,
     StrokeMap,
     discretize_bath,
     energy_flow,
     evaluate_cycle,
+    evaluate_grid,
     exact_evolve,
     interaction_energy,
     limit_cycle,
@@ -75,26 +75,30 @@ def markov_eval():
     return evaluate_cycle(ENGINE, "markov")
 
 
-def _work_grids(engine, backend):
-    w_1 = np.zeros((len(T_GRID), len(T_GRID)))
-    w_2 = np.zeros_like(w_1)
-    for i, t1 in enumerate(T_GRID):
-        for j, t2 in enumerate(T_GRID):
-            ledger = evaluate_cycle(
-                replace(engine, t1=float(t1), t2=float(t2)), backend).ledger
-            w_1[i, j] = ledger.W_I
-            w_2[i, j] = ledger.W_II
-    return w_1, w_2
+def _ledger_grids(t1_values, t2_values, backend, omega_pairs=None):
+    """The six ``cycle_ledger`` grids, one per omega pair.  Every point
+    must succeed, as the per-point ``evaluate_cycle`` would raise
+    otherwise."""
+    blocks = evaluate_grid(ENGINE, t1_values, t2_values, backend,
+                           omega_pairs=omega_pairs)
+    for _, _, errors in blocks:
+        assert np.all(errors == ""), set(errors.flat)
+    return [ledger for _, ledger, _ in blocks]
+
+
+def _work_grids(backend):
+    """(W_I, W_II) over the T_GRID x T_GRID duration grid."""
+    return _ledger_grids(T_GRID, T_GRID, backend)[0][2:4]
 
 
 @pytest.fixture(scope="module")
 def tcl2_sweep():
-    return _work_grids(ENGINE, "tcl2")
+    return _work_grids("tcl2")
 
 
 @pytest.fixture(scope="module")
 def markov_sweep():
-    return _work_grids(ENGINE, "markov")
+    return _work_grids("markov")
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +108,7 @@ def oracle_run(tcl2_eval):
     p_h = tcl2_eval.cycle.P_h
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        result = exact_evolve(DiagonalState(p_h, 1.0 - p_h), ENGINE.omega_h,
-                              bath, times)
+        result = exact_evolve(p_h, ENGINE.omega_h, bath, times)
     return result, bath
 
 
@@ -157,15 +160,13 @@ def test_criterion_03_effective_temperature_overshoot(tcl2_eval, markov_eval):
 
 def test_criterion_04_interaction_energy_sign():
     t1_values = np.arange(1.0, 5.5, 0.5)
-    e_nm = []
-    e_m = []
-    for t1 in t1_values:
-        eng = replace(ENGINE, t1=float(t1))
-        e_nm.append(evaluate_cycle(eng, "tcl2").ledger.E_I_h)
-        e_m.append(abs(evaluate_cycle(eng, "markov").ledger.E_I_h))
-    ok = all(v < 0.0 for v in e_nm) and all(v < 1e-10 for v in e_m)
+    # E_I_h, the fifth ledger grid, over one column at t2 = 60
+    e_nm, e_m = (_ledger_grids(t1_values, [ENGINE.t2], backend)[0][4]
+                 for backend in ("tcl2", "markov"))
+    e_m = np.abs(e_m)
+    ok = bool(np.all(e_nm < 0.0)) and bool(np.all(e_m < 1e-10))
     _criterion(4, "E_I^h(t1) < 0 under TCL2 and vanishes under Markov, t1 in [1,5]",
-               ok, f"tcl2 max {max(e_nm):.3e}, markov max {max(e_m):.3e}")
+               ok, f"tcl2 max {e_nm.max():.3e}, markov max {e_m.max():.3e}")
 
 
 def test_criterion_05_w2_negative_everywhere(tcl2_sweep):
@@ -258,20 +259,10 @@ def test_criterion_10_splitting_dependence():
     above = [(1.0, 0.18), (1.25, 0.18), (1.25, 0.2)]  # eta_O > eta_C
     equal = [(0.9, 0.18), (1.0, 0.2), (1.25, 0.25)]   # eta_O = eta_C
 
-    def grids(omega_h, omega_c):
-        w_1 = np.zeros((len(grid), len(grid)))
-        w_2 = np.zeros_like(w_1)
-        for i, t1 in enumerate(grid):
-            for j, t2 in enumerate(grid):
-                eng = replace(ENGINE, omega_h=omega_h, omega_c=omega_c,
-                              t1=float(t1), t2=float(t2))
-                ledger = evaluate_cycle(eng, "tcl2").ledger
-                w_1[i, j] = ledger.W_I
-                w_2[i, j] = ledger.W_II
-        return w_1, w_2
-
-    ok_below = all(grids(wh, wc)[0].max() > 0.0 for wh, wc in below)
-    ok_above = all(grids(wh, wc)[1].max() < 0.0 for wh, wc in above)
+    ok_below = all(ledger[2].max() > 0.0
+                   for ledger in _ledger_grids(grid, grid, "tcl2", below))
+    ok_above = all(ledger[3].max() < 0.0
+                   for ledger in _ledger_grids(grid, grid, "tcl2", above))
     ok_equal = all(
         abs(_full_thermalization_w1(wh, wc, 5.0, 1.0)) <= 1e-10
         for wh, wc in equal

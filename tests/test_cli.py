@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nmotto
-from nmotto import evaluate_cycle
+from nmotto import energetics, evaluate_cycle, evaluate_grid
 from nmotto.cli import (
     build_config,
     main,
@@ -18,7 +18,6 @@ from nmotto.cli import (
     run_dynamics,
     run_sweep,
     serialize_config,
-    sweep_grid,
 )
 from nmotto.errors import ConfigError, DegenerateCycle, PositivityViolation
 
@@ -42,15 +41,18 @@ def column(text, name):
 
 
 def point_ledger(engine, backend, step):
-    """One sweep point the per-point way: (W_ad1, W_ad2, W_I, W_II), label."""
+    """One sweep point the per-point way: (W_ad1, W_ad2, W_I, W_II,
+    E_I_h, E_I_c), label."""
     if engine.lam == 0.0:
         w_frozen = (engine.omega_h - engine.omega_c) * (1.0 - 0.5)
-        return (w_frozen, w_frozen, 0.0, 0.0), ""
+        # E_I = -C(t_end) with C = 0 is a negative zero
+        return (w_frozen, w_frozen, 0.0, 0.0, -0.0, -0.0), ""
     try:
         ledger = evaluate_cycle(engine, backend, step).ledger
     except (PositivityViolation, DegenerateCycle) as exc:
-        return (float("nan"),) * 4, type(exc).__name__
-    return (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II), ""
+        return (float("nan"),) * 6, type(exc).__name__
+    return (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II,
+            ledger.E_I_h, ledger.E_I_c), ""
 
 
 class TestConfig:
@@ -91,6 +93,15 @@ class TestConfig:
     def test_backend_validated(self):
         with pytest.raises(ConfigError):
             build_config({"backend": "exact"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "nan"), ("lambda", "inf"), ("T_h", "inf"), ("cutoff", "inf"),
+        ("omega_h", "inf"), ("t1_max", "inf"), ("step", "inf"),
+        ("omega_pairs", "inf:0.5"), ("oracle_omega_max", "inf"),
+    ])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            build_config({key: value})
 
 
 class TestDynamics:
@@ -166,16 +177,43 @@ class TestSweep:
         t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
         t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
         labels = set()
-        for engine, works, errors in sweep_grid(cfg):
+        blocks = evaluate_grid(cfg.engine, t1_values, t2_values, cfg.backend,
+                               cfg.step, cfg.omega_pairs)
+        for engine, ledger, errors in blocks:
             for i, t1 in enumerate(t1_values):
                 for j, t2 in enumerate(t2_values):
                     point = replace(engine, t1=float(t1), t2=float(t2))
                     ref, label = point_ledger(point, cfg.backend, cfg.step)
-                    got = [float(w[i, j]).hex() for w in works]
+                    got = [float(w[i, j]).hex() for w in ledger]
                     assert got == [w.hex() for w in ref], (t1, t2)
                     assert errors[i, j] == label, (t1, t2)
                     labels.add(label)
         assert labels == outcomes
+
+    def test_pool_never_larger_than_the_work(self, monkeypatch):
+        # records the pool size and runs the tasks in process, so a large
+        # worker count starts no processes
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(energetics, "ProcessPoolExecutor", RecordingPool)
+        grid = {**self.SMALL, "t1_count": "2", "t2_count": "1"}  # 3 strokes
+        serial = run_sweep(build_config({**grid, "workers": "1"}))
+        assert run_sweep(build_config({**grid, "workers": "64"})) == serial
+        assert run_sweep(build_config({**grid, "workers": "2"})) == serial
+        assert sizes == [3, 2]
 
     def test_per_point_failures_recorded(self):
         cfg = build_config({
@@ -257,6 +295,10 @@ class TestMain:
 
     def test_exit_code_config_error(self, capsys):
         assert main(["dynamics", "--set", "lambda=abc"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_exit_code_non_finite_value(self, capsys):
+        assert main(["sweep", "--set", "t1_max=inf"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_exit_code_missing_config_file(self):

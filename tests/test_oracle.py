@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from nmotto import (
-    DiagonalState,
     ReservoirSpec,
     TruncationWarning,
     discretize_bath,
@@ -51,9 +50,10 @@ class TestDiscretizeBath:
                 fock_cutoff=4, temperature=1.0)
 
 
-def brute_force_energies(qubit_init, omega, bath, times):
+def brute_force_energies(p, omega, bath, times):
     """Independent check: build the Hamiltonian from scratch, evolve the
-    full density matrix with expm, trace against each energy piece.
+    full density matrix from qubit ground probability p with expm,
+    trace against each energy piece.
 
     Columns: E_S, E_B, E_I, trace, non-hermiticity, then the top-Fock
     population of each mode."""
@@ -83,7 +83,7 @@ def brute_force_energies(qubit_init, omega, bath, times):
     for eps in bath.frequencies:
         wk = np.exp(-eps * np.arange(m + 1) / bath.temperature)
         w_b = np.kron(w_b, wk / wk.sum())
-    rho0 = np.diag(np.kron([qubit_init.rho00, qubit_init.rho11], w_b.ravel()))
+    rho0 = np.diag(np.kron([p, 1.0 - p], w_b.ravel()))
 
     rows = []
     for t in times:
@@ -105,7 +105,7 @@ class TestExactEvolve:
         bath = discretize_bath(COLDISH, 2, 1.0, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(DiagonalState(0.8, 0.2), 1.0, bath, [0.0])
+            res = exact_evolve(0.8, 1.0, bath, [0.0])
         assert abs(res.d_system[0]) < 1e-13
         assert abs(res.d_bath[0]) < 1e-13
         assert abs(res.interaction[0]) < 1e-13
@@ -115,7 +115,7 @@ class TestExactEvolve:
         bath = discretize_bath(off, 2, 1.0, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(DiagonalState(0.7, 0.3), 1.0, bath, np.linspace(0, 5, 6))
+            res = exact_evolve(0.7, 1.0, bath, np.linspace(0, 5, 6))
         assert np.max(np.abs(res.d_system)) < 1e-14
         assert np.max(np.abs(res.d_bath)) < 1e-14
         assert np.max(np.abs(res.interaction)) < 1e-14
@@ -124,8 +124,7 @@ class TestExactEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             bath = discretize_bath(REF_SPEC, 3, 1.5, 3)
-            res = exact_evolve(DiagonalState(0.5, 0.5), 1.0, bath,
-                               np.linspace(0, 5, 11))
+            res = exact_evolve(0.5, 1.0, bath, np.linspace(0, 5, 11))
         scale = 1.0 + np.sum(bath.frequencies * bath.fock_cutoff)
         assert np.max(np.abs(res.conservation_residual)) < 1e-10 * scale
 
@@ -136,8 +135,8 @@ class TestExactEvolve:
         times = np.array([0.0, 0.7, 1.9, 3.3])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(DiagonalState(0.62, 0.38), 1.1, bath, times)
-        ref = brute_force_energies(DiagonalState(0.62, 0.38), 1.1, bath, times)
+            res = exact_evolve(0.62, 1.1, bath, times)
+        ref = brute_force_energies(0.62, 1.1, bath, times)
         assert np.allclose(res.d_system, ref[:, 0] - ref[0, 0], atol=1e-12)
         assert np.allclose(res.d_bath, ref[:, 1] - ref[0, 1], atol=1e-12)
         assert np.allclose(res.interaction, ref[:, 2] - ref[0, 2], atol=1e-12)
@@ -146,18 +145,18 @@ class TestExactEvolve:
         assert np.max(ref[:, 4]) < 1e-10
 
     @pytest.mark.parametrize("n_modes, fock", [(2, 2), (1, 1)])
-    @pytest.mark.parametrize("start", [(0.62, 0.38), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("start", [0.62, 1.0, 0.0],
+                             ids=["start0", "start1", "start2"])
     def test_parity_blocks_match_dense(self, n_modes, fock, start):
         # the unblocked space evolved with expm; at Fock cutoff 1 with one
         # mode each parity block has two states
         spec = ReservoirSpec(temperature=1.0, lam=0.3, cutoff=0.4)
         bath = discretize_bath(spec, n_modes, 1.0, fock)
         times = np.array([0.0, 0.4, 1.3, 2.9, 6.1])
-        state = DiagonalState(*start)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(state, 1.1, bath, times)
-        ref = brute_force_energies(state, 1.1, bath, times)
+            res = exact_evolve(start, 1.1, bath, times)
+        ref = brute_force_energies(start, 1.1, bath, times)
         np.testing.assert_allclose(res.d_system, ref[:, 0] - ref[0, 0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(res.d_bath, ref[:, 1] - ref[0, 1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(res.interaction, ref[:, 2], rtol=0, atol=1e-12)
@@ -167,13 +166,19 @@ class TestExactEvolve:
     def test_truncation_warning_at_high_temperature(self):
         bath = discretize_bath(REF_SPEC, 2, 1.0, 3)
         with pytest.warns(TruncationWarning):
-            exact_evolve(DiagonalState(0.5, 0.5), 1.0, bath, [0.0, 1.0])
+            exact_evolve(0.5, 1.0, bath, [0.0, 1.0])
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
+    def test_ground_probability_validated(self, p):
+        bath = discretize_bath(COLDISH, 1, 0.8, 2)
+        with pytest.raises(ValueError):
+            exact_evolve(p, 1.0, bath, [0.0])
 
     def test_no_warning_when_converged(self):
         bath = discretize_bath(COLDISH, 2, 1.0, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            exact_evolve(DiagonalState(0.5, 0.5), 1.0, bath, [0.0, 1.0])
+            exact_evolve(0.5, 1.0, bath, [0.0, 1.0])
 
     def test_fock_convergence_where_representable(self):
         # at low temperature the cutoff is converged: one more level
@@ -184,7 +189,7 @@ class TestExactEvolve:
             bath = discretize_bath(COLDISH, 3, 1.5, m)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
-                res = exact_evolve(DiagonalState(0.8, 0.2), 1.0, bath, times)
+                res = exact_evolve(0.8, 1.0, bath, times)
             vals[m] = res.interaction[-1]
         assert abs(vals[4] - vals[3]) < 0.05 * abs(vals[4])
 
@@ -207,7 +212,7 @@ class TestSolverAgreement:
         bath = discretize_bath(eng.hot_reservoir, 3, 1.5, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            ref = exact_evolve(DiagonalState(p, 1.0 - p), eng.omega_h, bath, times)
+            ref = exact_evolve(p, eng.omega_h, bath, times)
 
         assert np.all(np.sign(d_eb) == np.sign(ref.d_bath))
         assert np.all(np.sign(e_i) == np.sign(ref.interaction))
