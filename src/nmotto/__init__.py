@@ -10,7 +10,6 @@ cycle.  An exact few-mode diagonalization serves as a brute-force
 reference.  Units: k_B = hbar = 1.
 """
 
-from .cycle import LimitCycle, StrokeMap, limit_cycle
 from .energetics import (
     CycleEvaluation,
     EnergyLedger,
@@ -39,12 +38,10 @@ __all__ = [
     "DiscretizedBath",
     "EnergyLedger",
     "EngineParams",
-    "LimitCycle",
     "OracleResult",
     "PositivityViolation",
     "ReservoirSpec",
     "StrokeDynamics",
-    "StrokeMap",
     "TruncationWarning",
     "bose_n",
     "d1",
@@ -56,7 +53,6 @@ __all__ = [
     "evolve_branch_pair",
     "exact_evolve",
     "interaction_energy",
-    "limit_cycle",
     "ohmic_j",
     "positive_work_condition",
     "relaxation_rate",

@@ -122,8 +122,10 @@ def build_config(raw: dict) -> RunConfig:
                 run_kwargs["out"] = None if value == "-" else value
             elif key == "omega_pairs":
                 run_kwargs["omega_pairs"] = _parse_omega_pairs(value)
-            else:
+            elif key in _RUN_KEYS:
                 run_kwargs[key] = _RUN_KEYS[key](value)
+            else:
+                raise ConfigError(f"unknown key {key!r}")
         except ConfigError:
             raise
         except ValueError as exc:
@@ -207,7 +209,8 @@ def _fmt(x: float) -> str:
 
 def run_dynamics(cfg: RunConfig) -> str:
     """Hot-stroke observables at the limit cycle, one row per grid time."""
-    hot, p_h = energetics.hot_stroke_at_cycle(cfg.engine, cfg.backend, cfg.step)
+    ev = energetics.evaluate_cycle(cfg.engine, cfg.backend, cfg.step)
+    hot, p_h = ev.hot, ev.P_h
     rho00 = hot.rho00_mixed(p_h)
     rho11 = 1.0 - rho00
     t_eff = energetics.effective_temperature_profile(rho00, hot.omega)
@@ -258,7 +261,9 @@ def run_sweep(cfg: RunConfig) -> str:
 
 def run_oracle(cfg: RunConfig) -> str:
     """Exact few-mode reference against the hot-stroke solver output."""
-    hot, p_h = energetics.hot_stroke_at_cycle(cfg.engine, cfg.backend, cfg.step)
+    ev = energetics.evaluate_cycle(cfg.engine, cfg.backend, cfg.step)
+    hot, p_h = ev.hot, ev.P_h
+    del ev  # frees the cold stroke's profiles before the exact run
     idx = np.round(
         np.linspace(0, len(hot.times) - 1, cfg.oracle_samples)
     ).astype(int)
@@ -300,8 +305,6 @@ def _load_config(args) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _ENGINE_KEYS and key not in _RUN_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
         raw[key] = value
     if args.backend is not None:
         raw["backend"] = args.backend

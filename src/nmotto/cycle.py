@@ -15,60 +15,11 @@ solver or from the Markovian baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import tcl2
-from .errors import DegenerateCycle
-
-__all__ = [
-    "DEGENERACY_TOL",
-    "StrokeMap",
-    "LimitCycle",
-    "fixed_point",
-    "limit_cycle",
-]
+__all__ = ["DEGENERACY_TOL", "fixed_point"]
 
 DEGENERACY_TOL = 1e-12
-
-_MAP_TOL = tcl2.POSITIVITY_TOL  # stroke populations may carry solver jitter
-
-
-@dataclass(frozen=True)
-class StrokeMap:
-    """Endpoint ground populations of one stroke from both pure starts.
-
-    r0 = rho00(t_end) for rho00(0) = 1,  r1 for rho00(0) = 0.
-    """
-
-    r0: float
-    r1: float
-
-    def __post_init__(self):
-        for v in (self.r0, self.r1):
-            if not -_MAP_TOL <= v <= 1.0 + _MAP_TOL:
-                raise ValueError(f"stroke-map population {v} outside [0, 1]")
-
-    def apply(self, p: float) -> float:
-        return p * self.r0 + (1.0 - p) * self.r1
-
-    @property
-    def contraction(self) -> float:
-        return self.r0 - self.r1
-
-
-@dataclass(frozen=True)
-class LimitCycle:
-    """Fixed point of the repeated protocol.
-
-    P_h / P_c are the ground-state probabilities just before the hot /
-    cold contact, p0 the per-cycle contraction factor.
-    """
-
-    P_h: float
-    P_c: float
-    p0: float
 
 
 def fixed_point(hot_r0, hot_r1, cold_r0, cold_r1):
@@ -87,18 +38,3 @@ def fixed_point(hot_r0, hot_r1, cold_r0, cold_r1):
     p_c = hot_r0 * cold_r1 + hot_r1 * (1.0 - cold_r1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return p0, degenerate, np.divide(p_h, 1.0 - p0), np.divide(p_c, 1.0 - p0)
-
-
-def limit_cycle(hot: StrokeMap, cold: StrokeMap) -> LimitCycle:
-    """Closed-form fixed point of the composed cycle map (``fixed_point``).
-
-    Raises ``DegenerateCycle`` when |p0| is within ``DEGENERACY_TOL``
-    of 1 (no relaxation, no unique fixed point).
-    """
-    p0, degenerate, ph, pc = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
-    if degenerate:
-        raise DegenerateCycle(
-            f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
-        )
-    return LimitCycle(P_h=float(ph), P_c=float(pc), p0=p0)
-

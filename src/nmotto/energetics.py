@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import markov, tcl2
-from .cycle import LimitCycle, StrokeMap, fixed_point, limit_cycle
+from .cycle import fixed_point
 from .engine import EngineParams
 from .errors import DegenerateCycle, PositivityViolation
 from .kernels import ReservoirSpec
@@ -52,7 +52,6 @@ __all__ = [
     "energy_flow",
     "effective_temperature_profile",
     "evaluate_cycle",
-    "hot_stroke_at_cycle",
     "evaluate_grid",
 ]
 
@@ -109,19 +108,6 @@ class StrokeDynamics:
         return StrokeEnds(r0=float(self.rho00_0[-1]), r1=float(self.rho00_1[-1]),
                           corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]))
 
-    @property
-    def as_map(self) -> StrokeMap:
-        ends = self.ends
-        return StrokeMap(r0=ends.r0, r1=ends.r1)
-
-    def index_of(self, t: float) -> int:
-        """Grid index of time t (must lie on the grid to 1e-9 relative)."""
-        dx = self.times[1] - self.times[0]
-        k = int(round(t / dx))
-        if k < 0 or k >= len(self.times) or abs(self.times[k] - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"t = {t} is not on the stroke grid")
-        return k
-
 
 def stroke_dynamics(
     engine: EngineParams,
@@ -170,34 +156,25 @@ def stroke_dynamics(
     raise ValueError(f"unknown dynamics backend {backend!r}")
 
 
-def _at(profile: np.ndarray, stroke: StrokeDynamics, t):
-    return profile if t is None else float(profile[stroke.index_of(t)])
-
-
-def system_energy_change(p: float, stroke: StrokeDynamics, t=None):
-    """dE_S(t) = omega (rho11(t) - rho11(0)) for the P-mixed stroke.
-
-    t = None returns the whole profile on the stroke grid.
-    """
+def system_energy_change(p: float, stroke: StrokeDynamics) -> np.ndarray:
+    """dE_S(t) = omega (rho11(t) - rho11(0)) for the P-mixed stroke, as a
+    profile on the stroke grid."""
     mixed = stroke.rho00_mixed(p)
-    profile = stroke.omega * (mixed[0] - mixed)
-    return _at(profile, stroke, t)
+    return stroke.omega * (mixed[0] - mixed)
 
 
-def interaction_energy(p: float, stroke: StrokeDynamics, t=None):
+def interaction_energy(p: float, stroke: StrokeDynamics) -> np.ndarray:
     """E_I(t) = -C(t), the conservation-consistent interaction energy.
 
     Zero at t = 0 (factorized start) and identically zero for the
     Markov backend.
     """
-    profile = -_mixed(p, stroke.corr_0, stroke.corr_1)
-    return _at(profile, stroke, t)
+    return -_mixed(p, stroke.corr_0, stroke.corr_1)
 
 
-def reservoir_energy_change(p: float, stroke: StrokeDynamics, t=None):
+def reservoir_energy_change(p: float, stroke: StrokeDynamics) -> np.ndarray:
     """dE_B(t) = -dE_S(t) - E_I(t), the first counting-statistics cumulant."""
-    profile = -system_energy_change(p, stroke) - interaction_energy(p, stroke)
-    return _at(profile, stroke, t)
+    return -system_energy_change(p, stroke) - interaction_energy(p, stroke)
 
 
 def energy_flow(p: float, stroke: StrokeDynamics):
@@ -271,39 +248,20 @@ class EnergyLedger:
 
 @dataclass(frozen=True, eq=False)
 class CycleEvaluation:
-    """Limit cycle plus ledger plus the two solved strokes."""
+    """Limit cycle plus ledger plus the two solved strokes.
+
+    P_h / P_c are the ground-state probabilities just before the hot /
+    cold contact, p0 the per-cycle contraction factor.
+    """
 
     engine: EngineParams
     backend: str
-    cycle: LimitCycle
+    P_h: float
+    P_c: float
+    p0: float
     ledger: EnergyLedger
     hot: StrokeDynamics
     cold: StrokeDynamics
-
-
-def evaluate_cycle(
-    engine: EngineParams, backend: str = "tcl2", h: float | None = None
-) -> CycleEvaluation:
-    """Solve both strokes, find the limit cycle, and close the books.
-
-    Raises ``PositivityViolation`` or ``DegenerateCycle`` from the
-    underlying layers; a coupling of exactly zero is degenerate (the
-    stroke maps are the identity).
-    """
-    hot = stroke_dynamics(engine, "hot", backend, h)
-    cold = stroke_dynamics(engine, "cold", backend, h)
-    cyc = limit_cycle(hot.as_map, cold.as_map)
-
-    # W_ad1, W_ad2, W_I, W_II, E_I_h, E_I_c: the first six ledger fields
-    works = cycle_ledger(
-        engine.omega_h - engine.omega_c, cyc.P_h, cyc.P_c, hot.ends, cold.ends)
-    des_h = system_energy_change(cyc.P_h, hot, engine.t1)
-    des_c = system_energy_change(cyc.P_c, cold, engine.t2)
-    ledger = EnergyLedger(
-        *works, dES_h=des_h, dES_c=des_c, dEB_h=-des_h - works[4],
-        dEB_c=-des_c - works[5], eta_O=engine.eta_otto, eta_C=engine.eta_carnot)
-    return CycleEvaluation(engine=engine, backend=backend, cycle=cyc,
-                           ledger=ledger, hot=hot, cold=cold)
 
 
 # Zero coupling freezes the populations and makes the cycle map the
@@ -312,15 +270,51 @@ def evaluate_cycle(
 _FROZEN_P = 0.5
 
 
-def hot_stroke_at_cycle(engine: EngineParams, backend: str = "tcl2",
-                        h: float | None = None):
-    """Hot-stroke dynamics and the pre-contact ground probability P_h of
-    the limit cycle.  Zero coupling takes the frozen symmetric mixture,
-    as in ``evaluate_grid``, where ``evaluate_cycle`` raises."""
-    if engine.lam == 0.0:
-        return stroke_dynamics(engine, "hot", backend, h), _FROZEN_P
-    ev = evaluate_cycle(engine, backend, h)
-    return ev.hot, ev.cycle.P_h
+def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
+    """Limit cycle and ledger from the stroke ends, elementwise.
+
+    The ends are floats or arrays that broadcast against each other.
+    Returns (p0, degenerate, P_h, P_c, ledger), ledger the six
+    ``cycle_ledger`` values; P_h, P_c and ledger carry no meaning where
+    ``degenerate`` is set or a stroke end is nan.  Zero coupling takes
+    the frozen symmetric mixture and is never degenerate.
+    """
+    # failed and degenerate points carry nan or inf here
+    with np.errstate(invalid="ignore", over="ignore"):
+        p0, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
+        if engine.lam == 0.0:
+            degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
+        ledger = cycle_ledger(engine.omega_h - engine.omega_c, p_h, p_c, hot, cold)
+    return p0, degenerate, p_h, p_c, ledger
+
+
+def evaluate_cycle(
+    engine: EngineParams, backend: str = "tcl2", h: float | None = None
+) -> CycleEvaluation:
+    """Solve both strokes, find the limit cycle, and close the books.
+
+    Raises ``PositivityViolation`` or ``DegenerateCycle`` from the
+    underlying layers.
+    """
+    hot = stroke_dynamics(engine, "hot", backend, h)
+    cold = stroke_dynamics(engine, "cold", backend, h)
+    hot_ends, cold_ends = hot.ends, cold.ends
+    p0, degenerate, p_h, p_c, works = _close_cycle(engine, hot_ends, cold_ends)
+    if degenerate:
+        raise DegenerateCycle(
+            f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
+        )
+    p_h, p_c = float(p_h), float(p_c)
+    # W_ad1, W_ad2, W_I, W_II, E_I_h, E_I_c: the first six ledger fields
+    works = [float(w) for w in works]
+    # dE_S(t_end): both branches start at exactly 1 and 0, so the mixture at P
+    des_h = engine.omega_h * (p_h - _mixed(p_h, hot_ends.r0, hot_ends.r1))
+    des_c = engine.omega_c * (p_c - _mixed(p_c, cold_ends.r0, cold_ends.r1))
+    ledger = EnergyLedger(
+        *works, dES_h=des_h, dES_c=des_c, dEB_h=-des_h - works[4],
+        dEB_c=-des_c - works[5], eta_O=engine.eta_otto, eta_C=engine.eta_carnot)
+    return CycleEvaluation(engine=engine, backend=backend, P_h=p_h, P_c=p_c, p0=p0,
+                           ledger=ledger, hot=hot, cold=cold)
 
 
 def _stroke_ends(task):
@@ -348,8 +342,7 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     Each distinct hot stroke (one per t1) and cold stroke (one per t2)
     is solved once, across up to ``workers`` processes; the limit cycle
     and ledger of every grid point then follow from the stroke ends by
-    broadcasting, bit for bit as ``evaluate_cycle`` point by point,
-    except that zero coupling takes the frozen symmetric mixture.
+    broadcasting, bit for bit as ``evaluate_cycle`` point by point.
     ``omega_pairs`` lists (omega_h, omega_c) splittings, None meaning
     the engine's own.  Returns one (engine, ledger, errors) per pair:
     engine carries the pair's splittings, ledger the six
@@ -380,12 +373,7 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
         # hot ends down a column, cold ends along a row: they broadcast
         hot, hot_failed = _stack_ends(ends[first:first + n1], (n1, 1))
         cold, cold_failed = _stack_ends(ends[first + n1:first + n1 + n2], (1, n2))
-        # failed and degenerate points carry nan or inf here; masked below
-        with np.errstate(invalid="ignore", over="ignore"):
-            _, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
-            if eng.lam == 0.0:
-                degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-            ledger = cycle_ledger(eng.omega_h - eng.omega_c, p_h, p_c, hot, cold)
+        _, degenerate, _, _, ledger = _close_cycle(eng, hot, cold)
         errors = np.full((n1, n2), "", dtype=object)
         errors[degenerate] = DegenerateCycle.__name__
         errors[hot_failed | cold_failed] = PositivityViolation.__name__

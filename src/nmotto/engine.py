@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .kernels import ReservoirSpec
@@ -31,6 +32,9 @@ class EngineParams:
     t2: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.omega_h >= self.omega_c > 0):
             raise ValueError("need omega_h >= omega_c > 0")
         if not (self.T_h >= self.T_c > 0):

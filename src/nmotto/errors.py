@@ -19,8 +19,8 @@ class DegenerateCycle(RuntimeError):
     """The two stroke maps compose to (nearly) the identity.
 
     The stroboscopic map then has no unique fixed point and the limit
-    cycle is undefined (for instance both contact durations zero, or
-    coupling switched off).
+    cycle is undefined, for instance when the coupling is too weak to
+    move the populations (zero coupling takes the frozen mixture instead).
     """
 
     def __init__(self, message, p0=None):

@@ -18,6 +18,7 @@ are used only in the test suite, as an independent quadrature oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ class ReservoirSpec:
     cutoff: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.lam < 0:

@@ -33,20 +33,19 @@ import pytest
 
 from nmotto import (
     EngineParams,
-    StrokeMap,
     discretize_bath,
     energy_flow,
     evaluate_cycle,
     evaluate_grid,
     exact_evolve,
     interaction_energy,
-    limit_cycle,
     positive_work_condition,
     reservoir_energy_change,
     stationary_rho00,
     system_energy_change,
 )
-from nmotto.energetics import effective_temperature_profile
+from nmotto.cycle import fixed_point
+from nmotto.energetics import StrokeEnds, cycle_ledger, effective_temperature_profile
 from nmotto.errors import TruncationWarning
 from nmotto.kernels import d1, d2
 from test_kernels import REF_SPEC, d1_by_quadrature, d2_by_quadrature
@@ -105,7 +104,7 @@ def markov_sweep():
 def oracle_run(tcl2_eval):
     times = np.arange(0.0, 5.25, 0.25)
     bath = discretize_bath(ENGINE.hot_reservoir, 4, 2.0, 4)
-    p_h = tcl2_eval.cycle.P_h
+    p_h = tcl2_eval.P_h
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         result = exact_evolve(p_h, ENGINE.omega_h, bath, times)
@@ -119,8 +118,8 @@ def test_criterion_01_efficiency_identities():
 
 
 def test_criterion_02_energy_backflow(tcl2_eval, markov_eval):
-    _, theta_nm = energy_flow(tcl2_eval.cycle.P_h, tcl2_eval.hot)
-    _, theta_m = energy_flow(markov_eval.cycle.P_h, markov_eval.hot)
+    _, theta_nm = energy_flow(tcl2_eval.P_h, tcl2_eval.hot)
+    _, theta_m = energy_flow(markov_eval.P_h, markov_eval.hot)
     ok = (theta_nm.min() < 0.0) and np.all(theta_m >= -1e-12)
     _criterion(2, "backflow in TCL2 hot stroke, none under Markov", ok,
                f"min theta: tcl2 {theta_nm.min():.3e}, markov {theta_m.min():.3e}")
@@ -129,7 +128,7 @@ def test_criterion_02_energy_backflow(tcl2_eval, markov_eval):
 def _hot_t_eff(ev):
     """T_eff along the hot stroke of an evaluated limit cycle."""
     return effective_temperature_profile(
-        ev.hot.rho00_mixed(ev.cycle.P_h), ev.hot.omega)
+        ev.hot.rho00_mixed(ev.P_h), ev.hot.omega)
 
 
 def test_criterion_03_effective_temperature_overshoot(tcl2_eval, markov_eval):
@@ -224,13 +223,12 @@ def test_criterion_08_markov_monotone_negative(markov_sweep):
 
 
 def _full_thermalization_w1(omega_h, omega_c, temp_h, temp_c):
-    hot = StrokeMap(stationary_rho00(omega_h, temp_h), stationary_rho00(omega_h, temp_h))
-    cold = StrokeMap(stationary_rho00(omega_c, temp_c), stationary_rho00(omega_c, temp_c))
-    lc = limit_cycle(hot, cold)
-    gap = omega_h - omega_c
-    w_ad1 = gap * (1.0 - hot.apply(lc.P_h))
-    w_ad2 = gap * (1.0 - cold.apply(lc.P_c))
-    return w_ad1 - w_ad2
+    # each stroke forgets its start and stores no interaction energy
+    r_h, r_c = stationary_rho00(omega_h, temp_h), stationary_rho00(omega_c, temp_c)
+    hot, cold = StrokeEnds(r_h, r_h, 0.0, 0.0), StrokeEnds(r_c, r_c, 0.0, 0.0)
+    _, degenerate, p_h, p_c = fixed_point(r_h, r_h, r_c, r_c)
+    assert not degenerate
+    return cycle_ledger(omega_h - omega_c, p_h, p_c, hot, cold)[2]
 
 
 def test_criterion_09_positive_work_classifier():
@@ -293,7 +291,7 @@ def test_criterion_11_kernel_quadrature():
 def test_criterion_12_conservation(tcl2_eval, markov_eval):
     worst = 0.0
     for ev in (tcl2_eval, markov_eval):
-        for stroke, p in ((ev.hot, ev.cycle.P_h), (ev.cold, ev.cycle.P_c)):
+        for stroke, p in ((ev.hot, ev.P_h), (ev.cold, ev.P_c)):
             residual = (system_energy_change(p, stroke)
                         + reservoir_energy_change(p, stroke)
                         + interaction_energy(p, stroke))
@@ -303,6 +301,13 @@ def test_criterion_12_conservation(tcl2_eval, markov_eval):
                worst < 1e-8, f"worst residual {worst:.2e} omega")
 
 
+def _grid_indices(grid, times):
+    """Indices of ``times`` on the uniform ``grid`` that starts at 0."""
+    idx = np.rint(times / grid[1]).astype(int)
+    assert np.allclose(grid[idx], times, rtol=1e-9, atol=1e-9)
+    return idx
+
+
 def test_criterion_13_oracle_adjudication(tcl2_eval, oracle_run):
     result, bath = oracle_run
     late = result.times > 0.5
@@ -310,8 +315,8 @@ def test_criterion_13_oracle_adjudication(tcl2_eval, oracle_run):
     scale = ENGINE.omega_h / 2.0 + float(
         np.sum(bath.frequencies) * bath.fock_cutoff)
     conserved = np.max(np.abs(result.conservation_residual)) < 1e-10 * scale
-    e_i_solver = interaction_energy(tcl2_eval.cycle.P_h, tcl2_eval.hot)
-    idx = [tcl2_eval.hot.index_of(t) for t in result.times[late]]
+    e_i_solver = interaction_energy(tcl2_eval.P_h, tcl2_eval.hot)
+    idx = _grid_indices(tcl2_eval.hot.times, result.times[late])
     signs_agree = bool(np.all(np.sign(e_i_solver[idx])
                               == np.sign(result.interaction[late])))
     ok = negative and conserved and signs_agree

@@ -1,6 +1,7 @@
 """Command-line surface: config handling, CSV contracts, determinism."""
 
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,6 +28,11 @@ REF_SETS = [
 ]
 
 
+# the benchmark's workload generator, executed from source and never written to
+BENCH_WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+
+
 def read_rows(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -43,10 +49,6 @@ def column(text, name):
 def point_ledger(engine, backend, step):
     """One sweep point the per-point way: (W_ad1, W_ad2, W_I, W_II,
     E_I_h, E_I_c), label."""
-    if engine.lam == 0.0:
-        w_frozen = (engine.omega_h - engine.omega_c) * (1.0 - 0.5)
-        # E_I = -C(t_end) with C = 0 is a negative zero
-        return (w_frozen, w_frozen, 0.0, 0.0, -0.0, -0.0), ""
     try:
         ledger = evaluate_cycle(engine, backend, step).ledger
     except (PositivityViolation, DegenerateCycle) as exc:
@@ -77,6 +79,17 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("coupling_strength = 1\n")
+        with pytest.raises(ConfigError, match="unknown key 'foo'"):
+            build_config({"foo": "1"})
+        # --set hands its keys to build_config unchecked
+        assert main(["dynamics", "--set", "foo=1"]) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", BENCH_WORKLOADS["NAMES"])
+    def test_bench_configs_accepted(self, name, seed):
+        # every key the benchmark writes, workers included, must stay valid
+        text = BENCH_WORKLOADS["make"](name, seed).config_text("-")
+        build_config(parse_config(text))
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,15 +1,19 @@
 """Kernel closed forms against independent quadrature and known values."""
 
+import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nmotto import ReservoirSpec, d1, d2, ohmic_j, trigamma
+from nmotto import EngineParams, ReservoirSpec, d1, d2, ohmic_j, trigamma
 
 REF_SPEC = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
+REF_ENGINE = EngineParams(omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
+                          lam=0.01, cutoff=0.4, t1=5.0, t2=60.0)
 
 
 def d1_by_quadrature(tau, spec):
@@ -72,6 +76,18 @@ class TestOhmicJ:
             ReservoirSpec(temperature=1.0, lam=-0.01, cutoff=0.4)
         with pytest.raises(ValueError):
             ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.0)
+
+
+class TestFiniteParameters:
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("base, field", [
+        (REF_SPEC, "temperature"), (REF_SPEC, "lam"), (REF_SPEC, "cutoff"),
+        (REF_ENGINE, "lam"), (REF_ENGINE, "T_h"), (REF_ENGINE, "omega_h"),
+        (REF_ENGINE, "cutoff"), (REF_ENGINE, "t1"),
+    ], ids=lambda x: type(x).__name__ if hasattr(x, "lam") else x)
+    def test_non_finite_rejected(self, base, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(base, **{field: value})
 
 
 class TestTrigamma:

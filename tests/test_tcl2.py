@@ -128,7 +128,7 @@ class TestEvolveDiagonal:
     def test_transient_population_overshoot(self, ref_tcl2):
         # non-Markovian heating: the excited population passes above its
         # end-of-stroke value during the hot contact
-        rho11 = 1.0 - ref_tcl2.hot.rho00_mixed(ref_tcl2.cycle.P_h)
+        rho11 = 1.0 - ref_tcl2.hot.rho00_mixed(ref_tcl2.P_h)
         assert rho11.max() > rho11[-1]
 
     def test_positivity_violation_raised(self):
