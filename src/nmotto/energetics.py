@@ -27,7 +27,6 @@ analytic integrands, never by numerical differencing.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -127,22 +126,14 @@ def stroke_dynamics(
         raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
     if backend == "tcl2":
         pair = tcl2.evolve_branch_pair(reservoir, omega, t_end, h)
-        times, rho0, rho1 = pair.times, pair.rho00_0, pair.rho00_1
-        dx = times[1] - times[0]
-        # the kernel samples of the coefficient integrals, not recomputed
-        d1v, d2v = pair.d1_vals, pair.d2_vals
-        sin_wt, cos_wt = pair.sin_wt, pair.cos_wt
-        integrand0 = (2.0 * rho0 - 1.0) * d1v * sin_wt + d2v * cos_wt
-        integrand1 = (2.0 * rho1 - 1.0) * d1v * sin_wt + d2v * cos_wt
-        corr0 = tcl2.cumulative_simpson(integrand0, dx)
-        corr1 = tcl2.cumulative_simpson(integrand1, dx)
+        rho0, rho1 = pair.rho00_0, pair.rho00_1
         # theta = -d(dE_S)/dt + dC/dt, with d rho00/dt = a rho00 - b
-        flow0 = omega * (pair.a_vals * rho0 - pair.b_vals) + integrand0
-        flow1 = omega * (pair.a_vals * rho1 - pair.b_vals) + integrand1
+        flow0 = omega * (pair.a_vals * rho0 - pair.b_vals) + pair.dcorr_0
+        flow1 = omega * (pair.a_vals * rho1 - pair.b_vals) + pair.dcorr_1
         return StrokeDynamics(
             which=which, backend=backend, omega=omega, reservoir=reservoir,
-            times=times, rho00_0=rho0, rho00_1=rho1,
-            corr_0=corr0, corr_1=corr1, flow_0=flow0, flow_1=flow1,
+            times=pair.times, rho00_0=rho0, rho00_1=rho1,
+            corr_0=pair.corr_0, corr_1=pair.corr_1, flow_0=flow0, flow_1=flow1,
         )
     if backend == "markov":
         times = tcl2.time_grid(t_end, h)
@@ -317,66 +308,112 @@ def evaluate_cycle(
                            ledger=ledger, hot=hot, cold=cold)
 
 
-def _stroke_ends(task):
-    """End values of one stroke, or None where it violates positivity."""
-    engine, which, backend, h = task
-    try:
-        return stroke_dynamics(engine, which, backend, h).ends
-    except PositivityViolation:
-        return None
+def _stroke_groups(values, backend: str, h: float | None):
+    """One side's durations split into solve groups.
+
+    Returns [(t_end, members, columns)]: one solve of length ``t_end``
+    yields the strokes at ``columns`` of ``values``.  ``members`` are the
+    durations themselves under Markov, whose closed form takes them all
+    at once (t_end None).  Under TCL2 they are step counts k on
+    ``time_grid(t_end, h)``: every duration whose own grid is a prefix of
+    the longest one's shares that solve, and every other keeps its own
+    (k None: the whole grid).
+    """
+    if backend == "markov":
+        return [(None, [float(t) for t in values], list(range(len(values))))]
+    t_max = float(max(values))
+    family = tcl2.time_grid(t_max, h)
+    groups = {}
+    for j, t in enumerate(values):
+        t = float(t)
+        # a prefix grid ends on a family sample; only then compare the grids
+        k = int(np.searchsorted(family, t))
+        shared = (k < len(family) and family[k] == t
+                  and np.array_equal(tcl2.time_grid(t, h), family[:k + 1]))
+        t_end = t_max if shared else t
+        _, steps, columns = groups.setdefault(t_end, (t_end, [], []))
+        steps.append(k if shared else None)
+        columns.append(j)
+    return list(groups.values())
 
 
-def _stack_ends(ends, shape):
-    """Per-stroke ends as one StrokeEnds of arrays of ``shape`` (nan for
-    a failed stroke), and the mask of failed strokes."""
-    failed = np.array([e is None for e in ends]).reshape(shape)
-    nan_ends = (float("nan"),) * len(StrokeEnds._fields)
-    columns = zip(*(nan_ends if e is None else e for e in ends))
-    return StrokeEnds._make(np.array(col).reshape(shape) for col in columns), failed
+def _group_ends(task):
+    """Stroke ends of one solve group for every omega: (r0, r1, corr_0,
+    corr_1) stacked on the leading axis of a (4, len(omegas),
+    len(members)) array.  A stroke that violates positivity has nan
+    ends, and only such a stroke does."""
+    backend, reservoir, omegas, t_end, h, members = task
+    if backend == "markov":
+        ends = np.zeros((4, len(omegas), len(members)))
+        for i, omega in enumerate(omegas):
+            ends[0, i], ends[1, i], _, _ = markov.branch_pair(reservoir, omega, members)
+        return ends
+    times = tcl2.time_grid(t_end, h)
+    steps = [len(times) - 1 if k is None else k for k in members]
+    *ends, ok = tcl2.family_ends(reservoir, omegas, times, steps)
+    ends = np.array(ends)
+    ends[:, ~ok] = np.nan
+    return ends
 
 
 def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tcl2",
                   h: float | None = None, omega_pairs=None, workers: int = 1):
     """Cycle ledger over a (t1, t2) grid, one block per omega pair.
 
-    Each distinct hot stroke (one per t1) and cold stroke (one per t2)
-    is solved once, across up to ``workers`` processes; the limit cycle
-    and ledger of every grid point then follow from the stroke ends by
-    broadcasting, bit for bit as ``evaluate_cycle`` point by point.
-    ``omega_pairs`` lists (omega_h, omega_c) splittings, None meaning
-    the engine's own.  Returns one (engine, ledger, errors) per pair:
-    engine carries the pair's splittings, ledger the six
-    ``cycle_ledger`` arrays of shape (len(t1_values), len(t2_values)),
-    nan at failed points, and errors the failure labels ("" where the
-    point succeeded).
+    The hot strokes (one per t1) and the cold strokes (one per t2) are
+    solved by groups: one task per side and grid, which samples the
+    kernels once and solves every omega pair on them (see
+    ``_stroke_groups``).  The tasks run across up to ``workers``
+    processes.  The limit cycle and ledger of every grid point then
+    follow from the stroke ends by broadcasting, bit for bit as
+    ``evaluate_cycle`` point by point.  ``omega_pairs`` lists
+    (omega_h, omega_c) splittings, None meaning the engine's own.
+    Returns one (engine, ledger, errors) per pair: engine carries the
+    pair's splittings, ledger the six ``cycle_ledger`` arrays of shape
+    (len(t1_values), len(t2_values)), nan at failed points, and errors
+    the failure labels ("" where the point succeeded).
     """
+    if backend not in ("tcl2", "markov"):
+        raise ValueError(f"unknown dynamics backend {backend!r}")
     pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
     engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
-    n1, n2 = len(t1_values), len(t2_values)
+    for pick in (np.min, np.max):  # nan propagates: every duration is validated
+        replace(engine, t1=float(pick(t1_values)), t2=float(pick(t2_values)))
 
-    tasks = []
-    for eng in engines:
-        tasks += [(replace(eng, t1=float(t1)), "hot", backend, h) for t1 in t1_values]
-        tasks += [(replace(eng, t2=float(t2)), "cold", backend, h) for t2 in t2_values]
+    tasks, placement = [], []
+    for side, values, reservoir, omegas in (
+        ("hot", t1_values, engine.hot_reservoir, [e.omega_h for e in engines]),
+        ("cold", t2_values, engine.cold_reservoir, [e.omega_c for e in engines]),
+    ):
+        for t_end, members, columns in _stroke_groups(values, backend, h):
+            tasks.append((backend, reservoir, omegas, t_end, h, members))
+            placement.append((side, columns))
     # a fork-started pool forks every worker at the first submit
     n_proc = min(workers, len(tasks))
     if n_proc > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (n_proc * 4))
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
-            ends = list(pool.map(_stroke_ends, tasks, chunksize=chunk))
+            results = list(pool.map(_group_ends, tasks, chunksize=chunk))
     else:
-        ends = [_stroke_ends(task) for task in tasks]
+        results = [_group_ends(task) for task in tasks]
+
+    ends = {side: np.empty((4, len(engines), len(values)))
+            for side, values in (("hot", t1_values), ("cold", t2_values))}
+    for (side, columns), group_ends in zip(placement, results):
+        ends[side][:, :, columns] = group_ends
 
     blocks = []
     for k, eng in enumerate(engines):
-        first = k * (n1 + n2)
         # hot ends down a column, cold ends along a row: they broadcast
-        hot, hot_failed = _stack_ends(ends[first:first + n1], (n1, 1))
-        cold, cold_failed = _stack_ends(ends[first + n1:first + n1 + n2], (1, n2))
+        hot = StrokeEnds._make(ends["hot"][:, k, :, None])
+        cold = StrokeEnds._make(ends["cold"][:, k, None, :])
         _, degenerate, _, _, ledger = _close_cycle(eng, hot, cold)
-        errors = np.full((n1, n2), "", dtype=object)
+        errors = np.full(degenerate.shape, "", dtype=object)
         errors[degenerate] = DegenerateCycle.__name__
-        errors[hot_failed | cold_failed] = PositivityViolation.__name__
-        failed = errors != ""
-        blocks.append((eng, tuple(np.where(failed, np.nan, v) for v in ledger), errors))
+        errors[np.isnan(hot.r0) | np.isnan(cold.r0)] = PositivityViolation.__name__
+        failed_points = errors != ""
+        blocks.append((eng, tuple(np.where(failed_points, np.nan, v) for v in ledger),
+                       errors))
     return blocks

@@ -88,8 +88,12 @@ def trigamma(z):
     shifted = np.zeros_like(zz)
     active = zz.real < _ASYMPTOTIC_EDGE
     while np.any(active):
-        shifted[active] += 1.0 / zz[active] ** 2
-        zz[active] += 1.0
+        if active.all():  # the common case: shift in place, no masked copies
+            shifted += 1.0 / zz**2
+            zz += 1.0
+        else:
+            shifted[active] += 1.0 / zz[active] ** 2
+            zz[active] += 1.0
         active = zz.real < _ASYMPTOTIC_EDGE
 
     u = 1.0 / zz

@@ -1,9 +1,11 @@
 """Command-line surface: config handling, CSV contracts, determinism."""
 
+import concurrent.futures
 import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import nmotto
-from nmotto import energetics, evaluate_cycle, evaluate_grid
+from nmotto import evaluate_cycle, evaluate_grid, tcl2
 from nmotto.cli import (
     build_config,
     main,
@@ -169,6 +171,11 @@ class TestSweep:
         assert all(r[-1] == "" for r in rows)
 
     POSITIVITY = {"omega_pairs": "4:0.5,1:0.18", "T_h": "50", "lambda": "0.3"}
+    # the sweep-edge workload's duration grid, 1, 15.75, 30.5, 45.25 and 60
+    EDGE_GRID = {"t1_min": "1", "t1_max": "60", "t1_count": "5",
+                 "t2_min": "1", "t2_max": "60", "t2_count": "5"}
+    EDGE_FAILURE = {**EDGE_GRID, "omega_pairs": "0.625592:0.099213",
+                    "T_h": "30", "lambda": "0.2"}
 
     @pytest.mark.parametrize("extra", [{}, POSITIVITY], ids=["small", "positivity"])
     def test_worker_count_does_not_change_bytes(self, extra):
@@ -184,7 +191,20 @@ class TestSweep:
         ({**POSITIVITY, "t1_max": "10", "t1_count": "2"}, {"", "PositivityViolation"}),
         ({"backend": "markov", "lambda": "1e-16", "t1_max": "3", "t2_max": "3"},
          {"DegenerateCycle"}),
-    ], ids=["tcl2", "markov-pairs", "zero-coupling", "positivity", "degenerate"])
+        # 20 and up share one solve; below 20 each stroke has its own grid
+        ({"t1_min": "14", "t1_max": "26", "t1_count": "7",
+          "t2_min": "18", "t2_max": "22", "t2_count": "3"}, {""}),
+        # 30.5, 45.25 (4525 steps, odd) and 60 share one solve
+        (EDGE_GRID, {""}),
+        # off the 0.01 grid: each stroke keeps its own solve
+        ({"t1_min": "20.005", "t1_max": "40.3", "t1_count": "3",
+          "t2_min": "21", "t2_max": "59.999", "t2_count": "2"}, {""}),
+        ({"step": "0.05", "t1_min": "1", "t1_max": "60", "t1_count": "4",
+          "t2_min": "10", "t2_max": "30", "t2_count": "3"}, {""}),
+        # the hot strokes at 45.25 and 60 fail; 30.5, in the same solve, passes
+        (EDGE_FAILURE, {"", "PositivityViolation"}),
+    ], ids=["tcl2", "markov-pairs", "zero-coupling", "positivity", "degenerate",
+            "crossing-20", "edge-grid", "off-grid", "user-step", "edge-failure"])
     def test_grid_matches_per_point_bit_for_bit(self, extra, outcomes):
         cfg = build_config({**self.SMALL, **extra})
         t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
@@ -221,12 +241,36 @@ class TestSweep:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(energetics, "ProcessPoolExecutor", RecordingPool)
-        grid = {**self.SMALL, "t1_count": "2", "t2_count": "1"}  # 3 strokes
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # t1 = 20, 40, 60 share one solve, t2 = 2 and 8 have one each: 3 tasks
+        grid = {**self.SMALL, "t1_min": "20", "t1_max": "60", "t1_count": "3"}
         serial = run_sweep(build_config({**grid, "workers": "1"}))
         assert run_sweep(build_config({**grid, "workers": "64"})) == serial
         assert run_sweep(build_config({**grid, "workers": "2"})) == serial
         assert sizes == [3, 2]
+
+    def test_edge_failure_spares_shorter_strokes_of_its_solve(self):
+        cfg = build_config({**self.SMALL, **self.EDGE_FAILURE})
+        _, rows = read_rows(run_sweep(cfg))
+        failed_t1 = {float(r[2]) for r in rows if r[-1] == "PositivityViolation"}
+        assert failed_t1 == {45.25, 60.0}
+
+    def test_sweep_edge_solves_once_per_group(self, monkeypatch):
+        # 48 pairs x 2 sides x 3 solves: t = 1 and t = 15.75 on their own
+        # grids, and 30.5, 45.25 and 60 together; d1 once per side and grid
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tcl2, "_solve", counting("solves", tcl2._solve))
+        monkeypatch.setattr(tcl2, "d1", counting("d1", tcl2.d1))
+        settings = BENCH_WORKLOADS["make"]("sweep-edge", 0).settings
+        run_sweep(build_config({k: str(v) for k, v in settings.items()}))
+        assert counts == {"solves": 288, "d1": 6}
 
     def test_per_point_failures_recorded(self):
         cfg = build_config({
@@ -324,27 +368,34 @@ class TestMain:
         assert "PositivityViolation" in capsys.readouterr().err
 
 
+def fresh_modules(code):
+    """stdout of ``code`` run in a fresh interpreter, where no test module
+    has imported anything yet."""
+    src = str(Path(nmotto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 class TestRuntime:
     def test_numpy_only_import(self):
-        # a fresh interpreter, so no test module has pulled in scipy yet
-        src = str(Path(nmotto.__file__).resolve().parents[1])
         code = ("import sys, nmotto, nmotto.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert fresh_modules(code) == "[]"
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # the pool is imported only by a sweep that runs on several processes
+        code = ("import sys, nmotto.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m in ('concurrent.futures.process', 'multiprocessing')))")
+        assert fresh_modules(code) == "[]"
 
     def test_oracle_leaves_numpy_ma_unloaded(self, tmp_path):
         # numpy.ma costs about 15 ms to import and the oracle needs none of it
-        src = str(Path(nmotto.__file__).resolve().parents[1])
         sets = sum((["--set", f"{k}={v}"] for k, v in TestOracleCommand.CFG.items()), [])
         args = ["oracle", "--out", str(tmp_path / "oracle.csv")] + sets
         code = ("import sys; from nmotto.cli import main; "
                 f"assert main({args!r}) == 0; "
                 "print(sorted(m for m in sys.modules "
                 "if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert fresh_modules(code) == "[]"

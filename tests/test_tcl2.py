@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
-from nmotto.tcl2 import cumulative_simpson, default_step, time_grid
+from nmotto.tcl2 import cumulative_simpson, default_step, family_ends, time_grid
 
 HOT = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
 OFF = ReservoirSpec(temperature=5.0, lam=0.0, cutoff=0.4)
@@ -178,3 +178,34 @@ class TestBranchPair:
         pair = evolve_branch_pair(HOT, 1.0, 5.0)
         combo = 0.3 * pair.rho00_0 + 0.7 * pair.rho00_1
         assert np.allclose(combo, closed_form(0.3, pair), rtol=0.0, atol=1e-15)
+
+
+class TestFamilyEnds:
+    """One solve over a long grid gives every stroke on a prefix of it."""
+
+    # at T = 50, lam = 0.3, omega = 4 the strokes leave [0, 1] from k = 92
+    # on this grid; omega = 1 stays positive throughout
+    @pytest.mark.parametrize("reservoir, omegas, h, steps", [
+        (HOT, [1.0, 0.18], 1 / 8, range(2, 41)),
+        (ReservoirSpec(temperature=50.0, lam=0.3, cutoff=0.4), [4.0, 1.0], 1 / 64,
+         [*range(2, 41), *range(85, 100)]),
+    ], ids=["positive", "positivity-failure"])
+    def test_ends_match_each_prefix_solve_bit_for_bit(self, reservoir, omegas, h, steps):
+        # a power-of-two step makes every prefix exactly its own time_grid
+        times = time_grid(h * max(steps), h)
+        *ends, ok = family_ends(reservoir, omegas, times, steps)
+        failures = 0
+        for i, omega in enumerate(omegas):
+            for j, k in enumerate(steps):
+                assert np.array_equal(time_grid(times[k], h), times[:k + 1])
+                try:
+                    pair = evolve_branch_pair(reservoir, omega, times[k], h)
+                except PositivityViolation:
+                    assert not ok[i, j], (omega, k)
+                    failures += 1
+                    continue
+                assert ok[i, j], (omega, k)
+                want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1]]
+                got = [v[i, j] for v in ends]
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want], k
+        assert (failures > 0) == (reservoir is not HOT)
