@@ -4,7 +4,8 @@ Configuration is a flat key=value text file plus ``--set key=value``
 overrides; the twelve engine scalars and three ranges need no nesting,
 and the format diffs cleanly.  All output is CSV with an LF line
 ending, a header row, and 12-significant-digit values, byte-identical
-across runs and worker counts for identical configuration.
+across runs for identical configuration.  Every command runs in one
+process.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (positivity violation or degenerate cycle).
@@ -37,7 +38,6 @@ class RunConfig:
     engine: EngineParams
     backend: str = "tcl2"
     step: float | None = None
-    workers: int = 1
     out: str | None = None
     t1_min: float = 1.0
     t1_max: float = 60.0
@@ -122,6 +122,10 @@ def build_config(raw: dict) -> RunConfig:
                 run_kwargs["out"] = None if value == "-" else value
             elif key == "omega_pairs":
                 run_kwargs["omega_pairs"] = _parse_omega_pairs(value)
+            elif key == "workers":
+                # kept for configs written when sweeps ran on a process pool
+                if int(value) != 1:
+                    raise ConfigError("workers must be 1: sweeps run in one process")
             elif key in _RUN_KEYS:
                 run_kwargs[key] = _RUN_KEYS[key](value)
             else:
@@ -141,8 +145,6 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError(f"backend must be one of {_BACKENDS}, got {cfg.backend!r}")
     if cfg.step is not None and not cfg.step > 0:
         raise ConfigError("step must be positive")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     for name in ("t1", "t2"):
         lo = getattr(cfg, f"{name}_min")
         hi = getattr(cfg, f"{name}_max")
@@ -181,7 +183,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"t2 = {eng.t2:.12g}",
         f"backend = {cfg.backend}",
         "step = auto" if cfg.step is None else f"step = {cfg.step:.12g}",
-        f"workers = {cfg.workers}",
         f"out = {'-' if cfg.out is None else cfg.out}",
         f"t1_min = {cfg.t1_min:.12g}",
         f"t1_max = {cfg.t1_max:.12g}",
@@ -216,7 +217,7 @@ def run_dynamics(cfg: RunConfig) -> str:
     t_eff = energetics.effective_temperature_profile(rho00, hot.omega)
     d_es = energetics.system_energy_change(p_h, hot)
     e_i = energetics.interaction_energy(p_h, hot)
-    d_eb = -d_es - e_i
+    d_eb = energetics.reservoir_energy_change(p_h, hot)
     theta = energetics.energy_flow(p_h, hot)[1]
 
     lines = ["t,rho00,rho11,T_eff,dES,dEB,EI,theta"]
@@ -230,15 +231,14 @@ def run_dynamics(cfg: RunConfig) -> str:
 def run_sweep(cfg: RunConfig) -> str:
     """(t1, t2) grid of the cycle ledger, t1-major row order.
 
-    The grid comes from ``energetics.evaluate_grid``, with the stroke
-    solves spread over ``cfg.workers`` processes.  Per-point numerical
-    failures land in the trailing ``error`` column and the sweep
-    continues.  Output bytes do not depend on the worker count.
+    The grid comes from ``energetics.evaluate_grid``, in this process.
+    Per-point numerical failures land in the trailing ``error`` column
+    and the sweep continues.
     """
     t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
     t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
     blocks = energetics.evaluate_grid(cfg.engine, t1_values, t2_values, cfg.backend,
-                                      cfg.step, cfg.omega_pairs, cfg.workers)
+                                      cfg.step, cfg.omega_pairs)
     t1_cells = [_fmt(t) for t in t1_values]
     t2_cells = [_fmt(t) for t in t2_values]
     with_pairs = cfg.omega_pairs is not None
@@ -273,7 +273,7 @@ def run_oracle(cfg: RunConfig) -> str:
 
     d_es = energetics.system_energy_change(p_h, hot)[idx]
     e_i = energetics.interaction_energy(p_h, hot)[idx]
-    d_eb = -d_es - e_i
+    d_eb = energetics.reservoir_energy_change(p_h, hot)[idx]
 
     bath = discretize_bath(cfg.engine.hot_reservoir, cfg.oracle_modes,
                            cfg.oracle_omega_max, cfg.oracle_fock)
@@ -310,8 +310,6 @@ def _load_config(args) -> RunConfig:
         raw["backend"] = args.backend
     if args.out is not None:
         raw["out"] = args.out
-    if args.workers is not None:
-        raw["workers"] = str(args.workers)
     return build_config(raw)
 
 
@@ -341,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override one configuration key (repeatable)")
         p.add_argument("--backend", choices=_BACKENDS)
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--workers", type=int)
     return parser
 
 

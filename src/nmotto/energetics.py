@@ -87,10 +87,7 @@ class StrokeDynamics:
     of each branch.
     """
 
-    which: str
-    backend: str
     omega: float
-    reservoir: ReservoirSpec
     times: np.ndarray
     rho00_0: np.ndarray
     rho00_1: np.ndarray
@@ -131,8 +128,7 @@ def stroke_dynamics(
         flow0 = omega * (pair.a_vals * rho0 - pair.b_vals) + pair.dcorr_0
         flow1 = omega * (pair.a_vals * rho1 - pair.b_vals) + pair.dcorr_1
         return StrokeDynamics(
-            which=which, backend=backend, omega=omega, reservoir=reservoir,
-            times=pair.times, rho00_0=rho0, rho00_1=rho1,
+            omega=omega, times=pair.times, rho00_0=rho0, rho00_1=rho1,
             corr_0=pair.corr_0, corr_1=pair.corr_1, flow_0=flow0, flow_1=flow1,
         )
     if backend == "markov":
@@ -140,8 +136,7 @@ def stroke_dynamics(
         rho0, rho1, flow0, flow1 = markov.branch_pair(reservoir, omega, times)
         zero = np.zeros_like(times)  # no interaction storage
         return StrokeDynamics(
-            which=which, backend=backend, omega=omega, reservoir=reservoir,
-            times=times, rho00_0=rho0, rho00_1=rho1,
+            omega=omega, times=times, rho00_0=rho0, rho00_1=rho1,
             corr_0=zero, corr_1=zero, flow_0=flow0, flow_1=flow1,
         )
     raise ValueError(f"unknown dynamics backend {backend!r}")
@@ -246,7 +241,6 @@ class CycleEvaluation:
     """
 
     engine: EngineParams
-    backend: str
     P_h: float
     P_c: float
     p0: float
@@ -304,111 +298,83 @@ def evaluate_cycle(
     ledger = EnergyLedger(
         *works, dES_h=des_h, dES_c=des_c, dEB_h=-des_h - works[4],
         dEB_c=-des_c - works[5], eta_O=engine.eta_otto, eta_C=engine.eta_carnot)
-    return CycleEvaluation(engine=engine, backend=backend, P_h=p_h, P_c=p_c, p0=p0,
+    return CycleEvaluation(engine=engine, P_h=p_h, P_c=p_c, p0=p0,
                            ledger=ledger, hot=hot, cold=cold)
 
 
-def _stroke_groups(values, backend: str, h: float | None):
-    """One side's durations split into solve groups.
+def _stroke_groups(values, h: float | None):
+    """One TCL2 side's durations split into solve groups.
 
-    Returns [(t_end, members, columns)]: one solve of length ``t_end``
-    yields the strokes at ``columns`` of ``values``.  ``members`` are the
-    durations themselves under Markov, whose closed form takes them all
-    at once (t_end None).  Under TCL2 they are step counts k on
-    ``time_grid(t_end, h)``: every duration whose own grid is a prefix of
-    the longest one's shares that solve, and every other keeps its own
-    (k None: the whole grid).
+    Returns [(times, steps, columns)]: one solve on ``times`` yields the
+    strokes at ``columns`` of ``values``, each ending after its step
+    count in ``steps``.  Every duration whose own ``time_grid(t, h)`` is
+    a prefix of the longest one's shares that solve, and every other
+    keeps its own (its step count is then its whole grid's).
     """
-    if backend == "markov":
-        return [(None, [float(t) for t in values], list(range(len(values))))]
-    t_max = float(max(values))
-    family = tcl2.time_grid(t_max, h)
+    family = tcl2.time_grid(float(max(values)), h)
     groups = {}
     for j, t in enumerate(values):
-        t = float(t)
-        # a prefix grid ends on a family sample; only then compare the grids
-        k = int(np.searchsorted(family, t))
-        shared = (k < len(family) and family[k] == t
-                  and np.array_equal(tcl2.time_grid(t, h), family[:k + 1]))
-        t_end = t_max if shared else t
-        _, steps, columns = groups.setdefault(t_end, (t_end, [], []))
-        steps.append(k if shared else None)
+        own = tcl2.time_grid(float(t), h)
+        k = len(own) - 1
+        times = family if np.array_equal(own, family[:k + 1]) else own
+        _, steps, columns = groups.setdefault(times[-1], (times, [], []))
+        steps.append(k)
         columns.append(j)
     return list(groups.values())
 
 
-def _group_ends(task):
-    """Stroke ends of one solve group for every omega: (r0, r1, corr_0,
-    corr_1) stacked on the leading axis of a (4, len(omegas),
-    len(members)) array.  A stroke that violates positivity has nan
-    ends, and only such a stroke does."""
-    backend, reservoir, omegas, t_end, h, members = task
+def _side_ends(backend: str, reservoir: ReservoirSpec, omegas, values, h):
+    """Stroke ends of one side for every omega: (r0, r1, corr_0, corr_1)
+    stacked on the leading axis of a (4, len(omegas), len(values))
+    array.  Markov ends come from one closed-form call per omega, TCL2
+    ends from one ``tcl2.family_ends`` call per solve group (see
+    ``_stroke_groups``), which samples the kernels once for all omegas.
+    A stroke that violates positivity has nan ends, and only such a
+    stroke does."""
+    ends = np.zeros((4, len(omegas), len(values)))
     if backend == "markov":
-        ends = np.zeros((4, len(omegas), len(members)))
         for i, omega in enumerate(omegas):
-            ends[0, i], ends[1, i], _, _ = markov.branch_pair(reservoir, omega, members)
+            ends[0, i], ends[1, i], _, _ = markov.branch_pair(reservoir, omega, values)
         return ends
-    times = tcl2.time_grid(t_end, h)
-    steps = [len(times) - 1 if k is None else k for k in members]
-    *ends, ok = tcl2.family_ends(reservoir, omegas, times, steps)
-    ends = np.array(ends)
-    ends[:, ~ok] = np.nan
+    for times, steps, columns in _stroke_groups(values, h):
+        *group, ok = tcl2.family_ends(reservoir, omegas, times, steps)
+        ends[:, :, columns] = np.where(ok, group, np.nan)
     return ends
 
 
 def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tcl2",
-                  h: float | None = None, omega_pairs=None, workers: int = 1):
+                  h: float | None = None, omega_pairs=None):
     """Cycle ledger over a (t1, t2) grid, one block per omega pair.
 
     The hot strokes (one per t1) and the cold strokes (one per t2) are
-    solved by groups: one task per side and grid, which samples the
-    kernels once and solves every omega pair on them (see
-    ``_stroke_groups``).  The tasks run across up to ``workers``
-    processes.  The limit cycle and ledger of every grid point then
-    follow from the stroke ends by broadcasting, bit for bit as
-    ``evaluate_cycle`` point by point.  ``omega_pairs`` lists
-    (omega_h, omega_c) splittings, None meaning the engine's own.
-    Returns one (engine, ledger, errors) per pair: engine carries the
-    pair's splittings, ledger the six ``cycle_ledger`` arrays of shape
-    (len(t1_values), len(t2_values)), nan at failed points, and errors
-    the failure labels ("" where the point succeeded).
+    solved once per side for every omega pair (see ``_side_ends``).
+    The limit cycle and ledger of every grid point then follow from the
+    stroke ends by broadcasting, bit for bit as ``evaluate_cycle`` point
+    by point.  ``omega_pairs`` lists (omega_h, omega_c) splittings, None
+    meaning the engine's own.  Returns one (engine, ledger, errors) per
+    pair: engine carries the pair's splittings, ledger the six
+    ``cycle_ledger`` arrays of shape (len(t1_values), len(t2_values)),
+    nan at failed points, and errors the failure labels ("" where the
+    point succeeded).
     """
     if backend not in ("tcl2", "markov"):
         raise ValueError(f"unknown dynamics backend {backend!r}")
+    if h is not None and not h > 0:
+        raise ValueError("grid step must be positive")
     pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
     engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
     for pick in (np.min, np.max):  # nan propagates: every duration is validated
         replace(engine, t1=float(pick(t1_values)), t2=float(pick(t2_values)))
-
-    tasks, placement = [], []
-    for side, values, reservoir, omegas in (
-        ("hot", t1_values, engine.hot_reservoir, [e.omega_h for e in engines]),
-        ("cold", t2_values, engine.cold_reservoir, [e.omega_c for e in engines]),
-    ):
-        for t_end, members, columns in _stroke_groups(values, backend, h):
-            tasks.append((backend, reservoir, omegas, t_end, h, members))
-            placement.append((side, columns))
-    # a fork-started pool forks every worker at the first submit
-    n_proc = min(workers, len(tasks))
-    if n_proc > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(tasks) // (n_proc * 4))
-        with ProcessPoolExecutor(max_workers=n_proc) as pool:
-            results = list(pool.map(_group_ends, tasks, chunksize=chunk))
-    else:
-        results = [_group_ends(task) for task in tasks]
-
-    ends = {side: np.empty((4, len(engines), len(values)))
-            for side, values in (("hot", t1_values), ("cold", t2_values))}
-    for (side, columns), group_ends in zip(placement, results):
-        ends[side][:, :, columns] = group_ends
+    hot_ends = _side_ends(backend, engine.hot_reservoir,
+                          [e.omega_h for e in engines], t1_values, h)
+    cold_ends = _side_ends(backend, engine.cold_reservoir,
+                           [e.omega_c for e in engines], t2_values, h)
 
     blocks = []
     for k, eng in enumerate(engines):
         # hot ends down a column, cold ends along a row: they broadcast
-        hot = StrokeEnds._make(ends["hot"][:, k, :, None])
-        cold = StrokeEnds._make(ends["cold"][:, k, None, :])
+        hot = StrokeEnds._make(hot_ends[:, k, :, None])
+        cold = StrokeEnds._make(cold_ends[:, k, None, :])
         _, degenerate, _, _, ledger = _close_cycle(eng, hot, cold)
         errors = np.full(degenerate.shape, "", dtype=object)
         errors[degenerate] = DegenerateCycle.__name__

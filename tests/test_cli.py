@@ -1,6 +1,5 @@
 """Command-line surface: config handling, CSV contracts, determinism."""
 
-import concurrent.futures
 import os
 import runpy
 import subprocess
@@ -11,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmotto
 from nmotto import evaluate_cycle, evaluate_grid, tcl2
@@ -68,7 +69,7 @@ class TestConfig:
     def test_round_trip_nondefault(self):
         raw = parse_config(
             "t1 = 3.5\nbackend = markov\nomega_pairs = 1.0:0.2,0.9:0.18\n"
-            "step = 0.005\nworkers = 4\nout = run.csv\n"
+            "step = 0.005\nout = run.csv\n"
         )
         cfg = build_config(raw)
         again = build_config(parse_config(serialize_config(cfg)))
@@ -92,6 +93,17 @@ class TestConfig:
         # every key the benchmark writes, workers included, must stay valid
         text = BENCH_WORKLOADS["make"](name, seed).config_text("-")
         build_config(parse_config(text))
+
+    def test_workers_other_than_one_rejected(self, capsys):
+        # sweeps run in one process; old configs may still say workers = 1
+        with pytest.raises(ConfigError, match="one process"):
+            build_config({"workers": "2"})
+        assert main(["sweep", "--set", "workers=2"]) == 2
+        assert "one process" in capsys.readouterr().err
+        # the --workers flag is gone: argparse exits with usage status 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -177,13 +189,6 @@ class TestSweep:
     EDGE_FAILURE = {**EDGE_GRID, "omega_pairs": "0.625592:0.099213",
                     "T_h": "30", "lambda": "0.2"}
 
-    @pytest.mark.parametrize("extra", [{}, POSITIVITY], ids=["small", "positivity"])
-    def test_worker_count_does_not_change_bytes(self, extra):
-        one = run_sweep(build_config({**self.SMALL, **extra, "workers": "1"}))
-        two = run_sweep(build_config({**self.SMALL, **extra, "workers": "2"}))
-        assert one == two
-        assert ("PositivityViolation" in one) == bool(extra)
-
     @pytest.mark.parametrize("extra, outcomes", [
         ({}, {""}),
         ({"backend": "markov", "omega_pairs": "1.0:0.18,0.9:0.2"}, {""}),
@@ -223,31 +228,38 @@ class TestSweep:
                     labels.add(label)
         assert labels == outcomes
 
-    def test_pool_never_larger_than_the_work(self, monkeypatch):
-        # records the pool size and runs the tasks in process, so a large
-        # worker count starts no processes
-        sizes = []
+    # family members (integers >= 20 and odd-step hundredths such as
+    # 45.25 on the 0.01 grid), own grids below 20, and off-grid floats
+    DURATIONS = st.one_of(
+        st.integers(20, 40).map(float),
+        st.integers(1000, 1999).map(lambda n: (2 * n + 1) / 100),
+        st.floats(0.5, 20.0, exclude_max=True),
+        st.floats(20.0, 40.0),
+    )
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    @settings(max_examples=20, deadline=None)
+    @given(backend=st.sampled_from(["tcl2", "markov"]),
+           t1_values=st.lists(DURATIONS, min_size=1, max_size=3),
+           t2_values=st.lists(DURATIONS, min_size=1, max_size=2))
+    def test_grid_matches_per_point_on_any_durations(self, backend, t1_values,
+                                                     t2_values):
+        engine = build_config({}).engine
+        [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, backend)
+        for i, t1 in enumerate(t1_values):
+            for j, t2 in enumerate(t2_values):
+                point = replace(engine, t1=t1, t2=t2)
+                ref, label = point_ledger(point, backend, None)
+                assert [float(w[i, j]).hex() for w in ledger] == [w.hex() for w in ref]
+                assert errors[i, j] == label
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        # t1 = 20, 40, 60 share one solve, t2 = 2 and 8 have one each: 3 tasks
-        grid = {**self.SMALL, "t1_min": "20", "t1_max": "60", "t1_count": "3"}
-        serial = run_sweep(build_config({**grid, "workers": "1"}))
-        assert run_sweep(build_config({**grid, "workers": "64"})) == serial
-        assert run_sweep(build_config({**grid, "workers": "2"})) == serial
-        assert sizes == [3, 2]
+    @pytest.mark.parametrize("backend", ["tcl2", "markov"])
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan")])
+    def test_grid_rejects_bad_step(self, backend, h):
+        engine = build_config({}).engine
+        with pytest.raises(ValueError, match="grid step must be positive"):
+            evaluate_cycle(engine, backend, h)
+        with pytest.raises(ValueError, match="grid step must be positive"):
+            evaluate_grid(engine, [1.0, 2.0], [3.0], backend, h)
 
     def test_edge_failure_spares_shorter_strokes_of_its_solve(self):
         cfg = build_config({**self.SMALL, **self.EDGE_FAILURE})
@@ -384,7 +396,7 @@ class TestRuntime:
         assert fresh_modules(code) == "[]"
 
     def test_import_leaves_process_pool_unloaded(self):
-        # the pool is imported only by a sweep that runs on several processes
+        # every run is one process, so nothing loads a process pool
         code = ("import sys, nmotto.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m in ('concurrent.futures.process', 'multiprocessing')))")
