@@ -250,12 +250,13 @@ def run_sweep(cfg: RunConfig) -> str:
     for engine, ledger, errors in blocks:
         lead = f"{_fmt(engine.omega_h)},{_fmt(engine.omega_c)}," if with_pairs else ""
         etas = f"{_fmt(engine.eta_otto)},{_fmt(engine.eta_carnot)}"
-        values = [w.tolist() for w in ledger[:4]]
+        # %.12g prints nan and +-inf as _fmt does; + 0.0 turns -0.0 into 0
+        row = f"{lead}%s,%s,%.12g,%.12g,%.12g,%.12g,{etas},%s"
+        values = [(w + 0.0).tolist() for w in ledger[:4]]
         labels = errors.tolist()
         for i, t1 in enumerate(t1_cells):
-            for j, t2 in enumerate(t2_cells):
-                cells = ",".join(_fmt(w[i][j]) for w in values)
-                lines.append(f"{lead}{t1},{t2},{cells},{etas},{labels[i][j]}")
+            lines.extend(row % (t1, *cells)
+                         for cells in zip(t2_cells, *(w[i] for w in values), labels[i]))
     return "\n".join(lines) + "\n"
 
 

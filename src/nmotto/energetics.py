@@ -305,22 +305,24 @@ def evaluate_cycle(
 def _stroke_groups(values, h: float | None):
     """One TCL2 side's durations split into solve groups.
 
-    Returns [(times, steps, columns)]: one solve on ``times`` yields the
-    strokes at ``columns`` of ``values``, each ending after its step
-    count in ``steps``.  Every duration whose own ``time_grid(t, h)`` is
-    a prefix of the longest one's shares that solve, and every other
-    keeps its own (its step count is then its whole grid's).
+    Returns [(times, ends, columns)]: one ``tcl2.family_ends`` solve on
+    the lattice ``times`` yields the strokes ending at ``ends``, at
+    ``columns`` of ``values``.  Durations at one step (every t >= 20 at
+    the default step, every duration under a user ``h``) share that
+    step's lattice.  An end that rounds onto a lattice point without
+    equalling it keeps its own grid.
     """
-    family = tcl2.time_grid(float(max(values)), h)
     groups = {}
     for j, t in enumerate(values):
-        own = tcl2.time_grid(float(t), h)
-        k = len(own) - 1
-        times = family if np.array_equal(own, family[:k + 1]) else own
-        _, steps, columns = groups.setdefault(times[-1], (times, [], []))
-        steps.append(k)
+        t = float(t)
+        step, m, delta = tcl2.lattice(t, h)
+        key = (step,) if delta or m * step == t else (step, t)
+        steps, ends, columns = groups.setdefault(key, ([], [], []))
+        steps.append(m)
+        ends.append(t)
         columns.append(j)
-    return list(groups.values())
+    return [(tcl2.time_grid(max(ends), h)[:max(steps) + 1], ends, columns)
+            for steps, ends, columns in groups.values()]
 
 
 def _side_ends(backend: str, reservoir: ReservoirSpec, omegas, values, h):
@@ -336,8 +338,8 @@ def _side_ends(backend: str, reservoir: ReservoirSpec, omegas, values, h):
         for i, omega in enumerate(omegas):
             ends[0, i], ends[1, i], _, _ = markov.branch_pair(reservoir, omega, values)
         return ends
-    for times, steps, columns in _stroke_groups(values, h):
-        *group, ok = tcl2.family_ends(reservoir, omegas, times, steps)
+    for times, group_ends, columns in _stroke_groups(values, h):
+        *group, ok = tcl2.family_ends(reservoir, omegas, times, group_ends)
         ends[:, :, columns] = np.where(ok, group, np.nan)
     return ends
 

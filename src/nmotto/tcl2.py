@@ -16,14 +16,17 @@ and the exact solution
     rho00(t) = e^{A(t)} ( rho00(0) - Int_0^t b(s) e^{-A(s)} ds ),
     A(t) = Int_0^t a(s) ds.
 
-Everything is evaluated on a uniform grid with cumulative composite
-Simpson rules, so a full stroke costs O(N) after O(N) kernel
-evaluations.  The excited population is 1 - rho00 by construction.
-The counting-field correction integral C(t) of the energy bookkeeping
-(see ``energetics``) is accumulated in the same pass.
+Everything is evaluated on the lattice 0, h, 2h, ... with cumulative
+composite Simpson rules, so a full stroke costs O(N) after O(N) kernel
+evaluations.  A stroke of duration t runs to its last lattice point
+m h <= t and closes the remaining partial step t - m h with one
+three-point step (see ``lattice``).  The excited population is
+1 - rho00 by construction.  The counting-field correction integral C(t)
+of the energy bookkeeping (see ``energetics``) is accumulated in the
+same pass.
 
-A stroke on a grid that is a prefix of a longer stroke's grid is read
-off the longer solve (``family_ends``), bit for bit as its own solve.
+Strokes on one lattice are read off one solve of the longest
+(``family_ends``), bit for bit as their own solves.
 
 Populations leaving [0, 1] beyond ``POSITIVITY_TOL`` raise
 ``PositivityViolation``: that is the regime where the second-order map
@@ -44,6 +47,7 @@ __all__ = [
     "POSITIVITY_TOL",
     "BranchPair",
     "default_step",
+    "lattice",
     "time_grid",
     "cumulative_simpson",
     "evolve_branch_pair",
@@ -66,17 +70,50 @@ def default_step(t_end: float) -> float:
     return min(0.01, t_end / 2000.0)
 
 
-def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
-    """Uniform grid on [0, t_end]; the step is shrunk (never grown) so
-    that it divides t_end exactly."""
+# an end this close to a lattice point, relative to the duration, ends on it
+_LATTICE_TOL = 1e-12
+
+
+def lattice(t_end: float, h: float | None = None):
+    """The grid rule of a stroke of duration t_end at step h.
+
+    Returns ``(h, m, delta)``: the stroke runs m whole steps of h and
+    then a partial step delta = t_end - m h, 0 <= delta < h.  An end
+    within ``_LATTICE_TOL * t_end`` of a lattice point ends on it
+    (delta = 0, and the last grid point is t_end itself).  A stroke
+    shorter than two steps runs two steps of t_end / 2.
+    """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     if h is None:
         h = default_step(t_end)
     if not h > 0:
         raise ValueError("grid step must be positive")
-    n = max(2, int(np.ceil(t_end / h - 1e-12)))
-    return np.linspace(0.0, t_end, n + 1)
+    tol = _LATTICE_TOL * t_end
+    m = round(t_end / h)
+    delta = t_end - m * h
+    if delta < -tol:
+        m -= 1
+        delta = t_end - m * h
+    if abs(delta) <= tol:
+        delta = 0.0
+    if m < 2:
+        return t_end / 2, 2, 0.0
+    return h, m, delta
+
+
+def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
+    """The grid of a stroke of duration t_end: the lattice points
+    0, h, ..., m h of ``lattice(t_end, h)``, then t_end.  Where h
+    divides t_end (delta = 0) t_end replaces m h, so the grid is
+    ``np.linspace(0, t_end, m + 1)`` when t_end / m == h, as at every
+    default step below t_end = 20."""
+    h, m, delta = lattice(t_end, h)
+    times = np.arange(m + 1) * h
+    if delta:
+        return np.append(times, t_end)
+    times[-1] = t_end
+    return times
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,14 +154,72 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     last one.  Keep the operation order: the tests hold the result bit
     for bit to their reference quadrature.
     """
-    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
-    ahead = _back_piece(f3, f2, f1, dx)
-    back = _back_piece(f1, f2, f3, dx)
-    pieces = np.empty(len(y) - 1)
-    pieces[:-1:2] = ahead[::2]
-    pieces[1::2] = back[::2]
-    pieces[-1] = back[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
+    n = len(y)
+    c = (n - 1) // 2  # pairs of subintervals before the last one of an even n
+    f1, f2, f3 = y[0:2 * c:2], y[1:2 * c:2], y[2::2]
+    pieces = np.empty(n - 1)
+    pieces[0:2 * c:2] = _back_piece(f3, f2, f1, dx)
+    pieces[1:2 * c:2] = _back_piece(f1, f2, f3, dx)
+    if n % 2 == 0:
+        pieces[-1] = _back_piece(y[-3], y[-2], y[-1], dx)
+    out = np.empty(n)
+    out[0] = 0.0
+    np.cumsum(pieces, out=out[1:])
+    return out
+
+
+def _closing_weights(h, delta):
+    """Weights on the samples at x - h, x and x + delta of the integral
+    over [x, x + delta] of the parabola through them.  At delta = h they
+    are ``_back_piece``'s."""
+    hd = h + delta
+    return (-delta * delta * delta / (6.0 * h * hd),
+            delta * delta / (6.0 * h) + delta / 2.0,
+            (delta * delta / 3.0 + h * delta / 2.0) / hd)
+
+
+def _integrator(n, h, steps, deltas):
+    """Running integrals of the strokes on one lattice of n samples.
+
+    The stroke with step count k and partial step delta owns the
+    lattice samples before k, its own sample at k and, where delta > 0,
+    its end sample at k h + delta.  Its sample at k is the lattice's,
+    except for odd k inside the lattice: its own solve closes its last
+    whole step over the parabola through k - 2 .. k, where the lattice
+    used k - 1 .. k + 1, so that sample is appended after the lattice.
+    The end samples follow, each closed from its stroke's samples at
+    k - 1 and k by ``_closing_weights``.  Every nested integral is
+    closed in the same pass.
+
+    Returns ``(integrate, odd, at_k, at_end)``: ``integrate(y)`` is the
+    running integral of samples ``y`` in that layout, ``odd`` the step
+    counts with an appended sample, and ``at_k`` / ``at_end`` where each
+    stroke's sample at k and its end sit in the layout.
+    """
+    steps, deltas = np.asarray(steps), np.asarray(deltas)
+    closing = (steps % 2 == 1) & (steps < n - 1)
+    odd = steps[closing]
+    partial = deltas > 0
+    at_k = steps.copy()
+    at_k[closing] = n + np.arange(len(odd))
+    at_end = at_k.copy()
+    at_end[partial] = n + len(odd) + np.arange(np.count_nonzero(partial))
+    k_part, at_k_part = steps[partial], at_k[partial]
+    w0, w1, w2 = _closing_weights(h, deltas[partial])
+
+    def integrate(y):
+        cum = cumulative_simpson(y[:n], h)
+        if len(odd):
+            closed = cum[odd - 1] + _back_piece(y[odd - 2], y[odd - 1],
+                                                y[n:n + len(odd)], h)
+            cum = np.concatenate((cum, closed))
+        if len(k_part):
+            ends = cum[at_k_part] + (w0 * y[k_part - 1] + w1 * y[at_k_part]
+                                     + w2 * y[len(cum):])
+            cum = np.concatenate((cum, ends))
+        return cum
+
+    return integrate, odd, at_k, at_end
 
 
 def _inside(rho00: np.ndarray) -> np.ndarray:
@@ -190,64 +285,52 @@ def evolve_branch_pair(
     cycle evaluation cheap; the solution is affine in the initial
     condition so no generality is lost.
     """
+    h, m, delta = lattice(t_end, h)
     times = time_grid(t_end, h)
-    dx = times[1] - times[0]
-    pair = _solve(times, d1(times, reservoir), d2(times, reservoir), omega,
-                  lambda y: cumulative_simpson(y, dx))
+    integrate = _integrator(m + 1, h, [m], [delta])[0]
+    pair = _solve(times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
     _check_positivity(pair.rho00_0, times)
     _check_positivity(pair.rho00_1, times)
     return pair
 
 
-def family_ends(reservoir: ReservoirSpec, omegas, times: np.ndarray, steps):
-    """End values of every stroke on a prefix ``times[:k + 1]``, k in
-    ``steps``, one solve per omega over the whole of ``times``.
+def family_ends(reservoir: ReservoirSpec, omegas, times: np.ndarray, ends):
+    """End values of the strokes of duration ``ends`` on the lattice
+    ``times``, one solve per omega over the whole of ``times``.
 
-    Equal bit for bit to ``evolve_branch_pair`` on each prefix grid.
-    For even k, and for the whole grid, its end is the prefix value.
-    For odd k inside the grid the prefix solve closes its last
-    subinterval over the parabola through k - 2 .. k, where the long
-    solve used k - 1 .. k + 1; those closed values ride along as extra
-    samples appended after the grid, so every nested integral is closed
-    in the same pass.  The kernels are sampled once for all omegas.
+    Each stroke's own grid, ``time_grid(t, h)`` with h the lattice step,
+    must be a prefix of ``times`` followed by at most its end t.  Equal
+    bit for bit to ``evolve_branch_pair`` on that grid: both integrate
+    through ``_integrator``, and the samples a stroke does not share
+    with the lattice (an odd-step closing, an end past the lattice) ride
+    along after it.  The kernels are sampled once for all omegas.
 
     Returns ``(r0, r1, corr_0, corr_1, ok)``, arrays of shape
-    (len(omegas), len(steps)): the end ground populations and
-    correction integrals of both branches, and whether the stroke
-    stayed positive.  Ends carry no meaning where ``ok`` is False.
+    (len(omegas), len(ends)): the end ground populations and correction
+    integrals of both branches, and whether the stroke stayed positive.
+    Ends carry no meaning where ``ok`` is False.
     """
+    ends = np.asarray(ends, dtype=float)
+    n, h = len(times), times[1] - times[0]
+    steps, deltas = zip(*(lattice(t, h)[1:] for t in ends))
+    integrate, odd, at_k, at_end = _integrator(n, h, steps, deltas)
     steps = np.asarray(steps)
-    n = len(times)
-    dx = times[1] - times[0]
-    closing = (steps % 2 == 1) & (steps < n - 1)
-    odd = steps[closing]
-    # where each stroke's end sits in the extended sample arrays
-    at = steps.copy()
-    at[closing] = n + np.arange(len(odd))
-    # the last sample each stroke shares with the long solve
-    shared = np.where(closing, steps - 1, steps)
-    before, before2 = odd - 1, odd - 2
-
-    def integrate(y):
-        if not len(odd):
-            return cumulative_simpson(y, dx)
-        head = y[:n]
-        cum = cumulative_simpson(head, dx)
-        closed = cum[before] + _back_piece(head[before2], head[before], y[n:], dx)
-        return np.concatenate((cum, closed))
+    # the last lattice sample each stroke shares with the long solve
+    shared = np.where(at_k < n, steps, steps - 1)
+    sampled = np.concatenate((times, ends[at_end != at_k]))
 
     def extend(samples):
-        return np.concatenate((samples, samples[odd])) if len(odd) else samples
+        return np.concatenate((samples[:n], samples[odd], samples[n:]))
 
-    ext_times = extend(times)
-    d1_vals, d2_vals = extend(d1(times, reservoir)), extend(d2(times, reservoir))
-    ends = np.empty((4, len(omegas), len(steps)))
-    ok = np.empty((len(omegas), len(steps)), dtype=bool)
+    ext_times = extend(sampled)
+    d1_vals, d2_vals = extend(d1(sampled, reservoir)), extend(d2(sampled, reservoir))
+    out = np.empty((4, len(omegas), len(ends)))
+    ok = np.empty((len(omegas), len(ends)), dtype=bool)
     for i, omega in enumerate(omegas):
         pair = _solve(ext_times, d1_vals, d2_vals, omega, integrate)
         inside = _inside(pair.rho00_0) & _inside(pair.rho00_1)
-        # index of the first grid sample that left [0, 1]
+        # index of the first lattice sample that left [0, 1]
         first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
-        ends[:, i] = [v[at] for v in (pair.rho00_0, pair.rho00_1, pair.corr_0, pair.corr_1)]
-        ok[i] = (shared < first_out) & inside[at]
-    return (*ends, ok)
+        out[:, i] = [v[at_end] for v in (pair.rho00_0, pair.rho00_1, pair.corr_0, pair.corr_1)]
+        ok[i] = (shared < first_out) & inside[at_k] & inside[at_end]
+    return (*out, ok)

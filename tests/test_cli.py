@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto
-from nmotto import evaluate_cycle, evaluate_grid, tcl2
+from nmotto import energetics, evaluate_cycle, evaluate_grid, tcl2
 from nmotto.cli import (
+    _fmt,
     build_config,
     main,
     parse_config,
@@ -201,7 +202,7 @@ class TestSweep:
           "t2_min": "18", "t2_max": "22", "t2_count": "3"}, {""}),
         # 30.5, 45.25 (4525 steps, odd) and 60 share one solve
         (EDGE_GRID, {""}),
-        # off the 0.01 grid: each stroke keeps its own solve
+        # off the 0.01 grid: each stroke closes a partial step in the 0.01 family
         ({"t1_min": "20.005", "t1_max": "40.3", "t1_count": "3",
           "t2_min": "21", "t2_max": "59.999", "t2_count": "2"}, {""}),
         ({"step": "0.05", "t1_min": "1", "t1_max": "60", "t1_count": "4",
@@ -252,6 +253,24 @@ class TestSweep:
                 assert [float(w[i, j]).hex() for w in ledger] == [w.hex() for w in ref]
                 assert errors[i, j] == label
 
+    # 1.15 / 0.05 and 20.15 / 0.01 round to whole step counts m, but m h
+    # is not the float t: such a stroke keeps its own grid
+    @pytest.mark.parametrize("step, t1_values, t2_values", [
+        (0.05, [0.3, 1.2, 1.3, 1.65, 2.0], [1.15, 2.3]),
+        (None, [20.15, 20.2, 20.49, 21.0], [20.08, 20.5]),
+    ], ids=["user-step", "default-step"])
+    def test_grid_matches_per_point_where_an_end_rounds_onto_the_lattice(
+            self, step, t1_values, t2_values):
+        # at omega_h = 3 the ends at 0.3, 1.2 and 1.65 read off the shared
+        # 0.05 lattice differ from their own solves in the last bits
+        engine = replace(build_config({}).engine, omega_h=3.0)
+        [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, "tcl2", step)
+        for i, t1 in enumerate(t1_values):
+            for j, t2 in enumerate(t2_values):
+                ref, label = point_ledger(replace(engine, t1=t1, t2=t2), "tcl2", step)
+                assert [float(w[i, j]).hex() for w in ledger] == [w.hex() for w in ref]
+                assert errors[i, j] == label == ""
+
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
     @pytest.mark.parametrize("h", [0.0, -1.0, float("nan")])
     def test_grid_rejects_bad_step(self, backend, h):
@@ -267,9 +286,9 @@ class TestSweep:
         failed_t1 = {float(r[2]) for r in rows if r[-1] == "PositivityViolation"}
         assert failed_t1 == {45.25, 60.0}
 
-    def test_sweep_edge_solves_once_per_group(self, monkeypatch):
-        # 48 pairs x 2 sides x 3 solves: t = 1 and t = 15.75 on their own
-        # grids, and 30.5, 45.25 and 60 together; d1 once per side and grid
+    @staticmethod
+    def solve_counts(monkeypatch, workload):
+        """``tcl2._solve`` calls and ``d1`` samplings of one bench sweep."""
         counts = Counter()
 
         def counting(name, fn):
@@ -280,9 +299,40 @@ class TestSweep:
 
         monkeypatch.setattr(tcl2, "_solve", counting("solves", tcl2._solve))
         monkeypatch.setattr(tcl2, "d1", counting("d1", tcl2.d1))
-        settings = BENCH_WORKLOADS["make"]("sweep-edge", 0).settings
+        settings = BENCH_WORKLOADS["make"](workload, 0).settings
         run_sweep(build_config({k: str(v) for k, v in settings.items()}))
-        assert counts == {"solves": 288, "d1": 6}
+        return counts
+
+    def test_sweep_edge_solves_once_per_group(self, monkeypatch):
+        # 48 pairs x 2 sides x 3 solves: t = 1 and t = 15.75 on their own
+        # grids, and 30.5, 45.25 and 60 together; d1 once per side and grid
+        assert self.solve_counts(monkeypatch, "sweep-edge") == {"solves": 288, "d1": 6}
+
+    def test_sweep_map_solves_once_per_family(self, monkeypatch):
+        # 2 sides x 40 solves: the 39 strokes below 20 on their own grids,
+        # and every t >= 20 of linspace(1, 60, 120) in one 0.01 family
+        assert self.solve_counts(monkeypatch, "sweep-map") == {"solves": 80, "d1": 80}
+
+    def test_edge_values_formatted_as_fmt(self, monkeypatch):
+        # nan, +-inf and -0.0 cells print as _fmt prints them
+        cells = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, -1e-300,
+                 0.1 + 0.2, -123456.7890123456]
+        ledger = tuple(np.roll(cells, k).reshape(2, 4) for k in range(6))
+        errors = np.array([["", "PositivityViolation", "", ""],
+                           ["DegenerateCycle", "", "", ""]], dtype=object)
+        cfg = build_config({"t1_count": "2", "t2_count": "4", "omega_pairs": "1:0.18"})
+        engine = replace(cfg.engine, omega_h=1.0, omega_c=0.18)
+        monkeypatch.setattr(energetics, "evaluate_grid",
+                            lambda *args: [(engine, ledger, errors)])
+        t1_values = np.linspace(cfg.t1_min, cfg.t1_max, 2)
+        t2_values = np.linspace(cfg.t2_min, cfg.t2_max, 4)
+        want = ["omega_h,omega_c,t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error"]
+        for i, t1 in enumerate(t1_values):
+            for j, t2 in enumerate(t2_values):
+                want.append(",".join(_fmt(v) for v in (
+                    1.0, 0.18, t1, t2, *(w[i, j] for w in ledger[:4]),
+                    engine.eta_otto, engine.eta_carnot)) + "," + errors[i, j])
+        assert run_sweep(cfg) == "\n".join(want) + "\n"
 
     def test_per_point_failures_recorded(self):
         cfg = build_config({

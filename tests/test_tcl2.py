@@ -10,9 +10,10 @@ from scipy.integrate import quad
 from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
-from nmotto.tcl2 import cumulative_simpson, default_step, family_ends, time_grid
+from nmotto.tcl2 import cumulative_simpson, default_step, family_ends, lattice, time_grid
 
 HOT = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
+COLD = ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.4)
 OFF = ReservoirSpec(temperature=5.0, lam=0.0, cutoff=0.4)
 
 
@@ -59,9 +60,38 @@ class TestGrid:
         assert len(t) >= 5
         assert t[1] - t[0] <= 0.3 + 1e-15
 
+    @pytest.mark.parametrize("t_end", [0.7, 1.0, 5.0, 7.3, 15.75, 19.99, 20.0])
+    def test_default_grid_is_linspace_below_20(self, t_end):
+        # h = t_end / 2000 divides t_end: no partial step
+        assert lattice(t_end)[1:] == (2000, 0.0)
+        assert np.array_equal(time_grid(t_end), np.linspace(0.0, t_end, 2001))
+
+    def test_partial_step_ends_the_grid(self):
+        t = time_grid(20.005)
+        assert len(t) == 2002 and t[-1] == 20.005
+        assert np.array_equal(t[:-1], np.arange(2001) * 0.01)
+        assert lattice(20.005)[:2] == (0.01, 2000)
+        assert lattice(20.005)[2] == pytest.approx(0.005, rel=1e-9)
+
+    @pytest.mark.parametrize("t_end", [20.15, 64.07, 100.07, 159.42])
+    def test_end_a_rounding_off_the_lattice_ends_on_it(self, t_end):
+        # m * 0.01 misses these decimals by about one ulp of t_end
+        m = round(t_end * 100)
+        assert m * 0.01 != t_end
+        assert lattice(t_end) == (0.01, m, 0.0)
+        assert time_grid(t_end)[-1] == t_end and len(time_grid(t_end)) == m + 1
+
+    @pytest.mark.parametrize("t_end", [0.1, 0.2, 0.3, 0.5, 0.59])
+    def test_shorter_than_two_steps_runs_two(self, t_end):
+        # a user step longer than half the stroke: two steps of t_end / 2
+        assert lattice(t_end, 0.3) == (t_end / 2, 2, 0.0)
+        assert np.array_equal(time_grid(t_end, 0.3), np.linspace(0.0, t_end, 3))
+        pair = evolve_branch_pair(HOT, 1.0, t_end, 0.3)
+        assert np.array_equal(pair.times, np.linspace(0.0, t_end, 3))
+
 
 class TestCumulativeSimpson:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 2001, 6001])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 2001, 2002, 6000, 6001])
     def test_bit_identical_to_scipy(self, n):
         rng = np.random.default_rng(n)
         y, dx = rng.standard_normal(n), rng.uniform(1e-3, 1.0)
@@ -193,7 +223,7 @@ class TestFamilyEnds:
     def test_ends_match_each_prefix_solve_bit_for_bit(self, reservoir, omegas, h, steps):
         # a power-of-two step makes every prefix exactly its own time_grid
         times = time_grid(h * max(steps), h)
-        *ends, ok = family_ends(reservoir, omegas, times, steps)
+        *ends, ok = family_ends(reservoir, omegas, times, times[list(steps)])
         failures = 0
         for i, omega in enumerate(omegas):
             for j, k in enumerate(steps):
@@ -209,3 +239,45 @@ class TestFamilyEnds:
                 got = [v[i, j] for v in ends]
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want], k
         assert (failures > 0) == (reservoir is not HOT)
+
+    # ends k h + delta past the lattice, for odd and even k, delta from
+    # 1e-9 h to h - 1e-9 h; the user step 0.05 is not a power of two, and
+    # the default step puts every t >= 20 on the 0.01 lattice
+    @pytest.mark.parametrize("h, ends", [
+        (1 / 8, [k / 8 + d / 8 for k in (2, 3, 10, 11) for d in (1e-9, 0.5, 1 - 1e-9)]
+         + [12 / 8]),
+        (0.05, [0.1234, 0.17, 1.0, 1.234, 1.2999999, 2.0000001]),
+        (None, [20.0, 20.005, 20.915966386554622, 21.37, 21.3749999]),
+    ], ids=["step-1/8", "step-0.05", "default-step"])
+    def test_partial_steps_match_own_solves_bit_for_bit(self, h, ends):
+        step, m, delta = lattice(max(ends), h)
+        times = time_grid(max(ends), h)[:m + 1]
+        lattices = [lattice(t, h) for t in ends]
+        assert {s for s, _, _ in lattices} == {step}
+        assert {k % 2 for _, k, d in lattices if d} == {0, 1}
+        omegas = [1.0, 0.18]
+        *got, ok = family_ends(HOT, omegas, times, ends)
+        assert ok.all()
+        for i, omega in enumerate(omegas):
+            for j, t in enumerate(ends):
+                pair = evolve_branch_pair(HOT, omega, t, h)
+                assert pair.times[-1] == t
+                want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1]]
+                assert [float(v[i, j]).hex() for v in got] == [v.hex() for v in want], t
+
+    @pytest.mark.parametrize("reservoir, omega", [(HOT, 1.0), (COLD, 0.18)],
+                             ids=["hot", "cold"])
+    @pytest.mark.parametrize("t_end", [20.915966386554622, 33.333, 59.5041])
+    def test_partial_step_error_below_step_halving(self, reservoir, omega, t_end):
+        # at the operating point the closing step moves the ends (against
+        # a grid of whole steps just under 0.01) less than halving 0.01 does
+        def ends(h):
+            pair = evolve_branch_pair(reservoir, omega, t_end, h)
+            return np.array([pair.rho00_0[-1], pair.rho00_1[-1],
+                             pair.corr_0[-1], pair.corr_1[-1]])
+
+        assert lattice(t_end)[2] > 0
+        closed = ends(None)
+        whole_steps = ends(t_end / np.ceil(t_end / 0.01))
+        halved = ends(0.005)
+        assert np.abs(closed - whole_steps).max() < np.abs(closed - halved).max()
