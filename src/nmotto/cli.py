@@ -252,7 +252,8 @@ def run_sweep(cfg: RunConfig) -> str:
         etas = f"{_fmt(engine.eta_otto)},{_fmt(engine.eta_carnot)}"
         # %.12g prints nan and +-inf as _fmt does; + 0.0 turns -0.0 into 0
         row = f"{lead}%s,%s,%.12g,%.12g,%.12g,%.12g,{etas},%s"
-        values = [(w + 0.0).tolist() for w in ledger[:4]]
+        values = [(w + 0.0).tolist()
+                  for w in (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)]
         labels = errors.tolist()
         for i, t1 in enumerate(t1_cells):
             lines.extend(row % (t1, *cells)

@@ -23,6 +23,11 @@ All quantities are affine in the pre-stroke ground probability P, so
 each stroke is solved once for the two pure starts and mixed
 afterwards.  The energy flow theta = d(dE_B)/dt is assembled from the
 analytic integrands, never by numerical differencing.
+
+The limit cycle and its whole ``EnergyLedger`` follow from the stroke
+end values in one function, ``_close_cycle``, which both evaluators
+call: ``evaluate_cycle`` for one engine and ``evaluate_grid`` over a
+duration grid, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ __all__ = [
     "EnergyLedger",
     "CycleEvaluation",
     "stroke_dynamics",
-    "cycle_ledger",
     "system_energy_change",
     "reservoir_energy_change",
     "interaction_energy",
@@ -187,36 +191,10 @@ def effective_temperature_profile(rho00: np.ndarray, omega: float) -> np.ndarray
     return np.where(np.abs(rho00 - rho11) < TEMPERATURE_DEGENERACY_TOL, np.inf, out)
 
 
-def cycle_ledger(gap, P_h, P_c, hot: StrokeEnds, cold: StrokeEnds):
-    """Works and detachment energies at the limit cycle (P_h, P_c).
-
-    gap is omega_h - omega_c.  Elementwise over floats or arrays that
-    broadcast against each other, such as a column of hot-stroke ends
-    against a row of cold-stroke ends.  Returns (W_ad1, W_ad2, W_I,
-    W_II, E_I_h, E_I_c):
-
-    * the populations are frozen while the splitting moves between
-      omega_h and omega_c, so each adiabatic work is gap times the
-      excited population left by the preceding contact: expansion work
-      W_ad1 after the hot stroke, compression work W_ad2 after the cold
-      one, both nonnegative;
-    * E_I = -C(t_end) at the end of each contact, as
-      ``interaction_energy``;
-    * W_I = W_ad1 - W_ad2 ignores the detachment cost, and
-      W_II = W_I + E_I_h + E_I_c includes the cost of detaching against
-      the end-of-stroke interaction energies.
-    """
-    w_ad1 = gap * (1.0 - _mixed(P_h, hot.r0, hot.r1))
-    w_ad2 = gap * (1.0 - _mixed(P_c, cold.r0, cold.r1))
-    e_i_h = -_mixed(P_h, hot.corr_0, hot.corr_1)
-    e_i_c = -_mixed(P_c, cold.corr_0, cold.corr_1)
-    w_1 = w_ad1 - w_ad2
-    return w_ad1, w_ad2, w_1, w_1 + e_i_h + e_i_c, e_i_h, e_i_c
-
-
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Per-cycle energy balance at the limit cycle."""
+    """Per-cycle energy balance at the limit cycle, formed by
+    ``_close_cycle``: floats for one engine, arrays over a grid."""
 
     W_ad1: float
     W_ad2: float
@@ -256,20 +234,45 @@ _FROZEN_P = 0.5
 
 
 def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
-    """Limit cycle and ledger from the stroke ends, elementwise.
+    """Limit cycle and its ``EnergyLedger`` from the stroke ends, elementwise.
 
-    The ends are floats or arrays that broadcast against each other.
-    Returns (p0, degenerate, P_h, P_c, ledger), ledger the six
-    ``cycle_ledger`` values; P_h, P_c and ledger carry no meaning where
-    ``degenerate`` is set or a stroke end is nan.  Zero coupling takes
-    the frozen symmetric mixture and is never degenerate.
+    The ends are floats or arrays that broadcast against each other,
+    such as a column of hot-stroke ends against a row of cold-stroke
+    ends; every ledger field broadcasts the same way.  Returns (p0,
+    degenerate, P_h, P_c, ledger); P_h, P_c and ledger carry no meaning
+    where ``degenerate`` is set or a stroke end is nan.  Zero coupling
+    takes the frozen symmetric mixture and is never degenerate.
+
+    * the populations are frozen while the splitting moves between
+      omega_h and omega_c, so each adiabatic work is the gap times the
+      excited population left by the preceding contact: expansion work
+      W_ad1 after the hot stroke, compression work W_ad2 after the cold
+      one, both nonnegative;
+    * E_I = -C(t_end) at the end of each contact, as
+      ``interaction_energy``;
+    * W_I = W_ad1 - W_ad2 ignores the detachment cost, and
+      W_II = W_I + E_I_h + E_I_c includes the cost of detaching against
+      the end-of-stroke interaction energies;
+    * dE_S = omega (P - r(P)) over a contact that starts at ground
+      population P and ends at r(P), and dE_B = -dE_S - E_I.
     """
     # failed and degenerate points carry nan or inf here
     with np.errstate(invalid="ignore", over="ignore"):
         p0, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
         if engine.lam == 0.0:
             degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-        ledger = cycle_ledger(engine.omega_h - engine.omega_c, p_h, p_c, hot, cold)
+        r_h, r_c = _mixed(p_h, hot.r0, hot.r1), _mixed(p_c, cold.r0, cold.r1)
+        gap = engine.omega_h - engine.omega_c
+        w_ad1, w_ad2 = gap * (1.0 - r_h), gap * (1.0 - r_c)
+        e_i_h = -_mixed(p_h, hot.corr_0, hot.corr_1)
+        e_i_c = -_mixed(p_c, cold.corr_0, cold.corr_1)
+        w_1 = w_ad1 - w_ad2
+        des_h, des_c = engine.omega_h * (p_h - r_h), engine.omega_c * (p_c - r_c)
+        ledger = EnergyLedger(
+            W_ad1=w_ad1, W_ad2=w_ad2, W_I=w_1, W_II=w_1 + e_i_h + e_i_c,
+            E_I_h=e_i_h, E_I_c=e_i_c, dES_h=des_h, dES_c=des_c,
+            dEB_h=-des_h - e_i_h, dEB_c=-des_c - e_i_c,
+            eta_O=engine.eta_otto, eta_C=engine.eta_carnot)
     return p0, degenerate, p_h, p_c, ledger
 
 
@@ -283,64 +286,27 @@ def evaluate_cycle(
     """
     hot = stroke_dynamics(engine, "hot", backend, h)
     cold = stroke_dynamics(engine, "cold", backend, h)
-    hot_ends, cold_ends = hot.ends, cold.ends
-    p0, degenerate, p_h, p_c, works = _close_cycle(engine, hot_ends, cold_ends)
+    p0, degenerate, p_h, p_c, ledger = _close_cycle(engine, hot.ends, cold.ends)
     if degenerate:
         raise DegenerateCycle(
             f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
         )
-    p_h, p_c = float(p_h), float(p_c)
-    # W_ad1, W_ad2, W_I, W_II, E_I_h, E_I_c: the first six ledger fields
-    works = [float(w) for w in works]
-    # dE_S(t_end): both branches start at exactly 1 and 0, so the mixture at P
-    des_h = engine.omega_h * (p_h - _mixed(p_h, hot_ends.r0, hot_ends.r1))
-    des_c = engine.omega_c * (p_c - _mixed(p_c, cold_ends.r0, cold_ends.r1))
-    ledger = EnergyLedger(
-        *works, dES_h=des_h, dES_c=des_c, dEB_h=-des_h - works[4],
-        dEB_c=-des_c - works[5], eta_O=engine.eta_otto, eta_C=engine.eta_carnot)
-    return CycleEvaluation(engine=engine, P_h=p_h, P_c=p_c, p0=p0,
+    ledger = EnergyLedger(*(float(v) for v in vars(ledger).values()))
+    return CycleEvaluation(engine=engine, P_h=float(p_h), P_c=float(p_c), p0=p0,
                            ledger=ledger, hot=hot, cold=cold)
-
-
-def _stroke_groups(values, h: float | None):
-    """One TCL2 side's durations split into solve groups.
-
-    Returns [(times, ends, columns)]: one ``tcl2.family_ends`` solve on
-    the lattice ``times`` yields the strokes ending at ``ends``, at
-    ``columns`` of ``values``.  Durations at one step (every t >= 20 at
-    the default step, every duration under a user ``h``) share that
-    step's lattice.  An end that rounds onto a lattice point without
-    equalling it keeps its own grid.
-    """
-    groups = {}
-    for j, t in enumerate(values):
-        t = float(t)
-        step, m, delta = tcl2.lattice(t, h)
-        key = (step,) if delta or m * step == t else (step, t)
-        steps, ends, columns = groups.setdefault(key, ([], [], []))
-        steps.append(m)
-        ends.append(t)
-        columns.append(j)
-    return [(tcl2.time_grid(max(ends), h)[:max(steps) + 1], ends, columns)
-            for steps, ends, columns in groups.values()]
 
 
 def _side_ends(backend: str, reservoir: ReservoirSpec, omegas, values, h):
     """Stroke ends of one side for every omega: (r0, r1, corr_0, corr_1)
     stacked on the leading axis of a (4, len(omegas), len(values))
     array.  Markov ends come from one closed-form call per omega, TCL2
-    ends from one ``tcl2.family_ends`` call per solve group (see
-    ``_stroke_groups``), which samples the kernels once for all omegas.
-    A stroke that violates positivity has nan ends, and only such a
-    stroke does."""
+    ends from one ``tcl2.family_ends`` call.  A stroke that violates
+    positivity has nan ends, and only such a stroke does."""
+    if backend == "tcl2":
+        return tcl2.family_ends(reservoir, omegas, values, h)
     ends = np.zeros((4, len(omegas), len(values)))
-    if backend == "markov":
-        for i, omega in enumerate(omegas):
-            ends[0, i], ends[1, i], _, _ = markov.branch_pair(reservoir, omega, values)
-        return ends
-    for times, group_ends, columns in _stroke_groups(values, h):
-        *group, ok = tcl2.family_ends(reservoir, omegas, times, group_ends)
-        ends[:, :, columns] = np.where(ok, group, np.nan)
+    for i, omega in enumerate(omegas):
+        ends[0, i], ends[1, i], _, _ = markov.branch_pair(reservoir, omega, values)
     return ends
 
 
@@ -354,10 +320,10 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     stroke ends by broadcasting, bit for bit as ``evaluate_cycle`` point
     by point.  ``omega_pairs`` lists (omega_h, omega_c) splittings, None
     meaning the engine's own.  Returns one (engine, ledger, errors) per
-    pair: engine carries the pair's splittings, ledger the six
-    ``cycle_ledger`` arrays of shape (len(t1_values), len(t2_values)),
-    nan at failed points, and errors the failure labels ("" where the
-    point succeeded).
+    pair: engine carries the pair's splittings, ledger an
+    ``EnergyLedger`` whose every field is an array of shape
+    (len(t1_values), len(t2_values)), nan at failed points, and errors
+    the failure labels ("" where the point succeeded).
     """
     if backend not in ("tcl2", "markov"):
         raise ValueError(f"unknown dynamics backend {backend!r}")
@@ -382,6 +348,7 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
         errors[degenerate] = DegenerateCycle.__name__
         errors[np.isnan(hot.r0) | np.isnan(cold.r0)] = PositivityViolation.__name__
         failed_points = errors != ""
-        blocks.append((eng, tuple(np.where(failed_points, np.nan, v) for v in ledger),
-                       errors))
+        ledger = EnergyLedger(*(np.where(failed_points, np.nan, v)
+                                for v in vars(ledger).values()))
+        blocks.append((eng, ledger, errors))
     return blocks

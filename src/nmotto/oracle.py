@@ -30,6 +30,7 @@ from .kernels import ReservoirSpec
 __all__ = [
     "MAX_DIMENSION",
     "TRUNCATION_THRESHOLD",
+    "WEIGHT_CUTOFF",
     "DiscretizedBath",
     "OracleResult",
     "discretize_bath",
@@ -38,6 +39,8 @@ __all__ = [
 
 MAX_DIMENSION = 2**15
 TRUNCATION_THRESHOLD = 1e-4
+# bath states of smaller thermal weight are left out of the mixture
+WEIGHT_CUTOFF = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +136,10 @@ class OracleResult:
         return self.d_system + self.d_bath + self.interaction
 
 
-def _thermal_weights(bath: DiscretizedBath, weight_cutoff: float) -> np.ndarray:
+def _thermal_weights(bath: DiscretizedBath) -> np.ndarray:
     """Product Gibbs weights over the truncated Fock grid.
 
-    States below weight_cutoff are dropped and the remainder is
+    States below ``WEIGHT_CUTOFF`` are dropped and the remainder is
     renormalized, bounding the cost of low-weight corners without
     biasing the retained mixture.
     """
@@ -146,7 +149,7 @@ def _thermal_weights(bath: DiscretizedBath, weight_cutoff: float) -> np.ndarray:
         wk = np.exp(-eps * levels / bath.temperature)
         wk /= wk.sum()
         w = np.kron(w, wk)
-    w[w < weight_cutoff] = 0.0
+    w[w < WEIGHT_CUTOFF] = 0.0
     total = w.sum()
     if total <= 0.0:
         raise ValueError("weight cutoff removed the entire thermal mixture")
@@ -158,7 +161,6 @@ def exact_evolve(
     omega: float,
     bath: DiscretizedBath,
     times,
-    weight_cutoff: float = 1e-6,
 ) -> OracleResult:
     """Exact energy trajectories for a factorized diagonal start with
     qubit ground probability p.
@@ -194,7 +196,7 @@ def exact_evolve(
     coupling += coupling.T  # links occupations of opposite quanta parity
     quanta = occupation.sum(axis=1)
     h_bath = occupation @ bath.frequencies
-    w_bath = _thermal_weights(bath, weight_cutoff)
+    w_bath = _thermal_weights(bath)
 
     n_t = len(times)
     # rows: qubit excited population, h_bath, each mode's top-level projector

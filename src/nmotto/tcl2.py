@@ -25,8 +25,9 @@ three-point step (see ``lattice``).  The excited population is
 of the energy bookkeeping (see ``energetics``) is accumulated in the
 same pass.
 
-Strokes on one lattice are read off one solve of the longest
-(``family_ends``), bit for bit as their own solves.
+``family_ends`` gives the end values of many strokes: durations on
+one lattice are read off one solve of the longest, bit for bit as
+their own solves.
 
 Populations leaving [0, 1] beyond ``POSITIVITY_TOL`` raise
 ``PositivityViolation``: that is the regime where the second-order map
@@ -294,43 +295,62 @@ def evolve_branch_pair(
     return pair
 
 
-def family_ends(reservoir: ReservoirSpec, omegas, times: np.ndarray, ends):
-    """End values of the strokes of duration ``ends`` on the lattice
-    ``times``, one solve per omega over the whole of ``times``.
+def _stroke_groups(durations, h: float | None):
+    """Durations split into solve groups.
 
-    Each stroke's own grid, ``time_grid(t, h)`` with h the lattice step,
-    must be a prefix of ``times`` followed by at most its end t.  Equal
-    bit for bit to ``evolve_branch_pair`` on that grid: both integrate
-    through ``_integrator``, and the samples a stroke does not share
-    with the lattice (an odd-step closing, an end past the lattice) ride
-    along after it.  The kernels are sampled once for all omegas.
-
-    Returns ``(r0, r1, corr_0, corr_1, ok)``, arrays of shape
-    (len(omegas), len(ends)): the end ground populations and correction
-    integrals of both branches, and whether the stroke stayed positive.
-    Ends carry no meaning where ``ok`` is False.
+    Returns [(times, ends, columns)]: one solve on the lattice ``times``
+    yields the strokes ending at ``ends``, at ``columns`` of
+    ``durations``.  Durations at one step (every t >= 20 at the default
+    step, every duration under a user ``h``) share that step's lattice,
+    of which each one's own ``time_grid`` is a prefix followed by at
+    most its end.  An end that rounds onto a lattice point without
+    equalling it keeps its own grid.
     """
-    ends = np.asarray(ends, dtype=float)
-    n, h = len(times), times[1] - times[0]
-    steps, deltas = zip(*(lattice(t, h)[1:] for t in ends))
-    integrate, odd, at_k, at_end = _integrator(n, h, steps, deltas)
-    steps = np.asarray(steps)
-    # the last lattice sample each stroke shares with the long solve
-    shared = np.where(at_k < n, steps, steps - 1)
-    sampled = np.concatenate((times, ends[at_end != at_k]))
+    groups = {}
+    for j, t in enumerate(durations):
+        t = float(t)
+        step, m, delta = lattice(t, h)
+        key = (step,) if delta or m * step == t else (step, t)
+        steps, ends, columns = groups.setdefault(key, ([], [], []))
+        steps.append(m)
+        ends.append(t)
+        columns.append(j)
+    return [(time_grid(max(ends), h)[:max(steps) + 1], np.array(ends), columns)
+            for steps, ends, columns in groups.values()]
 
-    def extend(samples):
-        return np.concatenate((samples[:n], samples[odd], samples[n:]))
 
-    ext_times = extend(sampled)
-    d1_vals, d2_vals = extend(d1(sampled, reservoir)), extend(d2(sampled, reservoir))
-    out = np.empty((4, len(omegas), len(ends)))
-    ok = np.empty((len(omegas), len(ends)), dtype=bool)
-    for i, omega in enumerate(omegas):
-        pair = _solve(ext_times, d1_vals, d2_vals, omega, integrate)
-        inside = _inside(pair.rho00_0) & _inside(pair.rho00_1)
-        # index of the first lattice sample that left [0, 1]
-        first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
-        out[:, i] = [v[at_end] for v in (pair.rho00_0, pair.rho00_1, pair.corr_0, pair.corr_1)]
-        ok[i] = (shared < first_out) & inside[at_k] & inside[at_end]
-    return (*out, ok)
+def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
+    """End values of the strokes of the given durations, for every omega.
+
+    Returns an array of shape (4, len(omegas), len(durations)): the end
+    ground populations r0, r1 and correction integrals corr_0, corr_1
+    of both branches, nan where the stroke left [0, 1].  Each column
+    equals ``evolve_branch_pair(reservoir, omega, t, h)`` bit for bit:
+    a solve group (see ``_stroke_groups``) is read off one solve per
+    omega through the same ``_integrator``, and the samples a stroke
+    does not share with the lattice (an odd-step closing, an end past
+    the lattice) ride along after it.  The kernels are sampled once per
+    group for all omegas.
+    """
+    out = np.empty((4, len(omegas), len(durations)))
+    for times, ends, columns in _stroke_groups(durations, h):
+        n, step = len(times), times[1] - times[0]
+        steps, deltas = zip(*(lattice(t, step)[1:] for t in ends))
+        integrate, odd, at_k, at_end = _integrator(n, step, steps, deltas)
+        steps = np.asarray(steps)
+        # the last lattice sample each stroke shares with the long solve
+        shared = np.where(at_k < n, steps, steps - 1)
+        sampled = np.concatenate((times, ends[at_end != at_k]))
+        # the integrator's layout: the lattice, odd-step closings, ends past it
+        layout = np.concatenate((np.arange(n), odd, np.arange(n, len(sampled))))
+        ext_times = sampled[layout]
+        d1_vals, d2_vals = d1(sampled, reservoir)[layout], d2(sampled, reservoir)[layout]
+        for i, omega in enumerate(omegas):
+            pair = _solve(ext_times, d1_vals, d2_vals, omega, integrate)
+            inside = _inside(pair.rho00_0) & _inside(pair.rho00_1)
+            # index of the first lattice sample that left [0, 1]
+            first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
+            ok = (shared < first_out) & inside[at_k] & inside[at_end]
+            out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in
+                                  (pair.rho00_0, pair.rho00_1, pair.corr_0, pair.corr_1)]
+    return out

@@ -44,8 +44,7 @@ from nmotto import (
     stationary_rho00,
     system_energy_change,
 )
-from nmotto.cycle import fixed_point
-from nmotto.energetics import StrokeEnds, cycle_ledger, effective_temperature_profile
+from nmotto.energetics import StrokeEnds, _close_cycle, effective_temperature_profile
 from nmotto.errors import TruncationWarning
 from nmotto.kernels import d1, d2
 from test_kernels import REF_SPEC, d1_by_quadrature, d2_by_quadrature
@@ -75,7 +74,7 @@ def markov_eval():
 
 
 def _ledger_grids(t1_values, t2_values, backend, omega_pairs=None):
-    """The six ``cycle_ledger`` grids, one per omega pair.  Every point
+    """The ``EnergyLedger`` of grids, one per omega pair.  Every point
     must succeed, as the per-point ``evaluate_cycle`` would raise
     otherwise."""
     blocks = evaluate_grid(ENGINE, t1_values, t2_values, backend,
@@ -87,7 +86,8 @@ def _ledger_grids(t1_values, t2_values, backend, omega_pairs=None):
 
 def _work_grids(backend):
     """(W_I, W_II) over the T_GRID x T_GRID duration grid."""
-    return _ledger_grids(T_GRID, T_GRID, backend)[0][2:4]
+    ledger = _ledger_grids(T_GRID, T_GRID, backend)[0]
+    return ledger.W_I, ledger.W_II
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,8 @@ def test_criterion_03_effective_temperature_overshoot(tcl2_eval, markov_eval):
 
 def test_criterion_04_interaction_energy_sign():
     t1_values = np.arange(1.0, 5.5, 0.5)
-    # E_I_h, the fifth ledger grid, over one column at t2 = 60
-    e_nm, e_m = (_ledger_grids(t1_values, [ENGINE.t2], backend)[0][4]
+    # E_I_h over one column at t2 = 60
+    e_nm, e_m = (_ledger_grids(t1_values, [ENGINE.t2], backend)[0].E_I_h
                  for backend in ("tcl2", "markov"))
     e_m = np.abs(e_m)
     ok = bool(np.all(e_nm < 0.0)) and bool(np.all(e_m < 1e-10))
@@ -222,13 +222,14 @@ def test_criterion_08_markov_monotone_negative(markov_sweep):
                f"{np.diff(w_1, axis=0).max():.2e}/{np.diff(w_1, axis=1).max():.2e}")
 
 
-def _full_thermalization_w1(omega_h, omega_c, temp_h, temp_c):
+def _full_thermalization_w1(engine):
     # each stroke forgets its start and stores no interaction energy
-    r_h, r_c = stationary_rho00(omega_h, temp_h), stationary_rho00(omega_c, temp_c)
+    r_h = stationary_rho00(engine.omega_h, engine.T_h)
+    r_c = stationary_rho00(engine.omega_c, engine.T_c)
     hot, cold = StrokeEnds(r_h, r_h, 0.0, 0.0), StrokeEnds(r_c, r_c, 0.0, 0.0)
-    _, degenerate, p_h, p_c = fixed_point(r_h, r_h, r_c, r_c)
+    _, degenerate, _, _, ledger = _close_cycle(engine, hot, cold)
     assert not degenerate
-    return cycle_ledger(omega_h - omega_c, p_h, p_c, hot, cold)[2]
+    return ledger.W_I
 
 
 def test_criterion_09_positive_work_classifier():
@@ -243,7 +244,7 @@ def test_criterion_09_positive_work_classifier():
         n_checked += 1
         eng = EngineParams(1.0, freq_ratio, 5.0, 5.0 * temp_ratio,
                            0.01, 0.4, 5.0, 5.0)
-        w_1 = _full_thermalization_w1(1.0, freq_ratio, 5.0, 5.0 * temp_ratio)
+        w_1 = _full_thermalization_w1(eng)
         if (w_1 > 0.0) != positive_work_condition(eng):
             misclassified += 1
     _criterion(9, "full-thermalization work sign matches the frequency/"
@@ -257,12 +258,12 @@ def test_criterion_10_splitting_dependence():
     above = [(1.0, 0.18), (1.25, 0.18), (1.25, 0.2)]  # eta_O > eta_C
     equal = [(0.9, 0.18), (1.0, 0.2), (1.25, 0.25)]   # eta_O = eta_C
 
-    ok_below = all(ledger[2].max() > 0.0
+    ok_below = all(ledger.W_I.max() > 0.0
                    for ledger in _ledger_grids(grid, grid, "tcl2", below))
-    ok_above = all(ledger[3].max() < 0.0
+    ok_above = all(ledger.W_II.max() < 0.0
                    for ledger in _ledger_grids(grid, grid, "tcl2", above))
     ok_equal = all(
-        abs(_full_thermalization_w1(wh, wc, 5.0, 1.0)) <= 1e-10
+        abs(_full_thermalization_w1(replace(ENGINE, omega_h=wh, omega_c=wc))) <= 1e-10
         for wh, wc in equal
     )
     _criterion(10, "splitting dependence: positive W_I below Carnot, all "

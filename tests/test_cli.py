@@ -5,7 +5,7 @@ import runpy
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto
-from nmotto import energetics, evaluate_cycle, evaluate_grid, tcl2
+from nmotto import EnergyLedger, energetics, evaluate_cycle, evaluate_grid, tcl2
 from nmotto.cli import (
     _fmt,
     build_config,
@@ -32,9 +32,11 @@ REF_SETS = [
 ]
 
 
-# the benchmark's workload generator, executed from source and never written to
-BENCH_WORKLOADS = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+# the benchmark's workload generator and correctness gate, executed from
+# source and never written to
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+BENCH_WORKLOADS = runpy.run_path(str(BENCH_DIR / "workloads.py"))
+BENCH_GATE = runpy.run_path(str(BENCH_DIR / "gate.py"))
 
 
 def read_rows(text):
@@ -50,15 +52,17 @@ def column(text, name):
     return np.array([float(r[i]) for r in rows])
 
 
+N_FIELDS = len(fields(EnergyLedger))
+
+
 def point_ledger(engine, backend, step):
-    """One sweep point the per-point way: (W_ad1, W_ad2, W_I, W_II,
-    E_I_h, E_I_c), label."""
+    """One sweep point the per-point way: the ``EnergyLedger`` fields in
+    order, label."""
     try:
         ledger = evaluate_cycle(engine, backend, step).ledger
     except (PositivityViolation, DegenerateCycle) as exc:
-        return (float("nan"),) * 6, type(exc).__name__
-    return (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II,
-            ledger.E_I_h, ledger.E_I_c), ""
+        return (float("nan"),) * N_FIELDS, type(exc).__name__
+    return astuple(ledger), ""
 
 
 class TestConfig:
@@ -219,11 +223,12 @@ class TestSweep:
         blocks = evaluate_grid(cfg.engine, t1_values, t2_values, cfg.backend,
                                cfg.step, cfg.omega_pairs)
         for engine, ledger, errors in blocks:
+            grids = astuple(ledger)
             for i, t1 in enumerate(t1_values):
                 for j, t2 in enumerate(t2_values):
                     point = replace(engine, t1=float(t1), t2=float(t2))
                     ref, label = point_ledger(point, cfg.backend, cfg.step)
-                    got = [float(w[i, j]).hex() for w in ledger]
+                    got = [float(w[i, j]).hex() for w in grids]
                     assert got == [w.hex() for w in ref], (t1, t2)
                     assert errors[i, j] == label, (t1, t2)
                     labels.add(label)
@@ -246,11 +251,12 @@ class TestSweep:
                                                      t2_values):
         engine = build_config({}).engine
         [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, backend)
+        grids = astuple(ledger)
         for i, t1 in enumerate(t1_values):
             for j, t2 in enumerate(t2_values):
                 point = replace(engine, t1=t1, t2=t2)
                 ref, label = point_ledger(point, backend, None)
-                assert [float(w[i, j]).hex() for w in ledger] == [w.hex() for w in ref]
+                assert [float(w[i, j]).hex() for w in grids] == [w.hex() for w in ref]
                 assert errors[i, j] == label
 
     # 1.15 / 0.05 and 20.15 / 0.01 round to whole step counts m, but m h
@@ -265,10 +271,11 @@ class TestSweep:
         # 0.05 lattice differ from their own solves in the last bits
         engine = replace(build_config({}).engine, omega_h=3.0)
         [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, "tcl2", step)
+        grids = astuple(ledger)
         for i, t1 in enumerate(t1_values):
             for j, t2 in enumerate(t2_values):
                 ref, label = point_ledger(replace(engine, t1=t1, t2=t2), "tcl2", step)
-                assert [float(w[i, j]).hex() for w in ledger] == [w.hex() for w in ref]
+                assert [float(w[i, j]).hex() for w in grids] == [w.hex() for w in ref]
                 assert errors[i, j] == label == ""
 
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
@@ -317,7 +324,7 @@ class TestSweep:
         # nan, +-inf and -0.0 cells print as _fmt prints them
         cells = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, -1e-300,
                  0.1 + 0.2, -123456.7890123456]
-        ledger = tuple(np.roll(cells, k).reshape(2, 4) for k in range(6))
+        ledger = EnergyLedger(*(np.roll(cells, k).reshape(2, 4) for k in range(N_FIELDS)))
         errors = np.array([["", "PositivityViolation", "", ""],
                            ["DegenerateCycle", "", "", ""]], dtype=object)
         cfg = build_config({"t1_count": "2", "t2_count": "4", "omega_pairs": "1:0.18"})
@@ -330,7 +337,8 @@ class TestSweep:
         for i, t1 in enumerate(t1_values):
             for j, t2 in enumerate(t2_values):
                 want.append(",".join(_fmt(v) for v in (
-                    1.0, 0.18, t1, t2, *(w[i, j] for w in ledger[:4]),
+                    1.0, 0.18, t1, t2,
+                    *(w[i, j] for w in (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
                     engine.eta_otto, engine.eta_carnot)) + "," + errors[i, j])
         assert run_sweep(cfg) == "\n".join(want) + "\n"
 
@@ -359,6 +367,21 @@ class TestSweep:
         text = run_sweep(cfg)
         assert np.all(column(text, "W_I") == 0.0)
         assert np.all(column(text, "W_II") == 0.0)
+
+
+class TestBenchReference:
+    @pytest.mark.parametrize("name", BENCH_WORKLOADS["NAMES"])
+    def test_bench_workload_matches_reference(self, name, tmp_path):
+        # each benchmark workload's default-seed CSV, made in this process,
+        # passes the benchmark's own gate against its stored reference
+        workload = BENCH_WORKLOADS["make"](name, BENCH_WORKLOADS["DEFAULT_SEED"])
+        out, config = tmp_path / "out.csv", tmp_path / "run.cfg"
+        config.write_text(workload.config_text(str(out)))
+        assert main([workload.command, "--config", str(config)]) == 0
+        text = out.read_text(encoding="utf-8")
+        reference = BENCH_GATE["read_reference"](name)
+        assert BENCH_GATE["check"](workload.command, workload.settings, text,
+                                   reference) == []
 
 
 class TestOracleCommand:

@@ -12,12 +12,13 @@ from nmotto import (
     bose_n,
     energy_flow,
     evaluate_cycle,
+    evaluate_grid,
     interaction_energy,
     reservoir_energy_change,
     stroke_dynamics,
     system_energy_change,
 )
-from nmotto.energetics import StrokeEnds, cycle_ledger, effective_temperature_profile
+from nmotto.energetics import StrokeEnds, _close_cycle, effective_temperature_profile
 
 
 def t_eff(rho00, omega):
@@ -37,6 +38,18 @@ class TestConservation:
             assert np.max(np.abs(residual)) < 1e-8 * stroke.omega
             # the ledger forms dE_S(t_end) from the stroke ends, bit for bit
             assert d_es == system_energy_change(p, stroke)[-1]
+
+    @pytest.mark.parametrize("backend", ["tcl2", "markov"])
+    def test_first_law_of_the_cycle_on_the_grid(self, ref_engine, backend):
+        # the system returns to its start each cycle, so the work taken
+        # out is what the two reservoirs lose: W_II = -(dE_B,h + dE_B,c)
+        durations = np.linspace(1.0, 60.0, 60)
+        blocks = evaluate_grid(ref_engine, durations, durations, backend,
+                               omega_pairs=[(1.0, 0.18), (1.0, 0.25), (0.9, 0.2)])
+        for _, ledger, errors in blocks:
+            assert np.all(errors == "")
+            residual = ledger.W_II + ledger.dEB_h + ledger.dEB_c
+            assert np.max(np.abs(residual)) <= 1e-14
 
     def test_all_balances_zero_at_start(self, ref_tcl2):
         p = ref_tcl2.P_h
@@ -66,15 +79,24 @@ class TestWorks:
         assert ref_tcl2.ledger.W_ad1 >= 0.0 and ref_tcl2.ledger.W_ad2 >= 0.0
 
     def test_net_work_algebra(self):
-        # excited populations 0.4 after the hot and 0.3 after the cold
-        # contact; E_I = -C(t_end) charges the detachment
+        # fully thermalizing contacts leave excited populations 0.4 after
+        # the hot and 0.3 after the cold one; E_I = -C(t_end) charges the
+        # detachment
+        eng = EngineParams(2.0, 1.0, 5.0, 1.0, 0.01, 0.4, 5.0, 5.0)
         hot = StrokeEnds(r0=0.6, r1=0.6, corr_0=0.03, corr_1=0.03)
         cold = StrokeEnds(r0=0.7, r1=0.7, corr_0=0.02, corr_1=0.02)
-        w_ad1, w_ad2, w_1, w_2, e_i_h, e_i_c = cycle_ledger(1.0, 0.5, 0.5, hot, cold)
-        assert (w_ad1, e_i_h, e_i_c) == (0.4, -0.03, -0.02)
-        assert w_ad2 == pytest.approx(0.3)
-        assert w_1 == w_ad1 - w_ad2
-        assert w_2 == w_1 + e_i_h + e_i_c
+        p0, degenerate, p_h, p_c, ledger = _close_cycle(eng, hot, cold)
+        assert p0 == 0.0 and not degenerate
+        assert (p_h, p_c) == pytest.approx((0.7, 0.6))
+        assert (ledger.W_ad1, ledger.W_ad2) == pytest.approx((0.4, 0.3))
+        assert (ledger.E_I_h, ledger.E_I_c) == pytest.approx((-0.03, -0.02))
+        assert ledger.W_I == ledger.W_ad1 - ledger.W_ad2
+        assert ledger.W_II == ledger.W_I + ledger.E_I_h + ledger.E_I_c
+        # the system gains 2 (0.7 - 0.6) in the hot contact and loses 0.1 in the cold
+        assert (ledger.dES_h, ledger.dES_c) == pytest.approx((0.2, -0.1))
+        assert ledger.dEB_h == -ledger.dES_h - ledger.E_I_h
+        assert ledger.dEB_c == -ledger.dES_c - ledger.E_I_c
+        assert (ledger.eta_O, ledger.eta_C) == (eng.eta_otto, eng.eta_carnot)
 
     def test_positive_conventional_work_at_reference(self, ref_tcl2):
         # short hot contact rides the backflow: W_I > 0 even though

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 from scipy.integrate import quad
 
-from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair
+from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair, tcl2
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
 from nmotto.tcl2 import cumulative_simpson, default_step, family_ends, lattice, time_grid
@@ -213,6 +213,18 @@ class TestBranchPair:
 class TestFamilyEnds:
     """One solve over a long grid gives every stroke on a prefix of it."""
 
+    @staticmethod
+    def counting_solves(monkeypatch):
+        """The list that gets one entry per ``tcl2._solve`` call."""
+        calls, solve = [], tcl2._solve
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(tcl2, "_solve", counting)
+        return calls
+
     # at T = 50, lam = 0.3, omega = 4 the strokes leave [0, 1] from k = 92
     # on this grid; omega = 1 stays positive throughout
     @pytest.mark.parametrize("reservoir, omegas, h, steps", [
@@ -220,10 +232,14 @@ class TestFamilyEnds:
         (ReservoirSpec(temperature=50.0, lam=0.3, cutoff=0.4), [4.0, 1.0], 1 / 64,
          [*range(2, 41), *range(85, 100)]),
     ], ids=["positive", "positivity-failure"])
-    def test_ends_match_each_prefix_solve_bit_for_bit(self, reservoir, omegas, h, steps):
+    def test_ends_match_each_prefix_solve_bit_for_bit(self, monkeypatch, reservoir,
+                                                      omegas, h, steps):
         # a power-of-two step makes every prefix exactly its own time_grid
         times = time_grid(h * max(steps), h)
-        *ends, ok = family_ends(reservoir, omegas, times, times[list(steps)])
+        solves = self.counting_solves(monkeypatch)
+        ends = family_ends(reservoir, omegas, times[list(steps)], h)
+        assert ends.shape == (4, len(omegas), len(steps))
+        assert len(solves) == len(omegas)
         failures = 0
         for i, omega in enumerate(omegas):
             for j, k in enumerate(steps):
@@ -231,39 +247,41 @@ class TestFamilyEnds:
                 try:
                     pair = evolve_branch_pair(reservoir, omega, times[k], h)
                 except PositivityViolation:
-                    assert not ok[i, j], (omega, k)
+                    # nan exactly where the stroke's own solve raises
+                    assert np.isnan(ends[:, i, j]).all(), (omega, k)
                     failures += 1
                     continue
-                assert ok[i, j], (omega, k)
                 want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1]]
-                got = [v[i, j] for v in ends]
+                got = ends[:, i, j]
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want], k
         assert (failures > 0) == (reservoir is not HOT)
 
     # ends k h + delta past the lattice, for odd and even k, delta from
     # 1e-9 h to h - 1e-9 h; the user step 0.05 is not a power of two, and
-    # the default step puts every t >= 20 on the 0.01 lattice
-    @pytest.mark.parametrize("h, ends", [
+    # the default step puts every t >= 20 on the 0.01 lattice.  The mixed
+    # durations are unsorted with a repeat: below 20 each distinct one has
+    # its own step, and 20.15 rounds onto the 0.01 lattice without
+    # equalling 2015 * 0.01, so it keeps its own grid
+    @pytest.mark.parametrize("h, ends, groups", [
         (1 / 8, [k / 8 + d / 8 for k in (2, 3, 10, 11) for d in (1e-9, 0.5, 1 - 1e-9)]
-         + [12 / 8]),
-        (0.05, [0.1234, 0.17, 1.0, 1.234, 1.2999999, 2.0000001]),
-        (None, [20.0, 20.005, 20.915966386554622, 21.37, 21.3749999]),
-    ], ids=["step-1/8", "step-0.05", "default-step"])
-    def test_partial_steps_match_own_solves_bit_for_bit(self, h, ends):
-        step, m, delta = lattice(max(ends), h)
-        times = time_grid(max(ends), h)[:m + 1]
-        lattices = [lattice(t, h) for t in ends]
-        assert {s for s, _, _ in lattices} == {step}
-        assert {k % 2 for _, k, d in lattices if d} == {0, 1}
+         + [12 / 8], 1),
+        (0.05, [0.1234, 0.17, 1.0, 1.234, 1.2999999, 2.0000001], 1),
+        (None, [20.0, 20.005, 20.915966386554622, 21.37, 21.3749999], 1),
+        (None, [25.37, 3.3, 20.15, 59.5041, 3.3, 19.99, 21.3749999, 20.005], 4),
+    ], ids=["step-1/8", "step-0.05", "default-step", "mixed"])
+    def test_partial_steps_match_own_solves_bit_for_bit(self, monkeypatch, h, ends,
+                                                        groups):
+        assert {k % 2 for _, k, d in (lattice(t, h) for t in ends) if d} == {0, 1}
         omegas = [1.0, 0.18]
-        *got, ok = family_ends(HOT, omegas, times, ends)
-        assert ok.all()
+        solves = self.counting_solves(monkeypatch)
+        got = family_ends(HOT, omegas, ends, h)
+        assert len(solves) == groups * len(omegas)
         for i, omega in enumerate(omegas):
             for j, t in enumerate(ends):
                 pair = evolve_branch_pair(HOT, omega, t, h)
                 assert pair.times[-1] == t
                 want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1]]
-                assert [float(v[i, j]).hex() for v in got] == [v.hex() for v in want], t
+                assert [float(v).hex() for v in got[:, i, j]] == [v.hex() for v in want], t
 
     @pytest.mark.parametrize("reservoir, omega", [(HOT, 1.0), (COLD, 0.18)],
                              ids=["hot", "cold"])
