@@ -28,7 +28,7 @@ from .oracle import discretize_bath, exact_evolve
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
-_BACKENDS = ("tcl2", "markov")
+_BACKENDS = tuple(energetics.BACKENDS)
 
 
 @dataclass(frozen=True)

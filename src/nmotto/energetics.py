@@ -21,7 +21,9 @@ net-work definitions then coincide.
 
 All quantities are affine in the pre-stroke ground probability P, so
 each stroke is solved once for the two pure starts and mixed
-afterwards.  The energy flow theta = d(dE_B)/dt is assembled from the
+afterwards.  ``BACKENDS`` picks the module, ``tcl2`` or ``markov``,
+that returns a stroke's ``StrokeDynamics`` record or many strokes'
+ends.  The energy flow theta = d(dE_B)/dt is assembled from the
 analytic integrands, never by numerical differencing.
 
 The limit cycle and its whole ``EnergyLedger`` follow from the stroke
@@ -33,7 +35,6 @@ duration grid, bit for bit alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,10 @@ from . import markov, tcl2
 from .cycle import fixed_point
 from .engine import EngineParams
 from .errors import DegenerateCycle, PositivityViolation
-from .kernels import ReservoirSpec
+from .tcl2 import StrokeDynamics, StrokeEnds
 
 __all__ = [
+    "BACKENDS",
     "StrokeDynamics",
     "StrokeEnds",
     "EnergyLedger",
@@ -60,53 +62,19 @@ __all__ = [
 
 TEMPERATURE_DEGENERACY_TOL = 1e-12
 
-
 def _mixed(p, branch_0, branch_1):
     """P-mixture of the two pure-start branches, elementwise."""
     return p * branch_0 + (1.0 - p) * branch_1
 
 
-class StrokeEnds(NamedTuple):
-    """End-of-stroke values of both branches, all the cycle ledger reads.
-
-    r0 / r1 are the final ground populations and corr_0 / corr_1 the
-    final correction integrals C(t_end).  Floats for one stroke, or
-    arrays that broadcast over a grid of strokes.
-    """
-
-    r0: float
-    r1: float
-    corr_0: float
-    corr_1: float
+# each backend answers ``evolve_branch_pair`` and ``family_ends``
+BACKENDS = {"tcl2": tcl2, "markov": markov}
 
 
-@dataclass(frozen=True, eq=False)
-class StrokeDynamics:
-    """Everything the energy bookkeeping needs from one stroke.
-
-    Arrays are indexed by the grid ``times``; the _0 / _1 suffixes are
-    the branches started from the pure lower / upper state.  ``corr``
-    holds the running counting-field correction integral C(t) (zero for
-    the Markov backend) and ``flow`` the analytic reservoir energy flow
-    of each branch.
-    """
-
-    omega: float
-    times: np.ndarray
-    rho00_0: np.ndarray
-    rho00_1: np.ndarray
-    corr_0: np.ndarray
-    corr_1: np.ndarray
-    flow_0: np.ndarray
-    flow_1: np.ndarray
-
-    def rho00_mixed(self, p: float) -> np.ndarray:
-        return _mixed(p, self.rho00_0, self.rho00_1)
-
-    @property
-    def ends(self) -> StrokeEnds:
-        return StrokeEnds(r0=float(self.rho00_0[-1]), r1=float(self.rho00_1[-1]),
-                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]))
+def _solver(backend: str):
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown dynamics backend {backend!r}")
+    return BACKENDS[backend]
 
 
 def stroke_dynamics(
@@ -115,35 +83,15 @@ def stroke_dynamics(
     backend: str = "tcl2",
     h: float | None = None,
 ) -> StrokeDynamics:
-    """Solve one stroke of the engine with full energetic diagnostics.
-
-    Every call solves afresh; a sweep asks once per distinct stroke.
-    """
+    """Solve one stroke of the engine with full energetic diagnostics,
+    through the backend's ``evolve_branch_pair``."""
     if which == "hot":
         reservoir, omega, t_end = engine.hot_reservoir, engine.omega_h, engine.t1
     elif which == "cold":
         reservoir, omega, t_end = engine.cold_reservoir, engine.omega_c, engine.t2
     else:
         raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
-    if backend == "tcl2":
-        pair = tcl2.evolve_branch_pair(reservoir, omega, t_end, h)
-        rho0, rho1 = pair.rho00_0, pair.rho00_1
-        # theta = -d(dE_S)/dt + dC/dt, with d rho00/dt = a rho00 - b
-        flow0 = omega * (pair.a_vals * rho0 - pair.b_vals) + pair.dcorr_0
-        flow1 = omega * (pair.a_vals * rho1 - pair.b_vals) + pair.dcorr_1
-        return StrokeDynamics(
-            omega=omega, times=pair.times, rho00_0=rho0, rho00_1=rho1,
-            corr_0=pair.corr_0, corr_1=pair.corr_1, flow_0=flow0, flow_1=flow1,
-        )
-    if backend == "markov":
-        times = tcl2.time_grid(t_end, h)
-        rho0, rho1, flow0, flow1 = markov.branch_pair(reservoir, omega, times)
-        zero = np.zeros_like(times)  # no interaction storage
-        return StrokeDynamics(
-            omega=omega, times=times, rho00_0=rho0, rho00_1=rho1,
-            corr_0=zero, corr_1=zero, flow_0=flow0, flow_1=flow1,
-        )
-    raise ValueError(f"unknown dynamics backend {backend!r}")
+    return _solver(backend).evolve_branch_pair(reservoir, omega, t_end, h)
 
 
 def system_energy_change(p: float, stroke: StrokeDynamics) -> np.ndarray:
@@ -296,26 +244,12 @@ def evaluate_cycle(
                            ledger=ledger, hot=hot, cold=cold)
 
 
-def _side_ends(backend: str, reservoir: ReservoirSpec, omegas, values, h):
-    """Stroke ends of one side for every omega: (r0, r1, corr_0, corr_1)
-    stacked on the leading axis of a (4, len(omegas), len(values))
-    array.  Markov ends come from one closed-form call per omega, TCL2
-    ends from one ``tcl2.family_ends`` call.  A stroke that violates
-    positivity has nan ends, and only such a stroke does."""
-    if backend == "tcl2":
-        return tcl2.family_ends(reservoir, omegas, values, h)
-    ends = np.zeros((4, len(omegas), len(values)))
-    for i, omega in enumerate(omegas):
-        ends[0, i], ends[1, i], _, _ = markov.branch_pair(reservoir, omega, values)
-    return ends
-
-
 def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tcl2",
                   h: float | None = None, omega_pairs=None):
     """Cycle ledger over a (t1, t2) grid, one block per omega pair.
 
     The hot strokes (one per t1) and the cold strokes (one per t2) are
-    solved once per side for every omega pair (see ``_side_ends``).
+    solved once per side for every omega pair by ``family_ends``.
     The limit cycle and ledger of every grid point then follow from the
     stroke ends by broadcasting, bit for bit as ``evaluate_cycle`` point
     by point.  ``omega_pairs`` lists (omega_h, omega_c) splittings, None
@@ -325,18 +259,17 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     (len(t1_values), len(t2_values)), nan at failed points, and errors
     the failure labels ("" where the point succeeded).
     """
-    if backend not in ("tcl2", "markov"):
-        raise ValueError(f"unknown dynamics backend {backend!r}")
+    solver = _solver(backend)
     if h is not None and not h > 0:
         raise ValueError("grid step must be positive")
     pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
     engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
     for pick in (np.min, np.max):  # nan propagates: every duration is validated
         replace(engine, t1=float(pick(t1_values)), t2=float(pick(t2_values)))
-    hot_ends = _side_ends(backend, engine.hot_reservoir,
-                          [e.omega_h for e in engines], t1_values, h)
-    cold_ends = _side_ends(backend, engine.cold_reservoir,
-                           [e.omega_c for e in engines], t2_values, h)
+    hot_ends = solver.family_ends(engine.hot_reservoir, [e.omega_h for e in engines],
+                                  t1_values, h)
+    cold_ends = solver.family_ends(engine.cold_reservoir, [e.omega_c for e in engines],
+                                   t2_values, h)
 
     blocks = []
     for k, eng in enumerate(engines):

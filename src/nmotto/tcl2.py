@@ -25,9 +25,9 @@ three-point step (see ``lattice``).  The excited population is
 of the energy bookkeeping (see ``energetics``) is accumulated in the
 same pass.
 
-``family_ends`` gives the end values of many strokes: durations on
-one lattice are read off one solve of the longest, bit for bit as
-their own solves.
+``evolve_branch_pair`` returns one stroke's ``StrokeDynamics`` and
+``family_ends`` the ends of many: durations on one lattice are read
+off one solve of the longest, bit for bit as their own solves.
 
 Populations leaving [0, 1] beyond ``POSITIVITY_TOL`` raise
 ``PositivityViolation``: that is the regime where the second-order map
@@ -38,6 +38,7 @@ corrupt the energy bookkeeping downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,8 @@ from .kernels import ReservoirSpec, d1, d2
 
 __all__ = [
     "POSITIVITY_TOL",
-    "BranchPair",
+    "StrokeEnds",
+    "StrokeDynamics",
     "default_step",
     "lattice",
     "time_grid",
@@ -117,16 +119,31 @@ def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
     return times
 
 
-@dataclass(frozen=True, eq=False)
-class BranchPair:
-    """Both pure-start branches of one stroke on their shared grid.
+class StrokeEnds(NamedTuple):
+    """End-of-stroke values of both branches, all the cycle ledger reads.
 
-    rho00_0 / rho00_1 start from ground population 1 / 0.  cum_a is
-    the running integral A(t) of the decay coefficient a_vals.
-    corr_0 / corr_1 are each branch's running correction integral C(t)
-    and dcorr_0 / dcorr_1 its integrand dC/dt.
+    r0 / r1 are the final ground populations and corr_0 / corr_1 the
+    final correction integrals C(t_end).  Floats for one stroke, or
+    arrays that broadcast over a grid of strokes.
     """
 
+    r0: float
+    r1: float
+    corr_0: float
+    corr_1: float
+
+
+@dataclass(frozen=True, eq=False)
+class StrokeDynamics:
+    """Both pure-start branches of one stroke on their shared grid.
+
+    The _0 / _1 branches start from ground population 1 / 0 and obey
+    d rho00/dt = a rho00 - b; cum_a is A(t) = Int a, so rho00_0 -
+    rho00_1 = exp(A).  corr is the correction integral C(t) (zero under
+    Markov) and flow the reservoir energy flow omega (a rho00 - b) + dC/dt.
+    """
+
+    omega: float
     times: np.ndarray
     rho00_0: np.ndarray
     rho00_1: np.ndarray
@@ -135,8 +152,17 @@ class BranchPair:
     b_vals: np.ndarray
     corr_0: np.ndarray
     corr_1: np.ndarray
-    dcorr_0: np.ndarray
-    dcorr_1: np.ndarray
+    flow_0: np.ndarray
+    flow_1: np.ndarray
+
+    def rho00_mixed(self, p: float) -> np.ndarray:
+        """rho00 of the stroke started from ground population p."""
+        return p * self.rho00_0 + (1.0 - p) * self.rho00_1
+
+    @property
+    def ends(self) -> StrokeEnds:
+        return StrokeEnds(r0=float(self.rho00_0[-1]), r1=float(self.rho00_1[-1]),
+                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]))
 
 
 def _back_piece(f1, f2, f3, dx):
@@ -249,12 +275,14 @@ def _check_positivity(rho00: np.ndarray, times: np.ndarray):
     )
 
 
-def _solve(times, d1_vals, d2_vals, omega, integrate) -> BranchPair:
+def _solve(times, d1_vals, d2_vals, omega, integrate):
     """The stroke solution from kernel samples; never raises.
 
     ``integrate(y)`` returns the running integral of samples ``y`` taken
     at ``times``; every other operation is elementwise.  Past a
-    positivity failure the values may overflow to inf or nan.
+    positivity failure the values may overflow to inf or nan.  Returns
+    (rho00_0, rho00_1, corr_0, corr_1, cum_a, a, b, dcorr_0, dcorr_1):
+    the ends read the first four, ``dcorr`` is the integrand dC/dt.
     """
     sin_wt, cos_wt = np.sin(omega * times), np.cos(omega * times)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,29 +298,32 @@ def _solve(times, d1_vals, d2_vals, omega, integrate) -> BranchPair:
         dcorr0 = (2.0 * rho_from0 - 1.0) * d1_vals * sin_wt + d2_vals * cos_wt
         dcorr1 = (2.0 * rho_from1 - 1.0) * d1_vals * sin_wt + d2_vals * cos_wt
         corr0, corr1 = integrate(dcorr0), integrate(dcorr1)
-    return BranchPair(times=times, rho00_0=rho_from0, rho00_1=rho_from1, cum_a=cum_a,
-                      a_vals=a, b_vals=b, corr_0=corr0, corr_1=corr1,
-                      dcorr_0=dcorr0, dcorr_1=dcorr1)
+    return rho_from0, rho_from1, corr0, corr1, cum_a, a, b, dcorr0, dcorr1
 
 
 def evolve_branch_pair(
     reservoir: ReservoirSpec, omega: float, t_end: float, h: float | None = None
-):
+) -> StrokeDynamics:
     """Both pure-state branches of one stroke in a single pass.
 
-    Returns one ``BranchPair``: the branches from |0> and |1>, i.e.
-    initial ground population 1 and 0, and the shared coefficient
-    samples.  Sharing the coefficient integrals is what makes a full
-    cycle evaluation cheap; the solution is affine in the initial
-    condition so no generality is lost.
+    Returns one ``StrokeDynamics``: the branches from |0> and |1>, i.e.
+    initial ground population 1 and 0, the shared coefficient samples
+    and each branch's energy flow.  Sharing the coefficient integrals is
+    what makes a full cycle evaluation cheap; the solution is affine in
+    the initial condition so no generality is lost.
     """
     h, m, delta = lattice(t_end, h)
     times = time_grid(t_end, h)
     integrate = _integrator(m + 1, h, [m], [delta])[0]
-    pair = _solve(times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
-    _check_positivity(pair.rho00_0, times)
-    _check_positivity(pair.rho00_1, times)
-    return pair
+    rho0, rho1, corr0, corr1, cum_a, a, b, dcorr0, dcorr1 = _solve(
+        times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
+    _check_positivity(rho0, times)
+    _check_positivity(rho1, times)
+    # theta = -d(dE_S)/dt + dC/dt, with d rho00/dt = a rho00 - b
+    return StrokeDynamics(
+        omega=omega, times=times, rho00_0=rho0, rho00_1=rho1, cum_a=cum_a,
+        a_vals=a, b_vals=b, corr_0=corr0, corr_1=corr1,
+        flow_0=omega * (a * rho0 - b) + dcorr0, flow_1=omega * (a * rho1 - b) + dcorr1)
 
 
 def _stroke_groups(durations, h: float | None):
@@ -330,7 +361,7 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
     omega through the same ``_integrator``, and the samples a stroke
     does not share with the lattice (an odd-step closing, an end past
     the lattice) ride along after it.  The kernels are sampled once per
-    group for all omegas.
+    group for all omegas.  A column is the record's ``ends``.
     """
     out = np.empty((4, len(omegas), len(durations)))
     for times, ends, columns in _stroke_groups(durations, h):
@@ -346,11 +377,10 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
         ext_times = sampled[layout]
         d1_vals, d2_vals = d1(sampled, reservoir)[layout], d2(sampled, reservoir)[layout]
         for i, omega in enumerate(omegas):
-            pair = _solve(ext_times, d1_vals, d2_vals, omega, integrate)
-            inside = _inside(pair.rho00_0) & _inside(pair.rho00_1)
+            values = _solve(ext_times, d1_vals, d2_vals, omega, integrate)[:4]
+            inside = _inside(values[0]) & _inside(values[1])
             # index of the first lattice sample that left [0, 1]
             first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
             ok = (shared < first_out) & inside[at_k] & inside[at_end]
-            out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in
-                                  (pair.rho00_0, pair.rho00_1, pair.corr_0, pair.corr_1)]
+            out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in values]
     return out

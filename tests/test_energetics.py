@@ -51,6 +51,15 @@ class TestConservation:
             residual = ledger.W_II + ledger.dEB_h + ledger.dEB_c
             assert np.max(np.abs(residual)) <= 1e-14
 
+    @pytest.mark.parametrize("backend", ["tcl2", "markov"])
+    @pytest.mark.parametrize("which", ["hot", "cold"])
+    def test_branch_gap_is_the_decay_factor(self, ref_engine, backend, which):
+        # both records carry the decay exponent A(t): rho00_0 - rho00_1 =
+        # exp(A) on the whole profile, exp(-Gamma t) under Markov
+        stroke = stroke_dynamics(ref_engine, which, backend)
+        gap = stroke.rho00_0 - stroke.rho00_1
+        assert np.max(np.abs(gap - np.exp(stroke.cum_a))) <= 1e-15
+
     def test_all_balances_zero_at_start(self, ref_tcl2):
         p = ref_tcl2.P_h
         assert system_energy_change(p, ref_tcl2.hot)[0] == 0.0

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 from scipy.integrate import quad
 
-from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair, tcl2
+from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair, markov, tcl2
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
 from nmotto.tcl2 import cumulative_simpson, default_step, family_ends, lattice, time_grid
@@ -226,35 +226,58 @@ class TestFamilyEnds:
         return calls
 
     # at T = 50, lam = 0.3, omega = 4 the strokes leave [0, 1] from k = 92
-    # on this grid; omega = 1 stays positive throughout
-    @pytest.mark.parametrize("reservoir, omegas, h, steps", [
-        (HOT, [1.0, 0.18], 1 / 8, range(2, 41)),
-        (ReservoirSpec(temperature=50.0, lam=0.3, cutoff=0.4), [4.0, 1.0], 1 / 64,
+    # on this grid; omega = 1 stays positive throughout.  Markov answers
+    # the same two calls without a solve; its closed form never leaves
+    # [0, 1], so it has no positivity-failure case
+    @pytest.mark.parametrize("backend, reservoir, omegas, h, steps", [
+        (tcl2, HOT, [1.0, 0.18], 1 / 8, range(2, 41)),
+        (tcl2, ReservoirSpec(temperature=50.0, lam=0.3, cutoff=0.4), [4.0, 1.0], 1 / 64,
          [*range(2, 41), *range(85, 100)]),
-    ], ids=["positive", "positivity-failure"])
-    def test_ends_match_each_prefix_solve_bit_for_bit(self, monkeypatch, reservoir,
+        (markov, HOT, [1.0, 0.18], 1 / 8, range(2, 41)),
+    ], ids=["positive", "positivity-failure", "markov"])
+    def test_ends_match_each_prefix_solve_bit_for_bit(self, monkeypatch, backend, reservoir,
                                                       omegas, h, steps):
         # a power-of-two step makes every prefix exactly its own time_grid
         times = time_grid(h * max(steps), h)
         solves = self.counting_solves(monkeypatch)
-        ends = family_ends(reservoir, omegas, times[list(steps)], h)
+        ends = backend.family_ends(reservoir, omegas, times[list(steps)], h)
         assert ends.shape == (4, len(omegas), len(steps))
-        assert len(solves) == len(omegas)
+        assert len(solves) == (len(omegas) if backend is tcl2 else 0)
         failures = 0
         for i, omega in enumerate(omegas):
             for j, k in enumerate(steps):
                 assert np.array_equal(time_grid(times[k], h), times[:k + 1])
                 try:
-                    pair = evolve_branch_pair(reservoir, omega, times[k], h)
+                    pair = backend.evolve_branch_pair(reservoir, omega, times[k], h)
                 except PositivityViolation:
                     # nan exactly where the stroke's own solve raises
                     assert np.isnan(ends[:, i, j]).all(), (omega, k)
                     failures += 1
                     continue
-                want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1]]
                 got = ends[:, i, j]
-                assert [float(v).hex() for v in got] == [float(v).hex() for v in want], k
+                assert [float(v).hex() for v in got] == [v.hex() for v in pair.ends], k
         assert (failures > 0) == (reservoir is not HOT)
+
+    def test_own_closing_sample_outside_marks_only_its_stroke(self, monkeypatch):
+        # the odd-step stroke 3 h + h/2 closes its last whole step on a
+        # sample of its own, appended at index len(lattice) = 9 of the
+        # solve; no physical input was found that puts only that sample
+        # outside [0, 1], so the test puts it there
+        h, ends = 1 / 8, [3.5 / 8, 8 / 8]
+        omegas = [1.0, 0.18]
+        want = family_ends(HOT, omegas, ends, h)
+        solve = tcl2._solve
+
+        def pushed_out(times, *args):
+            assert len(times) == 11 and times[9] == 3 * h
+            values = solve(times, *args)
+            values[0][9] = -1e-6
+            return values
+
+        monkeypatch.setattr(tcl2, "_solve", pushed_out)
+        got = family_ends(HOT, omegas, ends, h)
+        assert np.isnan(got[:, :, 0]).all()
+        assert [v.hex() for v in got[:, :, 1].ravel()] == [v.hex() for v in want[:, :, 1].ravel()]
 
     # ends k h + delta past the lattice, for odd and even k, delta from
     # 1e-9 h to h - 1e-9 h; the user step 0.05 is not a power of two, and
