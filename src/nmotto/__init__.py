@@ -17,10 +17,8 @@ from .energetics import (
     energy_flow,
     evaluate_cycle,
     evaluate_grid,
-    interaction_energy,
-    reservoir_energy_change,
+    stroke_balance,
     stroke_dynamics,
-    system_energy_change,
 )
 from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation, TruncationWarning
@@ -52,13 +50,11 @@ __all__ = [
     "evaluate_grid",
     "evolve_branch_pair",
     "exact_evolve",
-    "interaction_energy",
     "ohmic_j",
     "positive_work_condition",
     "relaxation_rate",
-    "reservoir_energy_change",
     "stationary_rho00",
+    "stroke_balance",
     "stroke_dynamics",
-    "system_energy_change",
     "trigamma",
 ]

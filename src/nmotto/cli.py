@@ -18,6 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from . import energetics
 from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
 from .oracle import discretize_bath, exact_evolve
+from .tcl2 import lattice
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
@@ -143,8 +145,6 @@ def build_config(raw: dict) -> RunConfig:
 
     if cfg.backend not in _BACKENDS:
         raise ConfigError(f"backend must be one of {_BACKENDS}, got {cfg.backend!r}")
-    if cfg.step is not None and not cfg.step > 0:
-        raise ConfigError("step must be positive")
     for name in ("t1", "t2"):
         lo = getattr(cfg, f"{name}_min")
         hi = getattr(cfg, f"{name}_max")
@@ -153,10 +153,12 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(f"need 0 < {name}_min <= {name}_max")
         if count < 1:
             raise ConfigError(f"{name}_count must be >= 1")
-    if cfg.oracle_modes < 1 or cfg.oracle_fock < 1:
-        raise ConfigError("oracle_modes and oracle_fock must be >= 1")
-    if not cfg.oracle_omega_max > 0:
-        raise ConfigError("oracle_omega_max must be positive")
+    try:  # the step on the longest stroke any command runs, and the oracle bath
+        lattice(max(engine.t1, engine.t2, cfg.t1_max, cfg.t2_max), cfg.step)
+        discretize_bath(engine.hot_reservoir, cfg.oracle_modes,
+                        cfg.oracle_omega_max, cfg.oracle_fock)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.oracle_samples < 2:
         raise ConfigError("oracle_samples must be >= 2")
     if cfg.omega_pairs is not None:
@@ -199,33 +201,34 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    s = format(float(x), ".12g")
-    return "0" if s == "-0" else s
+# cells formatted per call; a bigger chunk holds more cells in memory
+_CHUNK = 1024
+
+
+def _cells(values):
+    """CSV cells of an array, 12 significant digits: nan, inf and -inf
+    print as such, and -0.0 as 0.  Formatted chunk by chunk, as consumed."""
+    flat = np.ravel(values) + 0.0
+    for k in range(0, flat.size, _CHUNK):
+        part = flat[k:k + _CHUNK].tolist()
+        # one formatting call per chunk costs less than one per cell
+        yield from ("%.12g\n" * len(part) % tuple(part)).split("\n")[:-1]
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text of equally long columns of cells, read row by row, LF line endings."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def run_dynamics(cfg: RunConfig) -> str:
     """Hot-stroke observables at the limit cycle, one row per grid time."""
     ev = energetics.evaluate_cycle(cfg.engine, cfg.backend, cfg.step)
     hot, p_h = ev.hot, ev.P_h
-    rho00 = hot.rho00_mixed(p_h)
-    rho11 = 1.0 - rho00
-    t_eff = energetics.effective_temperature_profile(rho00, hot.omega)
-    d_es = energetics.system_energy_change(p_h, hot)
-    e_i = energetics.interaction_energy(p_h, hot)
-    d_eb = energetics.reservoir_energy_change(p_h, hot)
+    bal = energetics.stroke_balance(p_h, hot)
+    t_eff = energetics.effective_temperature_profile(bal.rho00, hot.omega)
     theta = energetics.energy_flow(p_h, hot)[1]
-
-    lines = ["t,rho00,rho11,T_eff,dES,dEB,EI,theta"]
-    for i, t in enumerate(hot.times):
-        lines.append(",".join(_fmt(v) for v in (
-            t, rho00[i], rho11[i], t_eff[i], d_es[i], d_eb[i], e_i[i], theta[i],
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv("t,rho00,rho11,T_eff,dES,dEB,EI,theta", map(_cells, (
+        hot.times, bal.rho00, 1.0 - bal.rho00, t_eff, bal.dES, bal.dEB, bal.E_I, theta)))
 
 
 def run_sweep(cfg: RunConfig) -> str:
@@ -239,26 +242,21 @@ def run_sweep(cfg: RunConfig) -> str:
     t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
     blocks = energetics.evaluate_grid(cfg.engine, t1_values, t2_values, cfg.backend,
                                       cfg.step, cfg.omega_pairs)
-    t1_cells = [_fmt(t) for t in t1_values]
-    t2_cells = [_fmt(t) for t in t2_values]
-    with_pairs = cfg.omega_pairs is not None
-
-    header = "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error"
-    if with_pairs:
-        header = "omega_h,omega_c," + header
-    lines = [header]
+    # cells that repeat down a block are formatted once and repeated
+    t1_cells = [c for c in _cells(t1_values) for _ in t2_values]
+    t2_cells = list(_cells(t2_values)) * len(t1_values)
+    size = len(t1_cells)
+    lead = "omega_h,omega_c," if cfg.omega_pairs is not None else ""
+    per_block = []
     for engine, ledger, errors in blocks:
-        lead = f"{_fmt(engine.omega_h)},{_fmt(engine.omega_c)}," if with_pairs else ""
-        etas = f"{_fmt(engine.eta_otto)},{_fmt(engine.eta_carnot)}"
-        # %.12g prints nan and +-inf as _fmt does; + 0.0 turns -0.0 into 0
-        row = f"{lead}%s,%s,%.12g,%.12g,%.12g,%.12g,{etas},%s"
-        values = [(w + 0.0).tolist()
-                  for w in (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)]
-        labels = errors.tolist()
-        for i, t1 in enumerate(t1_cells):
-            lines.extend(row % (t1, *cells)
-                         for cells in zip(t2_cells, *(w[i] for w in values), labels[i]))
-    return "\n".join(lines) + "\n"
+        pair = [engine.omega_h, engine.omega_c] if lead else []
+        per_block.append([
+            *(repeat(c, size) for c in _cells(pair)), t1_cells, t2_cells,
+            *map(_cells, (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
+            *(repeat(c, size) for c in _cells([engine.eta_otto, engine.eta_carnot])),
+            errors.ravel().tolist()])
+    return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error",
+                map(chain.from_iterable, zip(*per_block)))
 
 
 def run_oracle(cfg: RunConfig) -> str:
@@ -272,10 +270,7 @@ def run_oracle(cfg: RunConfig) -> str:
     # non-decreasing already; np.unique would import numpy.ma on each call
     idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
     times = hot.times[idx]
-
-    d_es = energetics.system_energy_change(p_h, hot)[idx]
-    e_i = energetics.interaction_energy(p_h, hot)[idx]
-    d_eb = energetics.reservoir_energy_change(p_h, hot)[idx]
+    bal = energetics.stroke_balance(p_h, hot)
 
     bath = discretize_bath(cfg.engine.hot_reservoir, cfg.oracle_modes,
                            cfg.oracle_omega_max, cfg.oracle_fock)
@@ -283,16 +278,9 @@ def run_oracle(cfg: RunConfig) -> str:
         warnings.simplefilter("ignore")  # the flag column carries this
         ref = exact_evolve(p_h, cfg.engine.omega_h, bath, times)
 
-    lines = ["t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation"]
-    flags = ref.truncation_flagged
-    for i, t in enumerate(times):
-        lines.append(",".join([
-            _fmt(t), _fmt(d_es[i]), _fmt(ref.d_system[i]),
-            _fmt(d_eb[i]), _fmt(ref.d_bath[i]),
-            _fmt(e_i[i]), _fmt(ref.interaction[i]),
-            "1" if flags[i] else "0",
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv("t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation",
+                map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,
+                             bal.E_I[idx], ref.interaction, ref.truncation_flagged)))
 
 
 def _load_config(args) -> RunConfig:

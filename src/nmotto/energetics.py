@@ -8,6 +8,9 @@ fixed by conservation
 
     dE_S(t) + dE_B(t) + E_I(t) = 0.
 
+``_balance`` forms all three, at the stroke ends for the ledger and on
+whole profiles for ``stroke_balance``.
+
 For the time-convolutionless backend the counting-field result reduces
 to dE_B = -dE_S + C(t) with the correction integral
 
@@ -35,6 +38,7 @@ duration grid, bit for bit alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +52,11 @@ __all__ = [
     "BACKENDS",
     "StrokeDynamics",
     "StrokeEnds",
+    "StrokeBalance",
     "EnergyLedger",
     "CycleEvaluation",
     "stroke_dynamics",
-    "system_energy_change",
-    "reservoir_energy_change",
-    "interaction_energy",
+    "stroke_balance",
     "energy_flow",
     "effective_temperature_profile",
     "evaluate_cycle",
@@ -94,25 +97,31 @@ def stroke_dynamics(
     return _solver(backend).evolve_branch_pair(reservoir, omega, t_end, h)
 
 
-def system_energy_change(p: float, stroke: StrokeDynamics) -> np.ndarray:
-    """dE_S(t) = omega (rho11(t) - rho11(0)) for the P-mixed stroke, as a
-    profile on the stroke grid."""
-    mixed = stroke.rho00_mixed(p)
-    return stroke.omega * (mixed[0] - mixed)
+class StrokeBalance(NamedTuple):
+    """A contact started at ground population p, elementwise: its ground
+    population rho00, the system energy change dES = omega (p - rho00),
+    the interaction energy E_I = -C (zero at t = 0 and under Markov) and
+    the first counting-statistics cumulant dEB = -dES - E_I."""
+
+    rho00: np.ndarray
+    dES: np.ndarray
+    E_I: np.ndarray
+    dEB: np.ndarray
 
 
-def interaction_energy(p: float, stroke: StrokeDynamics) -> np.ndarray:
-    """E_I(t) = -C(t), the conservation-consistent interaction energy.
+def _balance(p, omega, r0, r1, corr_0, corr_1) -> StrokeBalance:
+    """``StrokeBalance`` from both branches' populations and C values."""
+    rho00 = _mixed(p, r0, r1)
+    d_es = omega * (p - rho00)
+    e_i = -_mixed(p, corr_0, corr_1)
+    return StrokeBalance(rho00=rho00, dES=d_es, E_I=e_i, dEB=-d_es - e_i)
 
-    Zero at t = 0 (factorized start) and identically zero for the
-    Markov backend.
-    """
-    return -_mixed(p, stroke.corr_0, stroke.corr_1)
 
-
-def reservoir_energy_change(p: float, stroke: StrokeDynamics) -> np.ndarray:
-    """dE_B(t) = -dE_S(t) - E_I(t), the first counting-statistics cumulant."""
-    return -system_energy_change(p, stroke) - interaction_energy(p, stroke)
+def stroke_balance(p: float, stroke: StrokeDynamics) -> StrokeBalance:
+    """``StrokeBalance`` profiles on the stroke grid: the first sample
+    of each balance is exactly 0, the last the ledger's value bit for bit."""
+    return _balance(p, stroke.omega, stroke.rho00_0, stroke.rho00_1,
+                    stroke.corr_0, stroke.corr_1)
 
 
 def energy_flow(p: float, stroke: StrokeDynamics):
@@ -142,7 +151,8 @@ def effective_temperature_profile(rho00: np.ndarray, omega: float) -> np.ndarray
 @dataclass(frozen=True)
 class EnergyLedger:
     """Per-cycle energy balance at the limit cycle, formed by
-    ``_close_cycle``: floats for one engine, arrays over a grid."""
+    ``_close_cycle``: floats for one engine, arrays over a grid.  The
+    efficiencies are the engine's own, ``eta_otto`` and ``eta_carnot``."""
 
     W_ad1: float
     W_ad2: float
@@ -154,8 +164,6 @@ class EnergyLedger:
     dES_c: float
     dEB_h: float
     dEB_c: float
-    eta_O: float
-    eta_C: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,31 +204,25 @@ def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
       excited population left by the preceding contact: expansion work
       W_ad1 after the hot stroke, compression work W_ad2 after the cold
       one, both nonnegative;
-    * E_I = -C(t_end) at the end of each contact, as
-      ``interaction_energy``;
+    * each contact's dE_S, E_I and dE_B are ``_balance`` at its end;
     * W_I = W_ad1 - W_ad2 ignores the detachment cost, and
       W_II = W_I + E_I_h + E_I_c includes the cost of detaching against
-      the end-of-stroke interaction energies;
-    * dE_S = omega (P - r(P)) over a contact that starts at ground
-      population P and ends at r(P), and dE_B = -dE_S - E_I.
+      the end-of-stroke interaction energies.
     """
     # failed and degenerate points carry nan or inf here
     with np.errstate(invalid="ignore", over="ignore"):
         p0, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
         if engine.lam == 0.0:
             degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-        r_h, r_c = _mixed(p_h, hot.r0, hot.r1), _mixed(p_c, cold.r0, cold.r1)
+        bal_h = _balance(p_h, engine.omega_h, *hot)
+        bal_c = _balance(p_c, engine.omega_c, *cold)
         gap = engine.omega_h - engine.omega_c
-        w_ad1, w_ad2 = gap * (1.0 - r_h), gap * (1.0 - r_c)
-        e_i_h = -_mixed(p_h, hot.corr_0, hot.corr_1)
-        e_i_c = -_mixed(p_c, cold.corr_0, cold.corr_1)
+        w_ad1, w_ad2 = gap * (1.0 - bal_h.rho00), gap * (1.0 - bal_c.rho00)
         w_1 = w_ad1 - w_ad2
-        des_h, des_c = engine.omega_h * (p_h - r_h), engine.omega_c * (p_c - r_c)
         ledger = EnergyLedger(
-            W_ad1=w_ad1, W_ad2=w_ad2, W_I=w_1, W_II=w_1 + e_i_h + e_i_c,
-            E_I_h=e_i_h, E_I_c=e_i_c, dES_h=des_h, dES_c=des_c,
-            dEB_h=-des_h - e_i_h, dEB_c=-des_c - e_i_c,
-            eta_O=engine.eta_otto, eta_C=engine.eta_carnot)
+            W_ad1=w_ad1, W_ad2=w_ad2, W_I=w_1, W_II=w_1 + bal_h.E_I + bal_c.E_I,
+            E_I_h=bal_h.E_I, E_I_c=bal_c.E_I, dES_h=bal_h.dES, dES_c=bal_c.dES,
+            dEB_h=bal_h.dEB, dEB_c=bal_c.dEB)
     return p0, degenerate, p_h, p_c, ledger
 
 

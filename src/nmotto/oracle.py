@@ -98,6 +98,8 @@ def discretize_bath(
     """
     if n_modes < 1:
         raise ValueError("need at least one mode")
+    if n_modes >= MAX_DIMENSION.bit_length():  # each mode at least doubles it
+        raise ValueError(f"{n_modes} modes exceed composite dimension {MAX_DIMENSION}")
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")
     edges = np.linspace(0.0, omega_max, n_modes + 1)

@@ -47,6 +47,7 @@ from .kernels import ReservoirSpec, d1, d2
 
 __all__ = [
     "POSITIVITY_TOL",
+    "MAX_STEPS",
     "StrokeEnds",
     "StrokeDynamics",
     "default_step",
@@ -58,6 +59,11 @@ __all__ = [
 ]
 
 POSITIVITY_TOL = 1e-9
+
+# Steps per stroke that ``lattice`` allows.  At this bound a TCL2 sweep,
+# which keeps stroke ends only, peaks at about 210 MB resident, and
+# ``nmotto dynamics``, which keeps and prints every sample, at about 520 MB.
+MAX_STEPS = 10**6
 
 
 def default_step(t_end: float) -> float:
@@ -84,7 +90,8 @@ def lattice(t_end: float, h: float | None = None):
     then a partial step delta = t_end - m h, 0 <= delta < h.  An end
     within ``_LATTICE_TOL * t_end`` of a lattice point ends on it
     (delta = 0, and the last grid point is t_end itself).  A stroke
-    shorter than two steps runs two steps of t_end / 2.
+    shorter than two steps runs two steps of t_end / 2, and one of more
+    than ``MAX_STEPS`` steps raises ``ValueError``.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -92,6 +99,9 @@ def lattice(t_end: float, h: float | None = None):
         h = default_step(t_end)
     if not h > 0:
         raise ValueError("grid step must be positive")
+    if not t_end / h <= MAX_STEPS:
+        raise ValueError(f"a stroke of duration {t_end:g} at step {h:g} "
+                         f"needs more than {MAX_STEPS} steps")
     tol = _LATTICE_TOL * t_end
     m = round(t_end / h)
     delta = t_end - m * h
@@ -141,6 +151,7 @@ class StrokeDynamics:
     d rho00/dt = a rho00 - b; cum_a is A(t) = Int a, so rho00_0 -
     rho00_1 = exp(A).  corr is the correction integral C(t) (zero under
     Markov) and flow the reservoir energy flow omega (a rho00 - b) + dC/dt.
+    ``energetics.stroke_balance`` mixes the branches for a start P.
     """
 
     omega: float
@@ -154,10 +165,6 @@ class StrokeDynamics:
     corr_1: np.ndarray
     flow_0: np.ndarray
     flow_1: np.ndarray
-
-    def rho00_mixed(self, p: float) -> np.ndarray:
-        """rho00 of the stroke started from ground population p."""
-        return p * self.rho00_0 + (1.0 - p) * self.rho00_1
 
     @property
     def ends(self) -> StrokeEnds:

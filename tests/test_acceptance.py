@@ -38,11 +38,9 @@ from nmotto import (
     evaluate_cycle,
     evaluate_grid,
     exact_evolve,
-    interaction_energy,
     positive_work_condition,
-    reservoir_energy_change,
     stationary_rho00,
-    system_energy_change,
+    stroke_balance,
 )
 from nmotto.energetics import StrokeEnds, _close_cycle, effective_temperature_profile
 from nmotto.errors import TruncationWarning
@@ -128,7 +126,7 @@ def test_criterion_02_energy_backflow(tcl2_eval, markov_eval):
 def _hot_t_eff(ev):
     """T_eff along the hot stroke of an evaluated limit cycle."""
     return effective_temperature_profile(
-        ev.hot.rho00_mixed(ev.P_h), ev.hot.omega)
+        stroke_balance(ev.P_h, ev.hot).rho00, ev.hot.omega)
 
 
 def test_criterion_03_effective_temperature_overshoot(tcl2_eval, markov_eval):
@@ -293,9 +291,8 @@ def test_criterion_12_conservation(tcl2_eval, markov_eval):
     worst = 0.0
     for ev in (tcl2_eval, markov_eval):
         for stroke, p in ((ev.hot, ev.P_h), (ev.cold, ev.P_c)):
-            residual = (system_energy_change(p, stroke)
-                        + reservoir_energy_change(p, stroke)
-                        + interaction_energy(p, stroke))
+            bal = stroke_balance(p, stroke)
+            residual = bal.dES + bal.dEB + bal.E_I
             worst = max(worst, np.max(np.abs(residual)) / stroke.omega)
     _criterion(12, "dE_S + dE_B + E_I balances to 1e-8 omega at every "
                    "grid time, both strokes, both backends",
@@ -316,7 +313,7 @@ def test_criterion_13_oracle_adjudication(tcl2_eval, oracle_run):
     scale = ENGINE.omega_h / 2.0 + float(
         np.sum(bath.frequencies) * bath.fock_cutoff)
     conserved = np.max(np.abs(result.conservation_residual)) < 1e-10 * scale
-    e_i_solver = interaction_energy(tcl2_eval.P_h, tcl2_eval.hot)
+    e_i_solver = stroke_balance(tcl2_eval.P_h, tcl2_eval.hot).E_I
     idx = _grid_indices(tcl2_eval.hot.times, result.times[late])
     signs_agree = bool(np.all(np.sign(e_i_solver[idx])
                               == np.sign(result.interaction[late])))

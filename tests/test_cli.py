@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import nmotto
 from nmotto import EnergyLedger, energetics, evaluate_cycle, evaluate_grid, tcl2
 from nmotto.cli import (
-    _fmt,
     build_config,
     main,
     parse_config,
@@ -65,6 +64,10 @@ def point_ledger(engine, backend, step):
     return astuple(ledger), ""
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("a stroke was solved")
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = build_config({})
@@ -109,6 +112,29 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--workers", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, sets, message", [
+        ("sweep", ["step=1e-9"], "duration 60 at step 1e-09 needs more than 1000000 steps"),
+        ("dynamics", ["t2=1e6"], "duration 1e+06 at step 0.01 needs more than"),
+        ("sweep", ["t1_max=2e4", "step=0.01"], "duration 20000 at step 0.01 needs"),
+        ("oracle", ["step=1e-320"], "needs more than 1000000 steps"),
+        ("sweep", ["step=0"], "grid step must be positive"),
+    ])
+    def test_step_checked_against_longest_stroke(self, monkeypatch, capsys, command,
+                                                 sets, message):
+        # rejected while the config is read: nothing is solved or allocated
+        monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
+        monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
+        assert main([command, *(arg for s in sets for arg in ("--set", s))]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["oracle", "dynamics"])
+    def test_oversized_oracle_bath_rejected(self, monkeypatch, capsys, command):
+        # 4 modes of 51 Fock levels, checked for every command as the config is read
+        monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
+        assert main([command, "--set", "oracle_modes=4", "--set", "oracle_fock=50"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: composite dimension 13530402 exceeds 32768\n")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -320,8 +346,8 @@ class TestSweep:
         # and every t >= 20 of linspace(1, 60, 120) in one 0.01 family
         assert self.solve_counts(monkeypatch, "sweep-map") == {"solves": 80, "d1": 80}
 
-    def test_edge_values_formatted_as_fmt(self, monkeypatch):
-        # nan, +-inf and -0.0 cells print as _fmt prints them
+    def test_edge_values_formatted_literally(self, monkeypatch):
+        # nan, +-inf, -0.0 and tiny cells through the one cell format
         cells = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, -1e-300,
                  0.1 + 0.2, -123456.7890123456]
         ledger = EnergyLedger(*(np.roll(cells, k).reshape(2, 4) for k in range(N_FIELDS)))
@@ -331,16 +357,21 @@ class TestSweep:
         engine = replace(cfg.engine, omega_h=1.0, omega_c=0.18)
         monkeypatch.setattr(energetics, "evaluate_grid",
                             lambda *args: [(engine, ledger, errors)])
-        t1_values = np.linspace(cfg.t1_min, cfg.t1_max, 2)
-        t2_values = np.linspace(cfg.t2_min, cfg.t2_max, 4)
-        want = ["omega_h,omega_c,t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error"]
-        for i, t1 in enumerate(t1_values):
-            for j, t2 in enumerate(t2_values):
-                want.append(",".join(_fmt(v) for v in (
-                    1.0, 0.18, t1, t2,
-                    *(w[i, j] for w in (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
-                    engine.eta_otto, engine.eta_carnot)) + "," + errors[i, j])
-        assert run_sweep(cfg) == "\n".join(want) + "\n"
+        assert run_sweep(cfg) == (
+            "omega_h,omega_c,t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error\n"
+            "1,0.18,1,1,nan,-123456.789012,0.3,-1e-300,0.82,0.8,\n"
+            "1,0.18,1,20.6666666667,inf,nan,-123456.789012,0.3,0.82,0.8,"
+            "PositivityViolation\n"
+            "1,0.18,1,40.3333333333,-inf,inf,nan,-123456.789012,0.82,0.8,\n"
+            "1,0.18,1,60,0,-inf,inf,nan,0.82,0.8,\n"
+            "1,0.18,60,1,0,0,-inf,inf,0.82,0.8,DegenerateCycle\n"
+            "1,0.18,60,20.6666666667,-1e-300,0,0,-inf,0.82,0.8,\n"
+            "1,0.18,60,40.3333333333,0.3,-1e-300,0,0,0.82,0.8,\n"
+            "1,0.18,60,60,-123456.789012,0.3,-1e-300,0,0.82,0.8,\n")
+        # the other commands share the format: at zero coupling the
+        # populations are degenerate (T_eff = inf) and E_I = -C is -0.0
+        _, rows = read_rows(run_dynamics(build_config({"lambda": "0", "t1": "2"})))
+        assert rows[-1] == ["2", "0.5", "0.5", "inf", "0", "0", "0", "0"]
 
     def test_per_point_failures_recorded(self):
         cfg = build_config({

@@ -13,7 +13,7 @@ from nmotto import (
     exact_evolve,
     stroke_dynamics,
 )
-from nmotto.energetics import interaction_energy, reservoir_energy_change
+from nmotto.energetics import stroke_balance
 from nmotto.oracle import DiscretizedBath
 
 REF_SPEC = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
@@ -48,6 +48,12 @@ class TestDiscretizeBath:
             DiscretizedBath(
                 frequencies=np.ones(8), couplings=np.ones(8),
                 fock_cutoff=4, temperature=1.0)
+
+
+    def test_mode_count_bounded_before_allocating(self):
+        # every mode at least doubles the dimension
+        with pytest.raises(ValueError, match="16 modes exceed composite dimension 32768"):
+            discretize_bath(REF_SPEC, 16, 2.0, 1)
 
 
 def brute_force_energies(p, omega, bath, times):
@@ -207,8 +213,8 @@ class TestSolverAgreement:
         times = np.arange(0.25, 2.25, 0.25)
         idx = np.rint(times / hot.times[1]).astype(int)
         assert np.allclose(hot.times[idx], times, rtol=1e-9, atol=1e-9)
-        d_eb = reservoir_energy_change(p, hot)[idx]
-        e_i = interaction_energy(p, hot)[idx]
+        bal = stroke_balance(p, hot)
+        d_eb, e_i = bal.dEB[idx], bal.E_I[idx]
 
         bath = discretize_bath(eng.hot_reservoir, 3, 1.5, 10)
         with warnings.catch_warnings():

@@ -7,7 +7,14 @@ import pytest
 import scipy.integrate
 from scipy.integrate import quad
 
-from nmotto import PositivityViolation, ReservoirSpec, evolve_branch_pair, markov, tcl2
+from nmotto import (
+    PositivityViolation,
+    ReservoirSpec,
+    evolve_branch_pair,
+    markov,
+    stroke_balance,
+    tcl2,
+)
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
 from nmotto.tcl2 import cumulative_simpson, default_step, family_ends, lattice, time_grid
@@ -90,6 +97,15 @@ class TestGrid:
         assert np.array_equal(pair.times, np.linspace(0.0, t_end, 3))
 
 
+    def test_step_count_bounded(self):
+        # lattice only counts steps, so its bound is safe to probe at the edge
+        assert lattice(0.5 * tcl2.MAX_STEPS, 0.5)[1] == tcl2.MAX_STEPS
+        with pytest.raises(ValueError, match="needs more than 1000000 steps"):
+            lattice(0.5 * tcl2.MAX_STEPS + 0.5, 0.5)
+        with pytest.raises(ValueError, match="needs more than 1000000 steps"):
+            lattice(60.0, 1e-320)  # t_end / h overflows to inf
+
+
 class TestCumulativeSimpson:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 2001, 2002, 6000, 6001])
     def test_bit_identical_to_scipy(self, n):
@@ -158,7 +174,7 @@ class TestEvolveDiagonal:
     def test_transient_population_overshoot(self, ref_tcl2):
         # non-Markovian heating: the excited population passes above its
         # end-of-stroke value during the hot contact
-        rho11 = 1.0 - ref_tcl2.hot.rho00_mixed(ref_tcl2.P_h)
+        rho11 = 1.0 - stroke_balance(ref_tcl2.P_h, ref_tcl2.hot).rho00
         assert rho11.max() > rho11[-1]
 
     def test_positivity_violation_raised(self):
