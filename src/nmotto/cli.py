@@ -1,7 +1,7 @@
 """Command-line front end: dynamics, sweeps, and reference runs as CSV.
 
 Configuration is a flat key=value text file plus ``--set key=value``
-overrides; the twelve engine scalars and three ranges need no nesting,
+overrides; the eight engine scalars and the run keys need no nesting,
 and the format diffs cleanly.  All output is CSV with an LF line
 ending, a header row, and 12-significant-digit values, byte-identical
 across runs for identical configuration.  Every command runs in one
@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -68,29 +68,65 @@ def _finite(text: str) -> float:
     return value
 
 
-# every engine key is a finite float; run keys map to their value parser
-_ENGINE_KEYS = ("omega_h", "omega_c", "T_h", "T_c", "lambda", "cutoff", "t1", "t2")
-_RUN_KEYS = {
-    "backend": str, "step": _finite, "workers": int, "out": str,
-    "t1_min": _finite, "t1_max": _finite, "t1_count": int,
-    "t2_min": _finite, "t2_max": _finite, "t2_count": int,
-    "omega_pairs": str,
-    "oracle_modes": int, "oracle_fock": int,
-    "oracle_omega_max": _finite, "oracle_samples": int,
-}
+def _show_float(value: float) -> str:
+    """12 significant digits where they give the value back, else repr."""
+    text = f"{value:.12g}"
+    return text if float(text) == value else repr(value)
 
 
-def _parse_omega_pairs(text: str):
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ConfigError(f"must be >= {low}")
+        return value
+    return parse
+
+
+def _backend(text: str) -> str:
+    if text not in _BACKENDS:
+        raise ConfigError(f"must be one of {_BACKENDS}, got {text!r}")
+    return text
+
+
+def _pairs(text: str):
     if text.lower() in ("", "none"):
         return None
-    pairs = []
-    for chunk in text.split(","):
-        try:
-            hi, lo = chunk.split(":")
-            pairs.append((_finite(hi), _finite(lo)))
-        except ValueError as exc:
-            raise ConfigError(f"bad omega pair {chunk!r}, expected w_h:w_c") from exc
-    return tuple(pairs)
+    pairs = (chunk.split(":") for chunk in text.split(","))
+    return tuple((_finite(hi), _finite(lo)) for hi, lo in pairs)
+
+
+# the config key of each EngineParams field: the paper's lambda is lam
+_ENGINE_FIELDS = {"lambda" if f.name == "lam" else f.name: f.name
+                  for f in fields(EngineParams)}
+_FLOAT = (_finite, _show_float)
+_INT = (int, str)
+_COUNT = (_at_least(1), str)
+
+# Every config key, in canonical order: key -> (parser, printer).  A parser
+# raises ValueError on text it cannot read, and ConfigError on a failed
+# check, with the rest of a sentence that starts with the key.
+_KEYS = {
+    **dict.fromkeys(_ENGINE_FIELDS, _FLOAT),
+    "backend": (_backend, str),
+    "step": (lambda text: None if text.lower() == "auto" else _finite(text),
+             lambda h: "auto" if h is None else _show_float(h)),
+    "out": (lambda text: None if text == "-" else text,
+            lambda out: "-" if out is None else out),
+    "t1_min": _FLOAT, "t1_max": _FLOAT, "t1_count": _COUNT,
+    "t2_min": _FLOAT, "t2_max": _FLOAT, "t2_count": _COUNT,
+    "omega_pairs": (_pairs, lambda pairs: "none" if pairs is None else ",".join(
+        f"{_show_float(hi)}:{_show_float(lo)}" for hi, lo in pairs)),
+    "oracle_modes": _INT, "oracle_fock": _INT, "oracle_omega_max": _FLOAT,
+    "oracle_samples": (_at_least(2), str),
+}
+
+# A sweep at this many points (t1 x t2 x omega pairs) peaks at about
+# 0.5 GB, as ``dynamics`` does at ``tcl2.MAX_STEPS`` steps.
+MAX_SWEEP_POINTS = 10**6
+# workers is still read, so that configs written when sweeps ran on a
+# process pool keep working; its only valid value is 1
+_KNOWN = {*_KEYS, "workers"}
 
 
 def parse_config(text: str) -> dict:
@@ -103,7 +139,7 @@ def parse_config(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ENGINE_KEYS and key not in _RUN_KEYS:
+        if key not in _KNOWN:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value
     return raw
@@ -111,94 +147,52 @@ def parse_config(text: str) -> dict:
 
 def build_config(raw: dict) -> RunConfig:
     """Resolve a raw key -> string dict into a validated RunConfig."""
-    engine_kwargs = asdict(_DEFAULT_ENGINE)
-    run_kwargs = {}
-    for key, value in raw.items():
+    engine_kwargs, run_kwargs = {}, {}
+    for key, text in raw.items():
+        if key not in _KNOWN:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            if key in _ENGINE_KEYS:
-                attr = "lam" if key == "lambda" else key
-                engine_kwargs[attr] = _finite(value)
-            elif key == "step":
-                run_kwargs["step"] = None if value.lower() == "auto" else _finite(value)
-            elif key == "out":
-                run_kwargs["out"] = None if value == "-" else value
-            elif key == "omega_pairs":
-                run_kwargs["omega_pairs"] = _parse_omega_pairs(value)
-            elif key == "workers":
-                # kept for configs written when sweeps ran on a process pool
-                if int(value) != 1:
-                    raise ConfigError("workers must be 1: sweeps run in one process")
-            elif key in _RUN_KEYS:
-                run_kwargs[key] = _RUN_KEYS[key](value)
+            if key == "workers":
+                if int(text) != 1:
+                    raise ConfigError("must be 1: sweeps run in one process")
+            elif key in _ENGINE_FIELDS:
+                engine_kwargs[_ENGINE_FIELDS[key]] = _KEYS[key][0](text)
             else:
-                raise ConfigError(f"unknown key {key!r}")
-        except ConfigError:
-            raise
+                run_kwargs[key] = _KEYS[key][0](text)
+        except ConfigError as exc:
+            raise ConfigError(f"{key} {exc}") from None
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+            raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
 
     try:
-        engine = EngineParams(**engine_kwargs)
+        engine = replace(_DEFAULT_ENGINE, **engine_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg = RunConfig(engine=engine, **run_kwargs)
 
-    if cfg.backend not in _BACKENDS:
-        raise ConfigError(f"backend must be one of {_BACKENDS}, got {cfg.backend!r}")
     for name in ("t1", "t2"):
-        lo = getattr(cfg, f"{name}_min")
-        hi = getattr(cfg, f"{name}_max")
-        count = getattr(cfg, f"{name}_count")
-        if not (0 < lo <= hi):
+        if not (0 < getattr(cfg, f"{name}_min") <= getattr(cfg, f"{name}_max")):
             raise ConfigError(f"need 0 < {name}_min <= {name}_max")
-        if count < 1:
-            raise ConfigError(f"{name}_count must be >= 1")
-    try:  # the step on the longest stroke any command runs, and the oracle bath
+    points = cfg.t1_count * cfg.t2_count * max(1, len(cfg.omega_pairs or ()))
+    if points > MAX_SWEEP_POINTS:
+        raise ConfigError(f"a sweep of {points} points exceeds {MAX_SWEEP_POINTS}")
+    try:  # the step on the longest stroke any command runs, the oracle bath,
+        # and the engine of each omega pair
         lattice(max(engine.t1, engine.t2, cfg.t1_max, cfg.t2_max), cfg.step)
         discretize_bath(engine.hot_reservoir, cfg.oracle_modes,
                         cfg.oracle_omega_max, cfg.oracle_fock)
+        for hi, lo in cfg.omega_pairs or ():
+            replace(engine, omega_h=hi, omega_c=lo)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.oracle_samples < 2:
-        raise ConfigError("oracle_samples must be >= 2")
-    if cfg.omega_pairs is not None:
-        for hi, lo in cfg.omega_pairs:
-            if not (hi >= lo > 0):
-                raise ConfigError(f"omega pair ({hi}, {lo}) needs w_h >= w_c > 0")
     return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parsing it back reproduces cfg exactly."""
-    eng = cfg.engine
-    pairs = "none" if cfg.omega_pairs is None else ",".join(
-        f"{hi:.12g}:{lo:.12g}" for hi, lo in cfg.omega_pairs
-    )
-    lines = [
-        f"omega_h = {eng.omega_h:.12g}",
-        f"omega_c = {eng.omega_c:.12g}",
-        f"T_h = {eng.T_h:.12g}",
-        f"T_c = {eng.T_c:.12g}",
-        f"lambda = {eng.lam:.12g}",
-        f"cutoff = {eng.cutoff:.12g}",
-        f"t1 = {eng.t1:.12g}",
-        f"t2 = {eng.t2:.12g}",
-        f"backend = {cfg.backend}",
-        "step = auto" if cfg.step is None else f"step = {cfg.step:.12g}",
-        f"out = {'-' if cfg.out is None else cfg.out}",
-        f"t1_min = {cfg.t1_min:.12g}",
-        f"t1_max = {cfg.t1_max:.12g}",
-        f"t1_count = {cfg.t1_count}",
-        f"t2_min = {cfg.t2_min:.12g}",
-        f"t2_max = {cfg.t2_max:.12g}",
-        f"t2_count = {cfg.t2_count}",
-        f"omega_pairs = {pairs}",
-        f"oracle_modes = {cfg.oracle_modes}",
-        f"oracle_fock = {cfg.oracle_fock}",
-        f"oracle_omega_max = {cfg.oracle_omega_max:.12g}",
-        f"oracle_samples = {cfg.oracle_samples}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = {**vars(cfg), **{key: getattr(cfg.engine, name)
+                              for key, name in _ENGINE_FIELDS.items()}}
+    return "".join(f"{key} = {show(values[key])}\n" for key, (_, show) in _KEYS.items())
 
 
 # cells formatted per call; a bigger chunk holds more cells in memory
@@ -264,9 +258,9 @@ def run_oracle(cfg: RunConfig) -> str:
     ev = energetics.evaluate_cycle(cfg.engine, cfg.backend, cfg.step)
     hot, p_h = ev.hot, ev.P_h
     del ev  # frees the cold stroke's profiles before the exact run
-    idx = np.round(
-        np.linspace(0, len(hot.times) - 1, cfg.oracle_samples)
-    ).astype(int)
+    # n samples pick every grid time already; more would pick the same ones
+    n = len(hot.times)
+    idx = np.round(np.linspace(0, n - 1, min(cfg.oracle_samples, n))).astype(int)
     # non-decreasing already; np.unique would import numpy.ma on each call
     idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
     times = hot.times[idx]
@@ -296,10 +290,9 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         raw[key] = value
-    if args.backend is not None:
-        raw["backend"] = args.backend
-    if args.out is not None:
-        raw["out"] = args.out
+    for key in ("backend", "out"):  # the shorthand flags
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     return build_config(raw)
 
 
@@ -307,8 +300,11 @@ def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

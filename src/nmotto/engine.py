@@ -36,7 +36,8 @@ class EngineParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (self.omega_h >= self.omega_c > 0):
-            raise ValueError("need omega_h >= omega_c > 0")
+            raise ValueError("need omega_h >= omega_c > 0, got "
+                             f"omega_h = {self.omega_h}, omega_c = {self.omega_c}")
         if not (self.T_h >= self.T_c > 0):
             raise ValueError("need T_h >= T_c > 0")
         if self.lam < 0:

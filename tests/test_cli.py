@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmotto
-from nmotto import EnergyLedger, energetics, evaluate_cycle, evaluate_grid, tcl2
+from nmotto import EnergyLedger, cli, energetics, evaluate_cycle, evaluate_grid, tcl2
 from nmotto.cli import (
     build_config,
     main,
     parse_config,
     run_dynamics,
+    run_oracle,
     run_sweep,
     serialize_config,
 )
@@ -68,6 +69,10 @@ def no_solve(*args, **kwargs):
     raise AssertionError("a stroke was solved")
 
 
+def set_args(*items):
+    return [arg for item in items for arg in ("--set", item)]
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = build_config({})
@@ -82,6 +87,35 @@ class TestConfig:
         cfg = build_config(raw)
         again = build_config(parse_config(serialize_config(cfg)))
         assert again == cfg
+
+    def test_defaults_serialize_literally(self):
+        # the benchmark records this form of every run: order and format are a contract
+        assert serialize_config(build_config({})) == (
+            "omega_h = 1\nomega_c = 0.18\nT_h = 5\nT_c = 1\nlambda = 0.01\n"
+            "cutoff = 0.4\nt1 = 5\nt2 = 60\nbackend = tcl2\nstep = auto\nout = -\n"
+            "t1_min = 1\nt1_max = 60\nt1_count = 60\nt2_min = 1\nt2_max = 60\n"
+            "t2_count = 60\nomega_pairs = none\noracle_modes = 4\noracle_fock = 4\n"
+            "oracle_omega_max = 2\noracle_samples = 51\n")
+
+    # a value other than the default for every key; each float needs more
+    # than 12 significant digits
+    NON_DEFAULT = {
+        "omega_h": "1.00000000000001", "omega_c": "0.180000000000001",
+        "T_h": "5.00000000000001", "T_c": "0.999999999999999",
+        "lambda": "0.0123456789012345", "cutoff": "0.400000000000001",
+        "t1": "1.23456789012345", "t2": "60.0000000000001",
+        "backend": "markov", "step": "0.00999999999999999", "out": "run.csv",
+        "t1_min": "1.00000000000001", "t1_max": "59.9999999999999", "t1_count": "7",
+        "t2_min": "2.00000000000001", "t2_max": "59.9999999999999", "t2_count": "3",
+        "omega_pairs": "1.00000000000001:0.18", "oracle_modes": "3", "oracle_fock": "5",
+        "oracle_omega_max": "2.00000000000001", "oracle_samples": "7",
+    }
+
+    @pytest.mark.parametrize("key", list(cli._KEYS))
+    def test_every_key_round_trips(self, key):
+        cfg = build_config({key: self.NON_DEFAULT[key]})
+        assert cfg != build_config({})
+        assert build_config(parse_config(serialize_config(cfg))) == cfg
 
     def test_comments_and_blank_lines(self):
         raw = parse_config("# a comment\n\nt1 = 2.0  # trailing\n")
@@ -135,6 +169,32 @@ class TestConfig:
         assert main([command, "--set", "oracle_modes=4", "--set", "oracle_fock=50"]) == 2
         assert capsys.readouterr().err == (
             "configuration error: composite dimension 13530402 exceeds 32768\n")
+
+    @pytest.mark.parametrize("items, message", [
+        (["backend=exact"], "backend must be one of ('tcl2', 'markov'), got 'exact'"),
+        (["t2_count=0"], "t2_count must be >= 1"),
+        (["oracle_samples=1"], "oracle_samples must be >= 2"),
+        (["omega_pairs=1:0.18,0.1:0.5"],
+         "need omega_h >= omega_c > 0, got omega_h = 0.1, omega_c = 0.5"),
+        (["omega_pairs=1:0.18:2"], "bad value for 'omega_pairs': '1:0.18:2'"),
+    ])
+    def test_check_messages(self, monkeypatch, capsys, items, message):
+        monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
+        assert main(["sweep", *set_args(*items)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("items, points", [
+        (["t1_count=1000000000000"], 60 * 10**12),
+        (["t1_count=100000", "t2_count=100000"], 10**10),
+        (["t1_count=1000", "t2_count=1000", "omega_pairs=1:0.18,0.9:0.2"], 2 * 10**6),
+    ])
+    def test_sweep_size_bounded(self, monkeypatch, capsys, items, points):
+        # rejected while the config is read, before any grid is allocated
+        monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
+        assert main(["sweep", *set_args(*items)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: a sweep of {points} points exceeds 1000000\n")
+        build_config({"t1_count": "1000", "t2_count": "1000"})  # at the bound
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -431,8 +491,16 @@ class TestOracleCommand:
         first = [abs(float(v)) for v in rows[0][:7]]
         assert max(first) < 1e-12  # t = 0 row carries only roundoff
 
+    def test_samples_beyond_the_grid_take_every_time(self):
+        # a stroke of two steps has three grid times; 10**12 samples must
+        # pick them without allocating 10**12 positions
+        cfg = {**self.CFG, "t1": "0.5", "step": "0.25"}
+        texts = [run_oracle(build_config({**cfg, "oracle_samples": n}))
+                 for n in ("3", "4", "1000000000000")]
+        assert texts[0] == texts[1] == texts[2]
+        assert column(texts[0], "t").tolist() == [0.0, 0.25, 0.5]
+
     def test_zero_coupling_all_zero(self):
-        from nmotto.cli import run_oracle
         cfg = build_config({**self.CFG, "lambda": "0"})
         text = run_oracle(cfg)
         for name in ("dES_tcl2", "dES_exact", "dEB_tcl2", "dEB_exact",
@@ -476,6 +544,13 @@ class TestMain:
 
     def test_exit_code_missing_config_file(self):
         assert main(["dynamics", "--config", "/nonexistent.cfg"]) == 2
+
+    def test_exit_code_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["dynamics", "--set", "t1=1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_exit_code_numerical_failure(self, capsys):
         rc = main(["dynamics", "--set", "omega_h=4", "--set", "omega_c=0.5",
