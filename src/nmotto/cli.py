@@ -293,7 +293,18 @@ def _load_config(args) -> RunConfig:
     for key in ("backend", "out"):  # the shorthand flags
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
-    return build_config(raw)
+    cfg = build_config(raw)
+    if cfg.out is not None:  # before any computation, and without opening the file
+        import os  # loaded with the interpreter, so this costs no import time
+        if os.path.exists(cfg.out):  # a file, FIFO or device is written in place
+            if not os.access(cfg.out, os.W_OK):
+                raise ConfigError(f"cannot write output: {cfg.out!r} is not writable")
+        else:
+            folder = os.path.dirname(cfg.out) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ConfigError(f"cannot write output: {folder!r} is not a writable "
+                                  "directory")
+    return cfg
 
 
 def _emit(text: str, out: str | None):

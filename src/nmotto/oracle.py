@@ -6,12 +6,14 @@ grid, each truncated at M quanta, and the full Hamiltonian
     H = omega/2 sigma_z + sum_k eps_k n_k + sigma_x sum_k g_k (b_k + b_k+)
 
 conserves the parity of qubit excitation plus total bath quanta.  It is
-diagonalized in its two parity blocks, each of dimension (M + 1)^N.
-Expectation values of the three energy pieces
-under exact unitary evolution then provide reference trajectories for
-dE_S, dE_B and E_I with conservation holding to linear-algebra
-precision.  A handful of modes cannot mimic a continuum for long (the
-discretization recurs on the scale 2 pi / d_eps) and a finite Fock
+diagonalized in its two parity blocks, each of dimension
+dim_b = (M + 1)^N, one block at a time.  Expectation values of the three
+energy pieces under exact unitary evolution then provide reference
+trajectories for dE_S, dE_B and E_I with conservation holding to
+linear-algebra precision.  The working memory is about 5 dim_b^2
+doubles, plus the eigensolver's workspace and a few MB of phases
+whatever the number of sampled times.  A handful of modes cannot mimic a continuum for long
+(the discretization recurs on the scale 2 pi / d_eps) and a finite Fock
 cutoff cannot hold large thermal occupations, so the reference is used
 to validate signs and trends, and quantitative agreement only where the
 truncation converges.
@@ -41,6 +43,8 @@ MAX_DIMENSION = 2**15
 TRUNCATION_THRESHOLD = 1e-4
 # bath states of smaller thermal weight are left out of the mixture
 WEIGHT_CUTOFF = 1e-6
+# phases held at once (bath dimension x samples): bounds the memory of any sample count
+_PHASE_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +63,8 @@ class DiscretizedBath:
     def __post_init__(self):
         if len(self.frequencies) != len(self.couplings):
             raise ValueError("frequencies and couplings must have equal length")
+        if not np.all(np.asarray(self.frequencies) > 0):
+            raise ValueError("mode frequencies must be positive")
         if self.fock_cutoff < 1:
             raise ValueError("need at least two Fock levels per mode")
         if not self.temperature > 0:
@@ -158,12 +164,26 @@ def _thermal_weights(bath: DiscretizedBath) -> np.ndarray:
     return w / total
 
 
-def exact_evolve(
-    p: float,
-    omega: float,
-    bath: DiscretizedBath,
-    times,
-) -> OracleResult:
+def _couple(bath: DiscretizedBath, x: np.ndarray) -> np.ndarray:
+    """sum_k g_k (b_k + b_k^+) applied to x, whose rows are bath states.
+
+    Mode k is axis 1 of x viewed as ((M+1)^k, M+1, (M+1)^(N-1-k), columns),
+    where b_k takes level q + 1 to q with amplitude sqrt(q + 1): O(N M)
+    passes over x in place of a dense product.
+    """
+    m, n = bath.fock_cutoff, bath.n_modes
+    out = np.zeros_like(x)
+    for k, g in enumerate(bath.couplings):
+        shape = ((m + 1) ** k, m + 1, (m + 1) ** (n - 1 - k), -1)
+        src, dst = x.reshape(shape), out.reshape(shape)
+        for q in range(m):
+            amplitude = g * np.sqrt(q + 1.0)
+            dst[:, q] += amplitude * src[:, q + 1]
+            dst[:, q + 1] += amplitude * src[:, q]
+    return out
+
+
+def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> OracleResult:
     """Exact energy trajectories for a factorized diagonal start with
     qubit ground probability p.
 
@@ -171,12 +191,11 @@ def exact_evolve(
     and the start and every observable read here are block-diagonal in
     it.  A parity block holds one state per bath occupation, the qubit
     level being fixed by the parity, so both blocks have dimension
-    ``bath_dimension``.  Each block is diagonalized once and every
-    observable is evaluated through its eigenbasis phases, so arbitrary
-    time grids cost one matrix product each; the expectations are the
-    sums over the two blocks.  Emits ``TruncationWarning`` when the top
-    Fock level of any mode ever carries population above the reporting
-    threshold.
+    ``bath_dimension``.  Each block is diagonalized once, and freed
+    before the next; every observable is read through its eigenbasis
+    phases, one matrix product per chunk of the time axis, and summed
+    over the blocks.  Emits ``TruncationWarning`` when the top Fock level
+    of any mode ever carries population above the reporting threshold.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("ground probability p must lie in [0, 1]")
@@ -190,61 +209,67 @@ def exact_evolve(
     # row s: the quanta in each mode of bath state s, mode 0 most
     # significant as in a Kronecker product over the modes
     occupation = np.indices((m + 1,) * n_modes).reshape(n_modes, dim_b).T
-    coupling = np.zeros((dim_b, dim_b))
-    for k, g in enumerate(bath.couplings):
-        below = np.flatnonzero(occupation[:, k] < m)
-        coupling[below, below + (m + 1) ** (n_modes - 1 - k)] = (
-            g * np.sqrt(occupation[below, k] + 1.0))
-    coupling += coupling.T  # links occupations of opposite quanta parity
-    quanta = occupation.sum(axis=1)
     h_bath = occupation @ bath.frequencies
     w_bath = _thermal_weights(bath)
 
     n_t = len(times)
-    # rows: qubit excited population, h_bath, each mode's top-level projector
-    values = np.zeros((2 + n_modes, n_t))
-    at_zero = np.zeros(2 + n_modes)
-    e_int = np.zeros(n_t)  # zero at t = 0 for a factorized diagonal start
-    for parity in (0, 1):
-        excited = (quanta + parity) % 2  # the qubit level of each block state
-        energies, vectors = np.linalg.eigh(
-            np.diag(omega * (excited - 0.5) + h_bath) + coupling)
+    chunk = max(1, _PHASE_ELEMENTS // dim_b)  # samples per pass over the phases
+    # rows: E_I (0 at t = 0: factorized start), qubit excitation, h_bath, top levels
+    values = np.zeros((3 + n_modes, n_t))
+    at_zero = np.zeros(3 + n_modes)
+
+    def block(parity):
+        excited = (occupation.sum(axis=1) + parity) % 2  # qubit level per state
+        h = _couple(bath, np.eye(dim_b))
+        np.fill_diagonal(h, omega * (excited - 0.5) + h_bath)
+        energies, vectors = np.linalg.eigh(h)
+        del h
         w = np.where(excited == 1, 1.0 - p, p) * w_bath
 
-        def in_eigenbasis(diag):
+        def in_eigenbasis(diag):  # diag >= 0: weights, levels, positive frequencies
             rows = np.flatnonzero(diag)  # the top-level projectors are sparse
             v = vectors[rows]
-            return (v.T * diag[rows]) @ v
+            v *= np.sqrt(diag[rows])[:, None]
+            return v.T @ v
 
         rho_eig = in_eigenbasis(w)
-        wt = np.outer(energies, times)
-        cos_sin = np.hstack([np.cos(wt), np.sin(wt)])
 
-        def expectation(op_eig):
-            # Re sum_ij rho_ij op_ji e^{-i(E_i - E_j) t}, in real products
-            both = np.sum(cos_sin * ((rho_eig * op_eig.T) @ cos_sin), axis=0)
-            return both[:n_t] + both[n_t:]
+        def phases():  # per chunk: first sample, samples, [cos | sin] of E_i t
+            for start in range(0, n_t, chunk):
+                wt = np.outer(energies, times[start:start + chunk])
+                yield start, wt.shape[1], np.hstack([np.cos(wt), np.sin(wt)])
+                del wt  # before the next chunk's phases
 
-        e_int += expectation(vectors.T @ (coupling @ vectors))
-        for j, diag in enumerate([excited, h_bath, *(occupation.T == m)]):
-            values[j] += expectation(in_eigenbasis(diag))
+        def accumulate(row, op_t):
+            # Re sum_ij rho_ij op_ji e^{-i(E_i - E_j) t} in real products; op_t = op^T
+            op_t *= rho_eig
+            for start, k, cos_sin in phases():
+                both = op_t @ cos_sin
+                both *= cos_sin
+                values[row, start:start + k] += both[:, :k].sum(0) + both[:, k:].sum(0)
+                del cos_sin, both
+
+        # three expectations, none derived from another: their sum checks conservation
+        accumulate(0, _couple(bath, vectors).T @ vectors)
+        for j, diag in enumerate([excited, h_bath, *(occupation.T == m)], start=1):
+            accumulate(j, in_eigenbasis(diag))
             at_zero[j] += w @ diag
 
-    worst_top = values[2:].max(axis=0)
-    top_pop0 = at_zero[2:].max()
-    if max(worst_top.max(), top_pop0) > TRUNCATION_THRESHOLD:
-        warnings.warn(
-            f"top Fock level carries population {max(worst_top.max(), top_pop0):.3g} "
-            f"(> {TRUNCATION_THRESHOLD:g}); bath truncation is not converged",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    for parity in (0, 1):
+        block(parity)
+
+    worst_top = values[3:].max(axis=0)
+    top = max(worst_top.max(), at_zero[3:].max())
+    if top > TRUNCATION_THRESHOLD:
+        warnings.warn(f"top Fock level carries population {top:.3g} (> "
+                      f"{TRUNCATION_THRESHOLD:g}); bath truncation is not converged",
+                      TruncationWarning, stacklevel=2)
 
     return OracleResult(
         times=times,
         # h_sys = omega (|1><1| - 1/2), and the trace is conserved
-        d_system=omega * (values[0] - at_zero[0]),
-        d_bath=values[1] - at_zero[1],
-        interaction=e_int,
+        d_system=omega * (values[1] - at_zero[1]),
+        d_bath=values[2] - at_zero[2],
+        interaction=values[0],
         top_level_population=worst_top,
     )

@@ -545,12 +545,38 @@ class TestMain:
     def test_exit_code_missing_config_file(self):
         assert main(["dynamics", "--config", "/nonexistent.cfg"]) == 2
 
-    def test_exit_code_unwritable_output(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        assert main(["dynamics", "--set", "t1=1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "configuration error: cannot write output: ")
-        assert list(tmp_path.iterdir()) == []
+    def test_exit_code_unwritable_output(self, tmp_path, capsys, monkeypatch):
+        # rejected while the config is read, before any stroke is solved
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluator reached")
+
+        for name in ("evaluate_cycle", "evaluate_grid"):
+            monkeypatch.setattr(energetics, name, unreachable)
+        (tmp_path / "file").write_text("kept")
+        for parent in ("missing", "file"):  # no directory, a regular file
+            for command in ("dynamics", "sweep", "oracle"):
+                out = tmp_path / parent / "x.csv"
+                assert main([command, "--set", "t1=1", "--out", str(out)]) == 2
+                assert capsys.readouterr().err.startswith(
+                    "configuration error: cannot write output: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_existing_output_judged_by_itself(self, tmp_path, capsys, monkeypatch):
+        # like /dev/null for a user who cannot write /dev: the file is
+        # writable, its directory is not
+        target = tmp_path / "x.csv"
+        target.write_text("old")
+        writable = {str(target)}
+        monkeypatch.setattr(os, "access", lambda path, mode: str(path) in writable)
+        assert main(["dynamics", "--set", "t1=1", "--out", str(target)]) == 0
+        assert target.read_text().startswith("t,")
+        for out in (target, tmp_path / "new.csv"):  # a read-only file, a new name
+            writable.clear()
+            assert main(["dynamics", "--set", "t1=1", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "configuration error: cannot write output: ")
+        assert not (tmp_path / "new.csv").exists()
 
     def test_exit_code_numerical_failure(self, capsys):
         rc = main(["dynamics", "--set", "omega_h=4", "--set", "omega_c=0.5",

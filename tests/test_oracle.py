@@ -1,9 +1,12 @@
 """Exact few-mode reference: construction, conservation, agreement."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nmotto import (
@@ -13,8 +16,9 @@ from nmotto import (
     exact_evolve,
     stroke_dynamics,
 )
+from nmotto import oracle
 from nmotto.energetics import stroke_balance
-from nmotto.oracle import DiscretizedBath
+from nmotto.oracle import WEIGHT_CUTOFF, DiscretizedBath
 
 REF_SPEC = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
 # truncation-converged comparison bath: low temperature, deep Fock space
@@ -49,6 +53,11 @@ class TestDiscretizeBath:
                 frequencies=np.ones(8), couplings=np.ones(8),
                 fock_cutoff=4, temperature=1.0)
 
+    @pytest.mark.parametrize("eps", [-0.5, 0.0, np.nan])
+    def test_mode_frequencies_positive(self, eps):
+        with pytest.raises(ValueError, match="mode frequencies must be positive"):
+            DiscretizedBath(frequencies=np.array([1.0, eps]),
+                            couplings=np.ones(2), fock_cutoff=2, temperature=1.0)
 
     def test_mode_count_bounded_before_allocating(self):
         # every mode at least doubles the dimension
@@ -89,7 +98,8 @@ def brute_force_energies(p, omega, bath, times):
     for eps in bath.frequencies:
         wk = np.exp(-eps * np.arange(m + 1) / bath.temperature)
         w_b = np.kron(w_b, wk / wk.sum())
-    rho0 = np.diag(np.kron([p, 1.0 - p], w_b.ravel()))
+    w_b = np.where(w_b < WEIGHT_CUTOFF, 0.0, w_b)  # the documented weight cutoff
+    rho0 = np.diag(np.kron([p, 1.0 - p], w_b.ravel() / w_b.sum()))
 
     rows = []
     for t in times:
@@ -169,6 +179,28 @@ class TestExactEvolve:
         np.testing.assert_allclose(res.top_level_population, ref[:, 5:].max(axis=1),
                                    rtol=0, atol=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n_modes=st.integers(1, 3), fock=st.integers(1, 3),
+           lam=st.floats(0.0, 0.3), temperature=st.floats(0.2, 5.0),
+           omega=st.floats(0.3, 2.0), p=st.floats(0.0, 1.0))
+    def test_matches_dense_kronecker_hamiltonian(self, n_modes, fock, lam,
+                                                 temperature, omega, p):
+        # the ladder product against the full Kronecker-product Hamiltonian,
+        # on every mode layout up to bath dimension 64
+        spec = ReservoirSpec(temperature=temperature, lam=lam, cutoff=0.4)
+        bath = discretize_bath(spec, n_modes, 1.5, fock)
+        times = np.array([0.0, 0.4, 1.3, 2.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            res = exact_evolve(p, omega, bath, times)
+        ref = brute_force_energies(p, omega, bath, times)
+        atol = 1e-12 * (1.0 + np.sum(bath.frequencies * bath.fock_cutoff))
+        for got, want in [(res.d_system, ref[:, 0] - ref[0, 0]),
+                          (res.d_bath, ref[:, 1] - ref[0, 1]),
+                          (res.interaction, ref[:, 2]),
+                          (res.top_level_population, ref[:, 5:].max(axis=1))]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
     def test_truncation_warning_at_high_temperature(self):
         bath = discretize_bath(REF_SPEC, 2, 1.0, 3)
         with pytest.warns(TruncationWarning):
@@ -198,6 +230,41 @@ class TestExactEvolve:
                 res = exact_evolve(0.8, 1.0, bath, times)
             vals[m] = res.interaction[-1]
         assert abs(vals[4] - vals[3]) < 0.05 * abs(vals[4])
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during call()."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    def run(self, bath, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            exact_evolve(0.6, 1.0, bath, times)
+
+    def test_bench_bath_within_five_block_matrices(self):
+        # one parity block alive at a time and no dense coupling matrix
+        bath = discretize_bath(REF_SPEC, 3, 2.0, 8)
+        dim_b = bath.bath_dimension
+        assert dim_b == 729
+        peak = traced_peak(lambda: self.run(bath, np.linspace(0.0, 5.0, 51)))
+        assert peak <= 5 * dim_b**2 * 8
+
+    def test_sample_count_walked_in_chunks(self):
+        # 20 000 samples on a 64-state bath take ten chunks: the peak is a
+        # few chunk-sized arrays of phases and products, plus sample rows
+        bath = discretize_bath(REF_SPEC, 2, 2.0, 7)
+        n_t = 20_000
+        assert n_t * bath.bath_dimension >= 8 * oracle._PHASE_ELEMENTS
+        peak = traced_peak(lambda: self.run(bath, np.linspace(0.0, 100.0, n_t)))
+        assert peak <= 8 * (5 * oracle._PHASE_ELEMENTS + 16 * n_t)
 
 
 class TestSolverAgreement:
