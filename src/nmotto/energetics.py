@@ -22,17 +22,20 @@ confirms this sign, E_I < 0 at the documented operating point.  In the
 Markovian limit the correction vanishes identically and E_I = 0: both
 net-work definitions then coincide.
 
-All quantities are affine in the pre-stroke ground probability P, so
-each stroke is solved once for the two pure starts and mixed
-afterwards.  ``BACKENDS`` picks the module, ``tcl2`` or ``markov``,
-that returns a stroke's ``StrokeDynamics`` record or many strokes'
-ends.  The energy flow theta = d(dE_B)/dt is assembled from the
-analytic integrands, never by numerical differencing.
-
-The limit cycle and its whole ``EnergyLedger`` follow from the stroke
+Between strokes the state is projectively measured, so all quantities
+are affine in the ground probability P before each contact: each
+stroke is solved once for the two pure starts and mixed afterwards.
+A contact maps P -> P r0 + (1 - P) r1, r_m the final ground population
+from |m><m|, and so contracts by r0 - r1 = exp(A), the stroke's decay
+factor.  The fixed point of the composed hot and cold maps is the
+limit cycle; it and the whole ``EnergyLedger`` follow from the stroke
 end values in one function, ``_close_cycle``, which both evaluators
 call: ``evaluate_cycle`` for one engine and ``evaluate_grid`` over a
-duration grid, bit for bit alike.
+duration grid, bit for bit alike.  ``BACKENDS`` picks the module,
+``tcl2`` or ``markov``, that returns a stroke's ``StrokeDynamics``
+record or many strokes' ends.  The energy flow theta = d(dE_B)/dt is
+assembled from the analytic integrands, never by numerical
+differencing.
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import markov, tcl2
-from .cycle import fixed_point
 from .engine import EngineParams
 from .errors import DegenerateCycle, PositivityViolation
 from .tcl2 import StrokeDynamics, StrokeEnds
 
 __all__ = [
     "BACKENDS",
+    "DEGENERACY_TOL",
     "StrokeDynamics",
     "StrokeEnds",
     "StrokeBalance",
@@ -63,6 +66,7 @@ __all__ = [
     "evaluate_grid",
 ]
 
+DEGENERACY_TOL = 1e-12
 TEMPERATURE_DEGENERACY_TOL = 1e-12
 
 def _mixed(p, branch_0, branch_1):
@@ -199,6 +203,9 @@ def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
     where ``degenerate`` is set or a stroke end is nan.  Zero coupling
     takes the frozen symmetric mixture and is never degenerate.
 
+    * the cycle contracts by p0 = exp(A_h + A_c), and 1 - p0, read as
+      -expm1(A_h + A_c), keeps its digits at weak coupling; |p0| within
+      ``DEGENERACY_TOL`` of 1 is degenerate (no unique fixed point);
     * the populations are frozen while the splitting moves between
       omega_h and omega_c, so each adiabatic work is the gap times the
       excited population left by the preceding contact: expansion work
@@ -210,12 +217,16 @@ def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
       the end-of-stroke interaction energies.
     """
     # failed and degenerate points carry nan or inf here
-    with np.errstate(invalid="ignore", over="ignore"):
-        p0, degenerate, p_h, p_c = fixed_point(hot.r0, hot.r1, cold.r0, cold.r1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        one_minus_p0 = -np.expm1(hot.cum_a + cold.cum_a)
+        p0 = 1.0 - one_minus_p0
+        degenerate = abs(p0) >= 1.0 - DEGENERACY_TOL
+        p_h = (cold.r0 * hot.r1 + cold.r1 * (1.0 - hot.r1)) / one_minus_p0
+        p_c = (hot.r0 * cold.r1 + hot.r1 * (1.0 - cold.r1)) / one_minus_p0
         if engine.lam == 0.0:
             degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-        bal_h = _balance(p_h, engine.omega_h, *hot)
-        bal_c = _balance(p_c, engine.omega_c, *cold)
+        bal_h = _balance(p_h, engine.omega_h, *hot[:4])
+        bal_c = _balance(p_c, engine.omega_c, *cold[:4])
         gap = engine.omega_h - engine.omega_c
         w_ad1, w_ad2 = gap * (1.0 - bal_h.rho00), gap * (1.0 - bal_c.rho00)
         w_1 = w_ad1 - w_ad2
@@ -242,7 +253,7 @@ def evaluate_cycle(
             f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
         )
     ledger = EnergyLedger(*(float(v) for v in vars(ledger).values()))
-    return CycleEvaluation(engine=engine, P_h=float(p_h), P_c=float(p_c), p0=p0,
+    return CycleEvaluation(engine=engine, P_h=float(p_h), P_c=float(p_c), p0=float(p0),
                            ledger=ledger, hot=hot, cold=cold)
 
 

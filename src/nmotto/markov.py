@@ -68,7 +68,7 @@ def branch_pair(reservoir: ReservoirSpec, omega: float, t):
     gamma = relaxation_rate(omega, reservoir)
     e = np.exp(-gamma * t)
     rho0 = rho_inf + (1.0 - rho_inf) * e
-    rho1 = rho_inf * (1.0 - e)
+    rho1 = -rho_inf * np.expm1(-gamma * t)  # keeps its digits as gamma t -> 0
     return rho0, rho1, omega * gamma * (rho_inf - rho0), omega * gamma * (rho_inf - rho1)
 
 
@@ -90,11 +90,12 @@ def evolve_branch_pair(
 
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
-    """Stroke ends (r0, r1, 0, 0) of shape (4, len(omegas), len(durations)),
+    """Stroke ends (r0, r1, 0, 0, A = -Gamma t) of shape (5, len(omegas), len(durations)),
     as ``tcl2.family_ends``; ``h`` is ignored, as the closed form needs no grid."""
-    out = np.zeros((4, len(omegas), len(durations)))
+    out = np.zeros((5, len(omegas), len(durations)))
     for i, omega in enumerate(omegas):
         out[0, i], out[1, i], _, _ = branch_pair(reservoir, omega, durations)
+        out[4, i] = -relaxation_rate(omega, reservoir) * np.asarray(durations, float)
     return out
 
 

@@ -202,8 +202,8 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
     if not omega > 0:
         raise ValueError("level splitting must be positive")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
+    if times.size == 0 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be nonempty, finite and nonnegative")
 
     m, n_modes, dim_b = bath.fock_cutoff, bath.n_modes, bath.bath_dimension
     # row s: the quanta in each mode of bath state s, mode 0 most

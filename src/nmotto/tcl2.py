@@ -132,15 +132,16 @@ def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
 class StrokeEnds(NamedTuple):
     """End-of-stroke values of both branches, all the cycle ledger reads.
 
-    r0 / r1 are the final ground populations and corr_0 / corr_1 the
-    final correction integrals C(t_end).  Floats for one stroke, or
-    arrays that broadcast over a grid of strokes.
+    r0 / r1 are the final ground populations, corr_0 / corr_1 the final
+    correction integrals C(t_end) and cum_a = A(t_end) = log(r0 - r1).
+    Floats for one stroke, or arrays that broadcast over a grid of strokes.
     """
 
     r0: float
     r1: float
     corr_0: float
     corr_1: float
+    cum_a: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +170,8 @@ class StrokeDynamics:
     @property
     def ends(self) -> StrokeEnds:
         return StrokeEnds(r0=float(self.rho00_0[-1]), r1=float(self.rho00_1[-1]),
-                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]))
+                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]),
+                          cum_a=float(self.cum_a[-1]))
 
 
 def _back_piece(f1, f2, f3, dx):
@@ -289,7 +291,7 @@ def _solve(times, d1_vals, d2_vals, omega, integrate):
     at ``times``; every other operation is elementwise.  Past a
     positivity failure the values may overflow to inf or nan.  Returns
     (rho00_0, rho00_1, corr_0, corr_1, cum_a, a, b, dcorr_0, dcorr_1):
-    the ends read the first four, ``dcorr`` is the integrand dC/dt.
+    the ends read the first five, ``dcorr`` is the integrand dC/dt.
     """
     sin_wt, cos_wt = np.sin(omega * times), np.cos(omega * times)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,17 +362,17 @@ def _stroke_groups(durations, h: float | None):
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
     """End values of the strokes of the given durations, for every omega.
 
-    Returns an array of shape (4, len(omegas), len(durations)): the end
-    ground populations r0, r1 and correction integrals corr_0, corr_1
-    of both branches, nan where the stroke left [0, 1].  Each column
-    equals ``evolve_branch_pair(reservoir, omega, t, h)`` bit for bit:
-    a solve group (see ``_stroke_groups``) is read off one solve per
-    omega through the same ``_integrator``, and the samples a stroke
-    does not share with the lattice (an odd-step closing, an end past
-    the lattice) ride along after it.  The kernels are sampled once per
+    Returns an array of shape (5, len(omegas), len(durations)): the
+    ``StrokeEnds`` fields r0, r1, corr_0, corr_1 and cum_a, nan where
+    the stroke left [0, 1].  Each column equals
+    ``evolve_branch_pair(reservoir, omega, t, h)`` bit for bit: a solve
+    group (see ``_stroke_groups``) is read off one solve per omega
+    through the same ``_integrator``, and the samples a stroke does not
+    share with the lattice (an odd-step closing, an end past the
+    lattice) ride along after it.  The kernels are sampled once per
     group for all omegas.  A column is the record's ``ends``.
     """
-    out = np.empty((4, len(omegas), len(durations)))
+    out = np.empty((5, len(omegas), len(durations)))
     for times, ends, columns in _stroke_groups(durations, h):
         n, step = len(times), times[1] - times[0]
         steps, deltas = zip(*(lattice(t, step)[1:] for t in ends))
@@ -384,7 +386,7 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
         ext_times = sampled[layout]
         d1_vals, d2_vals = d1(sampled, reservoir)[layout], d2(sampled, reservoir)[layout]
         for i, omega in enumerate(omegas):
-            values = _solve(ext_times, d1_vals, d2_vals, omega, integrate)[:4]
+            values = _solve(ext_times, d1_vals, d2_vals, omega, integrate)[:5]
             inside = _inside(values[0]) & _inside(values[1])
             # index of the first lattice sample that left [0, 1]
             first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))

@@ -1,13 +1,28 @@
-"""Stroboscopic-map algebra: fixed point, iteration, degeneracy."""
+"""Limit-cycle algebra of ``_close_cycle``: fixed point, iteration, degeneracy."""
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmotto import DegenerateCycle, EngineParams, evaluate_cycle, stroke_dynamics
-from nmotto.cycle import DEGENERACY_TOL, fixed_point
+from nmotto.energetics import DEGENERACY_TOL, StrokeEnds, _close_cycle
 from nmotto.markov import branch_pair, stationary_rho00
+
+# the fixed point reads only the stroke ends; any nonzero coupling
+# leaves the frozen zero-coupling mixture out of it
+ENGINE = EngineParams(1.0, 0.18, 5.0, 1.0, 0.01, 0.4, 5.0, 60.0)
+
+
+def ends(r0, r1):
+    """Stroke ends without correction integrals: a stroke contracts by
+    r0 - r1 = exp(cum_a) > 0, and a fully thermalizing one (r0 = r1)
+    has cum_a = -inf."""
+    with np.errstate(divide="ignore"):
+        return StrokeEnds(r0, r1, 0.0, 0.0, np.log(np.subtract(r0, r1)))
 
 
 def apply(stroke, p):
@@ -25,7 +40,7 @@ def composed(hot, cold, p):
 
 def closed_form(hot, cold):
     """(P_h, P_c, p0) of the limit cycle of a non-degenerate map pair."""
-    p0, degenerate, p_h, p_c = fixed_point(hot[0], hot[1], cold[0], cold[1])
+    p0, degenerate, p_h, p_c, _ = _close_cycle(ENGINE, hot, cold)
     assert not degenerate
     return p_h, p_c, p0
 
@@ -45,7 +60,7 @@ def iterate_cycle(hot, cold, p_start, n):
 
 class TestLimitCycle:
     def test_identity_maps_degenerate(self, ref_engine):
-        p0, degenerate, _, _ = fixed_point(1.0, 0.0, 1.0, 0.0)
+        p0, degenerate, _, _, _ = _close_cycle(ENGINE, ends(1.0, 0.0), ends(1.0, 0.0))
         assert p0 == 1.0 and degenerate
         # a coupling too weak to move the populations within the strokes
         with pytest.raises(DegenerateCycle) as info:
@@ -57,7 +72,7 @@ class TestLimitCycle:
         # probability is the other reservoir's Gibbs population
         rinf_h = stationary_rho00(1.0, 5.0)
         rinf_c = stationary_rho00(0.18, 1.0)
-        p_h, p_c, p0 = closed_form((rinf_h, rinf_h), (rinf_c, rinf_c))
+        p_h, p_c, p0 = closed_form(ends(rinf_h, rinf_h), ends(rinf_c, rinf_c))
         assert p0 == 0.0
         assert p_h == pytest.approx(rinf_c, rel=1e-15)
         assert p_c == pytest.approx(rinf_h, rel=1e-15)
@@ -70,9 +85,11 @@ class TestLimitCycle:
 
     def test_random_maps_give_probabilities(self):
         rng = np.random.default_rng(33)
-        # one row per draw: hot r0, r1, then cold r0, r1
-        hot_r0, hot_r1, cold_r0, cold_r1 = rng.uniform(0.0, 1.0, (500, 4)).T
-        _, degenerate, p_h, p_c = fixed_point(hot_r0, hot_r1, cold_r0, cold_r1)
+        # one row per draw: hot r1 <= r0, then cold r1 <= r0
+        hot_r1, hot_r0, cold_r1, cold_r0 = np.sort(
+            rng.uniform(0.0, 1.0, (500, 2, 2)), axis=2).reshape(500, 4).T
+        _, degenerate, p_h, p_c, _ = _close_cycle(ENGINE, ends(hot_r0, hot_r1),
+                                                  ends(cold_r0, cold_r1))
         for p in (p_h[~degenerate], p_c[~degenerate]):
             assert np.all((0.0 <= p) & (p <= 1.0))
 
@@ -93,6 +110,68 @@ class TestLimitCycle:
             assert abs(composed(ev.hot.ends, ev.cold.ends, ev.P_h) - ev.P_h) <= 1e-12
 
 
+def markov_p_h(engine):
+    """P_h of the Markov limit cycle in 40-digit arithmetic, from the
+    closed-form branches: r1 = rho_inf (1 - e) and r0 - r1 = e = exp(-Gamma t)."""
+    with mpmath.workdps(40):
+        strokes = []
+        for omega, temp, t in ((engine.omega_h, engine.T_h, engine.t1),
+                               (engine.omega_c, engine.T_c, engine.t2)):
+            omega, temp, t = mpmath.mpf(omega), mpmath.mpf(temp), mpmath.mpf(t)
+            n = 1 / mpmath.expm1(omega / temp)
+            j = engine.lam * omega * mpmath.exp(-omega / engine.cutoff)
+            decay = mpmath.exp(-2 * mpmath.pi * j * (1 + 2 * n) * t)
+            strokes.append(((1 + n) / (1 + 2 * n) * (1 - decay), decay))
+        (r1_h, e_h), (r1_c, e_c) = strokes
+        return float((r1_c + r1_h * e_c) / (1 - e_h * e_c))
+
+
+class TestWeakCoupling:
+    """The closure keeps its digits as the coupling, and with it 1 - p0,
+    goes to zero."""
+
+    @pytest.mark.parametrize("t1, t2", [(5.0, 60.0), (3.0, 36.0)])
+    @pytest.mark.parametrize("lam", [1e-8, 1e-10, 1e-12])
+    def test_markov_p_h_against_extended_precision(self, ref_engine, lam, t1, t2):
+        eng = replace(ref_engine, lam=lam, t1=t1, t2=t2)
+        want = markov_p_h(eng)
+        assert evaluate_cycle(eng, "markov").P_h == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("t1, t2", [(3.0, 36.0), (5.0, 60.0), (20.0, 10.0)])
+    def test_tcl2_p_h_linear_in_coupling(self, ref_engine, t1, t2):
+        # P_h = P_h(0) + c lam + O(lam^2): each hundredfold step in lam
+        # shrinks the change in P_h a hundredfold
+        p_h = [evaluate_cycle(replace(ref_engine, lam=lam, t1=t1, t2=t2)).P_h
+               for lam in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)]
+        steps = np.diff(p_h)
+        ratios = steps[:-1] / steps[1:]
+        assert np.all((95.0 <= ratios) & (ratios <= 105.0)), ratios
+
+    @settings(max_examples=60, deadline=None)
+    @given(backend=st.sampled_from(["tcl2", "markov"]),
+           log_lam=st.floats(-12.0, np.log10(0.02)), T_h=st.floats(1.0, 5.0),
+           temp_ratio=st.floats(0.05, 1.0), freq_ratio=st.floats(0.05, 1.0),
+           t1=st.floats(0.5, 60.0), t2=st.floats(0.5, 60.0))
+    def test_closure_properties(self, backend, log_lam, T_h, temp_ratio, freq_ratio,
+                                t1, t2):
+        eng = EngineParams(1.0, freq_ratio, T_h, T_h * temp_ratio, 10.0 ** log_lam,
+                           0.4, t1, t2)
+        try:
+            ev = evaluate_cycle(eng, backend)
+        except DegenerateCycle as exc:
+            assert abs(exc.p0) >= 1.0 - DEGENERACY_TOL
+            return
+        hot, cold, led = ev.hot.ends, ev.cold.ends, ev.ledger
+        assert abs(composed(hot, cold, ev.P_h) - ev.P_h) <= 1e-12
+        assert 0.0 <= ev.P_h <= 1.0 and 0.0 <= ev.P_c <= 1.0
+        for d_es, d_eb, e_i in ((led.dES_h, led.dEB_h, led.E_I_h),
+                                (led.dES_c, led.dEB_c, led.E_I_c)):
+            assert abs(d_es + d_eb + e_i) <= 1e-15
+        assert abs(led.W_II + led.dEB_h + led.dEB_c) <= 1e-13
+        if backend == "markov":
+            assert led.E_I_h == led.E_I_c == 0.0
+
+
 class TestIterateCycle:
     def test_fixed_point_is_fixed(self, ref_tcl2):
         orbit = iterate_cycle(ref_tcl2.hot.ends, ref_tcl2.cold.ends, ref_tcl2.P_h, 1)
@@ -104,7 +183,7 @@ class TestIterateCycle:
         ((0.55, 0.45), (0.8, 0.1)),
     ])
     def test_iteration_oracle_matches_closed_form(self, maps):
-        hot, cold = maps
+        hot, cold = (ends(*m) for m in maps)
         p_h, _, _ = closed_form(hot, cold)
         for start in (0.0, 1.0):
             orbit = iterate_cycle(hot, cold, start, 200)

@@ -94,8 +94,8 @@ class TestWorks:
         # the hot and 0.3 after the cold one; E_I = -C(t_end) charges the
         # detachment
         eng = EngineParams(2.0, 1.0, 5.0, 1.0, 0.01, 0.4, 5.0, 5.0)
-        hot = StrokeEnds(r0=0.6, r1=0.6, corr_0=0.03, corr_1=0.03)
-        cold = StrokeEnds(r0=0.7, r1=0.7, corr_0=0.02, corr_1=0.02)
+        hot = StrokeEnds(r0=0.6, r1=0.6, corr_0=0.03, corr_1=0.03, cum_a=-np.inf)
+        cold = StrokeEnds(r0=0.7, r1=0.7, corr_0=0.02, corr_1=0.02, cum_a=-np.inf)
         p0, degenerate, p_h, p_c, ledger = _close_cycle(eng, hot, cold)
         assert p0 == 0.0 and not degenerate
         assert (p_h, p_c) == pytest.approx((0.7, 0.6))

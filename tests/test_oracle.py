@@ -212,6 +212,18 @@ class TestExactEvolve:
         with pytest.raises(ValueError):
             exact_evolve(p, 1.0, bath, [0.0])
 
+    @pytest.mark.parametrize("times", [[], [float("nan"), 1.0], [float("inf")], [-1.0]],
+                             ids=["empty", "nan", "inf", "negative"])
+    def test_times_validated_before_any_eigensolve(self, monkeypatch, times):
+        bath = discretize_bath(COLDISH, 1, 0.8, 2)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("eigh reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", unreachable)
+        with pytest.raises(ValueError, match="times must be"):
+            exact_evolve(0.5, 1.0, bath, times)
+
     def test_no_warning_when_converged(self):
         bath = discretize_bath(COLDISH, 2, 1.0, 10)
         with warnings.catch_warnings():

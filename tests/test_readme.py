@@ -1,6 +1,7 @@
-"""The README's Python example runs as written, and its example config
-lists every key."""
+"""The README's Python example runs as written, its example config
+lists every key, and every module it names imports."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -22,3 +23,12 @@ def test_example_config_lists_every_key():
     raw = cli.parse_config(block)
     cli.build_config(raw)
     assert set(raw) == set(cli._KEYS)
+
+
+def test_lower_layers_name_modules():
+    [paragraph] = re.findall(r"\nLower layers are importable on their own:.*?\n\n",
+                             README.read_text(encoding="utf-8"), re.S)
+    names = re.findall(r"`(\w+)`\s+\(", paragraph)
+    assert names
+    for name in names:
+        importlib.import_module(f"nmotto.{name}")

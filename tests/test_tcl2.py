@@ -257,7 +257,7 @@ class TestFamilyEnds:
         times = time_grid(h * max(steps), h)
         solves = self.counting_solves(monkeypatch)
         ends = backend.family_ends(reservoir, omegas, times[list(steps)], h)
-        assert ends.shape == (4, len(omegas), len(steps))
+        assert ends.shape == (5, len(omegas), len(steps))
         assert len(solves) == (len(omegas) if backend is tcl2 else 0)
         failures = 0
         for i, omega in enumerate(omegas):
@@ -319,7 +319,8 @@ class TestFamilyEnds:
             for j, t in enumerate(ends):
                 pair = evolve_branch_pair(HOT, omega, t, h)
                 assert pair.times[-1] == t
-                want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1]]
+                want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1],
+                        pair.cum_a[-1]]
                 assert [float(v).hex() for v in got[:, i, j]] == [v.hex() for v in want], t
 
     @pytest.mark.parametrize("reservoir, omega", [(HOT, 1.0), (COLD, 0.18)],
