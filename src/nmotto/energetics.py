@@ -23,19 +23,21 @@ Markovian limit the correction vanishes identically and E_I = 0: both
 net-work definitions then coincide.
 
 Between strokes the state is projectively measured, so all quantities
-are affine in the ground probability P before each contact: each
-stroke is solved once for the two pure starts and mixed afterwards.
-A contact maps P -> P r0 + (1 - P) r1, r_m the final ground population
-from |m><m|, and so contracts by r0 - r1 = exp(A), the stroke's decay
-factor.  The fixed point of the composed hot and cold maps is the
-limit cycle; it and the whole ``EnergyLedger`` follow from the stroke
-end values in one function, ``_close_cycle``, which both evaluators
-call: ``evaluate_cycle`` for one engine and ``evaluate_grid`` over a
-duration grid, bit for bit alike.  ``BACKENDS`` picks the module,
-``tcl2`` or ``markov``, that returns a stroke's ``StrokeDynamics``
-record or many strokes' ends.  The energy flow theta = d(dE_B)/dt is
-assembled from the analytic integrands, never by numerical
-differencing.
+are affine in the ground probability P before each contact.  A backend
+returns a stroke as its contact map P -> r1 + exp(A) P, r1 the final
+ground population from |1><1| and A the decay exponent, with a, b and
+both pure starts' C and dC/dt; this module alone derives from them
+every population, balance, flow and work.  A contact moves the
+population by r1 + P expm1(A), no difference of near-equal numbers, so
+the balances keep their digits at weak coupling.  The fixed point of
+the composed hot and cold maps is the limit cycle; it and the whole
+``EnergyLedger`` follow from the stroke end values in one function,
+``_close_cycle``, which both evaluators call: ``evaluate_cycle`` for
+one engine and ``evaluate_grid`` over a duration grid, bit for bit
+alike.  ``BACKENDS`` picks the module, ``tcl2`` or ``markov``, that
+returns a stroke's ``StrokeDynamics`` record or many strokes' ends.
+``energy_flow`` assembles theta = d(dE_B)/dt from the analytic
+integrands, never by numerical differencing.
 """
 
 from __future__ import annotations
@@ -113,29 +115,32 @@ class StrokeBalance(NamedTuple):
     dEB: np.ndarray
 
 
-def _balance(p, omega, r0, r1, corr_0, corr_1) -> StrokeBalance:
-    """``StrokeBalance`` from both branches' populations and C values."""
-    rho00 = _mixed(p, r0, r1)
-    d_es = omega * (p - rho00)
+def _balance(p, omega, r1, cum_a, corr_0, corr_1) -> StrokeBalance:
+    """``StrokeBalance`` from the contact map and both branches' C values."""
+    moved = r1 + p * np.expm1(cum_a)  # rho00 - p, formed without cancellation
+    d_es = -omega * moved
     e_i = -_mixed(p, corr_0, corr_1)
-    return StrokeBalance(rho00=rho00, dES=d_es, E_I=e_i, dEB=-d_es - e_i)
+    return StrokeBalance(rho00=p + moved, dES=d_es, E_I=e_i, dEB=-d_es - e_i)
 
 
 def stroke_balance(p: float, stroke: StrokeDynamics) -> StrokeBalance:
     """``StrokeBalance`` profiles on the stroke grid: the first sample
     of each balance is exactly 0, the last the ledger's value bit for bit."""
-    return _balance(p, stroke.omega, stroke.rho00_0, stroke.rho00_1,
+    return _balance(p, stroke.omega, stroke.rho00_1, stroke.cum_a,
                     stroke.corr_0, stroke.corr_1)
 
 
 def energy_flow(p: float, stroke: StrokeDynamics):
-    """Energy flow theta(t) = d(dE_B)/dt on the stroke grid.
+    """Energy flow theta(t) = d(dE_B)/dt = omega (a rho00 - b) + dC/dt
+    on the stroke grid, from d rho00/dt = a rho00 - b.
 
     Positive when energy is flowing into the reservoir; a negative
     stretch is energy backflow (only the non-Markovian backend shows
     one).  Returns (times, theta).
     """
-    theta = _mixed(p, stroke.flow_0, stroke.flow_1)
+    rho00 = stroke_balance(p, stroke).rho00
+    theta = (stroke.omega * (stroke.a_vals * rho00 - stroke.b_vals)
+             + _mixed(p, stroke.dcorr_0, stroke.dcorr_1))
     return stroke.times, theta
 
 
@@ -212,7 +217,8 @@ def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
       W_ad1 after the hot stroke, compression work W_ad2 after the cold
       one, both nonnegative;
     * each contact's dE_S, E_I and dE_B are ``_balance`` at its end;
-    * W_I = W_ad1 - W_ad2 ignores the detachment cost, and
+    * W_I = W_ad1 - W_ad2 = dE_S,h + dE_S,c (the first law, which keeps
+      its digits at weak coupling) ignores the detachment cost, and
       W_II = W_I + E_I_h + E_I_c includes the cost of detaching against
       the end-of-stroke interaction energies.
     """
@@ -221,15 +227,16 @@ def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
         one_minus_p0 = -np.expm1(hot.cum_a + cold.cum_a)
         p0 = 1.0 - one_minus_p0
         degenerate = abs(p0) >= 1.0 - DEGENERACY_TOL
-        p_h = (cold.r0 * hot.r1 + cold.r1 * (1.0 - hot.r1)) / one_minus_p0
-        p_c = (hot.r0 * cold.r1 + hot.r1 * (1.0 - cold.r1)) / one_minus_p0
+        # P_h = r1_c + exp(A_c) (r1_h + exp(A_h) P_h), and P_c the mirror image
+        p_h = (cold.r1 + np.exp(cold.cum_a) * hot.r1) / one_minus_p0
+        p_c = (hot.r1 + np.exp(hot.cum_a) * cold.r1) / one_minus_p0
         if engine.lam == 0.0:
             degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-        bal_h = _balance(p_h, engine.omega_h, *hot[:4])
-        bal_c = _balance(p_c, engine.omega_c, *cold[:4])
+        bal_h = _balance(p_h, engine.omega_h, *hot)
+        bal_c = _balance(p_c, engine.omega_c, *cold)
         gap = engine.omega_h - engine.omega_c
         w_ad1, w_ad2 = gap * (1.0 - bal_h.rho00), gap * (1.0 - bal_c.rho00)
-        w_1 = w_ad1 - w_ad2
+        w_1 = bal_h.dES + bal_c.dES
         ledger = EnergyLedger(
             W_ad1=w_ad1, W_ad2=w_ad2, W_I=w_1, W_II=w_1 + bal_h.E_I + bal_c.E_I,
             E_I_h=bal_h.E_I, E_I_c=bal_c.E_I, dES_h=bal_h.dES, dES_c=bal_c.dES,
@@ -292,7 +299,7 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
         _, degenerate, _, _, ledger = _close_cycle(eng, hot, cold)
         errors = np.full(degenerate.shape, "", dtype=object)
         errors[degenerate] = DegenerateCycle.__name__
-        errors[np.isnan(hot.r0) | np.isnan(cold.r0)] = PositivityViolation.__name__
+        errors[np.isnan(hot.r1) | np.isnan(cold.r1)] = PositivityViolation.__name__
         failed_points = errors != ""
         ledger = EnergyLedger(*(np.where(failed_points, np.nan, v)
                                 for v in vars(ledger).values()))

@@ -68,8 +68,8 @@ _ASYMPTOTIC_EDGE = 10.0
 def trigamma(z):
     """Trigamma function psi'(z) for complex argument.
 
-    Upward recurrence psi'(z) = psi'(z + 1) + 1/z^2 is applied until
-    Re z >= 10, then the asymptotic series
+    Upward recurrence psi'(z) = psi'(z + 1) + 1/z^2 shifts every element
+    until the least Re z >= 10, then the asymptotic series
 
         psi'(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k + 1)
 
@@ -86,15 +86,9 @@ def trigamma(z):
         raise ValueError("trigamma pole: argument is a nonpositive integer")
 
     shifted = np.zeros_like(zz)
-    active = zz.real < _ASYMPTOTIC_EDGE
-    while np.any(active):
-        if active.all():  # the common case: shift in place, no masked copies
-            shifted += 1.0 / zz**2
-            zz += 1.0
-        else:
-            shifted[active] += 1.0 / zz[active] ** 2
-            zz[active] += 1.0
-        active = zz.real < _ASYMPTOTIC_EDGE
+    while zz.size and zz.real.min() < _ASYMPTOTIC_EDGE:
+        shifted += 1.0 / zz**2
+        zz += 1.0
 
     u = 1.0 / zz
     u2 = u * u

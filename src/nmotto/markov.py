@@ -56,46 +56,43 @@ def relaxation_rate(omega: float, reservoir: ReservoirSpec) -> float:
 def branch_pair(reservoir: ReservoirSpec, omega: float, t):
     """Both pure-start branches of one stroke at time(s) t >= 0.
 
-    Returns (rho00 from |0>, rho00 from |1>, flow from |0>, flow from
-    |1>), arrays or floats like t.  Each population relaxes
-    monotonically to rho_inf, and the reservoir takes up exactly the
-    energy the system gives off, at the rate omega Gamma (rho_inf - rho00).
+    Returns (rho00 from |0>, rho00 from |1>), arrays or floats like t.
+    Each population relaxes monotonically to rho_inf.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     rho_inf = stationary_rho00(omega, reservoir.temperature)
     gamma = relaxation_rate(omega, reservoir)
-    e = np.exp(-gamma * t)
-    rho0 = rho_inf + (1.0 - rho_inf) * e
+    rho0 = rho_inf + (1.0 - rho_inf) * np.exp(-gamma * t)
     rho1 = -rho_inf * np.expm1(-gamma * t)  # keeps its digits as gamma t -> 0
-    return rho0, rho1, omega * gamma * (rho_inf - rho0), omega * gamma * (rho_inf - rho1)
+    return rho0, rho1
 
 
 def evolve_branch_pair(
     reservoir: ReservoirSpec, omega: float, t_end: float, h: float | None = None
 ) -> StrokeDynamics:
-    """Both pure-start branches of one stroke on ``tcl2.time_grid(t_end, h)``,
-    the record ``tcl2.evolve_branch_pair`` returns: the decay exponent
-    is -Gamma t, and no correction integral builds up."""
+    """One stroke's contact map on ``tcl2.time_grid(t_end, h)``, the
+    record ``tcl2.evolve_branch_pair`` returns: the decay exponent is
+    -Gamma t, and no correction integral builds up."""
     times = time_grid(t_end, h)
-    rho0, rho1, flow0, flow1 = branch_pair(reservoir, omega, times)
     gamma = relaxation_rate(omega, reservoir)
     rho_inf = stationary_rho00(omega, reservoir.temperature)
     zero = np.zeros_like(times)  # no interaction storage
     return StrokeDynamics(
-        omega=omega, times=times, rho00_0=rho0, rho00_1=rho1, cum_a=-gamma * times,
-        a_vals=np.full_like(times, -gamma), b_vals=np.full_like(times, -gamma * rho_inf),
-        corr_0=zero, corr_1=zero, flow_0=flow0, flow_1=flow1)
+        omega=omega, times=times, rho00_1=branch_pair(reservoir, omega, times)[1],
+        cum_a=-gamma * times, a_vals=np.full_like(times, -gamma),
+        b_vals=np.full_like(times, -gamma * rho_inf),
+        corr_0=zero, corr_1=zero, dcorr_0=zero, dcorr_1=zero)
 
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
-    """Stroke ends (r0, r1, 0, 0, A = -Gamma t) of shape (5, len(omegas), len(durations)),
+    """Stroke ends (r1, A = -Gamma t, 0, 0) of shape (4, len(omegas), len(durations)),
     as ``tcl2.family_ends``; ``h`` is ignored, as the closed form needs no grid."""
-    out = np.zeros((5, len(omegas), len(durations)))
+    out = np.zeros((4, len(omegas), len(durations)))
     for i, omega in enumerate(omegas):
-        out[0, i], out[1, i], _, _ = branch_pair(reservoir, omega, durations)
-        out[4, i] = -relaxation_rate(omega, reservoir) * np.asarray(durations, float)
+        out[0, i] = branch_pair(reservoir, omega, durations)[1]
+        out[1, i] = -relaxation_rate(omega, reservoir) * np.asarray(durations, float)
     return out
 
 

@@ -130,48 +130,48 @@ def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
 
 
 class StrokeEnds(NamedTuple):
-    """End-of-stroke values of both branches, all the cycle ledger reads.
+    """A stroke's contact map at its end, all the cycle ledger reads.
 
-    r0 / r1 are the final ground populations, corr_0 / corr_1 the final
-    correction integrals C(t_end) and cum_a = A(t_end) = log(r0 - r1).
-    Floats for one stroke, or arrays that broadcast over a grid of strokes.
+    A contact started at ground population P ends at r1 + exp(cum_a) P:
+    r1 is the final ground population from |1> and cum_a = A(t_end) the
+    decay exponent.  corr_0 / corr_1 are the final correction integrals
+    C(t_end) from |0> and |1>.  Floats for one stroke, or arrays that
+    broadcast over a grid of strokes.
     """
 
-    r0: float
     r1: float
+    cum_a: float
     corr_0: float
     corr_1: float
-    cum_a: float
 
 
 @dataclass(frozen=True, eq=False)
 class StrokeDynamics:
-    """Both pure-start branches of one stroke on their shared grid.
+    """One stroke's contact map and coefficients on the stroke grid.
 
-    The _0 / _1 branches start from ground population 1 / 0 and obey
-    d rho00/dt = a rho00 - b; cum_a is A(t) = Int a, so rho00_0 -
-    rho00_1 = exp(A).  corr is the correction integral C(t) (zero under
-    Markov) and flow the reservoir energy flow omega (a rho00 - b) + dC/dt.
-    ``energetics.stroke_balance`` mixes the branches for a start P.
+    A start at ground population P evolves to rho00_1 + exp(cum_a) P:
+    rho00_1 is the branch from |1> (ground population 0) and cum_a is
+    A(t) = Int a, both obeying d rho00/dt = a rho00 - b.  corr_0 /
+    corr_1 are the correction integrals C(t) from |0> and |1>, and
+    dcorr_0 / dcorr_1 their integrands dC/dt (all zero under Markov).
+    ``energetics`` derives every population, balance and flow from them.
     """
 
     omega: float
     times: np.ndarray
-    rho00_0: np.ndarray
     rho00_1: np.ndarray
     cum_a: np.ndarray
     a_vals: np.ndarray
     b_vals: np.ndarray
     corr_0: np.ndarray
     corr_1: np.ndarray
-    flow_0: np.ndarray
-    flow_1: np.ndarray
+    dcorr_0: np.ndarray
+    dcorr_1: np.ndarray
 
     @property
     def ends(self) -> StrokeEnds:
-        return StrokeEnds(r0=float(self.rho00_0[-1]), r1=float(self.rho00_1[-1]),
-                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]),
-                          cum_a=float(self.cum_a[-1]))
+        return StrokeEnds(r1=float(self.rho00_1[-1]), cum_a=float(self.cum_a[-1]),
+                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]))
 
 
 def _back_piece(f1, f2, f3, dx):
@@ -290,8 +290,8 @@ def _solve(times, d1_vals, d2_vals, omega, integrate):
     ``integrate(y)`` returns the running integral of samples ``y`` taken
     at ``times``; every other operation is elementwise.  Past a
     positivity failure the values may overflow to inf or nan.  Returns
-    (rho00_0, rho00_1, corr_0, corr_1, cum_a, a, b, dcorr_0, dcorr_1):
-    the ends read the first five, ``dcorr`` is the integrand dC/dt.
+    (rho0, rho1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1), the _0 /
+    _1 values from |0> / |1>; ``dcorr`` is the integrand dC/dt.
     """
     sin_wt, cos_wt = np.sin(omega * times), np.cos(omega * times)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -307,7 +307,7 @@ def _solve(times, d1_vals, d2_vals, omega, integrate):
         dcorr0 = (2.0 * rho_from0 - 1.0) * d1_vals * sin_wt + d2_vals * cos_wt
         dcorr1 = (2.0 * rho_from1 - 1.0) * d1_vals * sin_wt + d2_vals * cos_wt
         corr0, corr1 = integrate(dcorr0), integrate(dcorr1)
-    return rho_from0, rho_from1, corr0, corr1, cum_a, a, b, dcorr0, dcorr1
+    return rho_from0, rho_from1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1
 
 
 def evolve_branch_pair(
@@ -315,24 +315,23 @@ def evolve_branch_pair(
 ) -> StrokeDynamics:
     """Both pure-state branches of one stroke in a single pass.
 
-    Returns one ``StrokeDynamics``: the branches from |0> and |1>, i.e.
-    initial ground population 1 and 0, the shared coefficient samples
-    and each branch's energy flow.  Sharing the coefficient integrals is
-    what makes a full cycle evaluation cheap; the solution is affine in
-    the initial condition so no generality is lost.
+    Returns one ``StrokeDynamics``: the contact map read off the
+    branches from |0> and |1>, i.e. initial ground population 1 and 0,
+    the shared coefficient samples and each branch's C and dC/dt.
+    Sharing the coefficient integrals is what makes a full cycle
+    evaluation cheap; the solution is affine in the initial condition
+    so no generality is lost.
     """
     h, m, delta = lattice(t_end, h)
     times = time_grid(t_end, h)
     integrate = _integrator(m + 1, h, [m], [delta])[0]
-    rho0, rho1, corr0, corr1, cum_a, a, b, dcorr0, dcorr1 = _solve(
+    rho0, rho1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1 = _solve(
         times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
     _check_positivity(rho0, times)
     _check_positivity(rho1, times)
-    # theta = -d(dE_S)/dt + dC/dt, with d rho00/dt = a rho00 - b
     return StrokeDynamics(
-        omega=omega, times=times, rho00_0=rho0, rho00_1=rho1, cum_a=cum_a,
-        a_vals=a, b_vals=b, corr_0=corr0, corr_1=corr1,
-        flow_0=omega * (a * rho0 - b) + dcorr0, flow_1=omega * (a * rho1 - b) + dcorr1)
+        omega=omega, times=times, rho00_1=rho1, cum_a=cum_a, a_vals=a, b_vals=b,
+        corr_0=corr0, corr_1=corr1, dcorr_0=dcorr0, dcorr_1=dcorr1)
 
 
 def _stroke_groups(durations, h: float | None):
@@ -362,9 +361,9 @@ def _stroke_groups(durations, h: float | None):
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
     """End values of the strokes of the given durations, for every omega.
 
-    Returns an array of shape (5, len(omegas), len(durations)): the
-    ``StrokeEnds`` fields r0, r1, corr_0, corr_1 and cum_a, nan where
-    the stroke left [0, 1].  Each column equals
+    Returns an array of shape (4, len(omegas), len(durations)): the
+    ``StrokeEnds`` fields r1, cum_a, corr_0 and corr_1, nan where
+    either branch left [0, 1].  Each column equals
     ``evolve_branch_pair(reservoir, omega, t, h)`` bit for bit: a solve
     group (see ``_stroke_groups``) is read off one solve per omega
     through the same ``_integrator``, and the samples a stroke does not
@@ -372,7 +371,7 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
     lattice) ride along after it.  The kernels are sampled once per
     group for all omegas.  A column is the record's ``ends``.
     """
-    out = np.empty((5, len(omegas), len(durations)))
+    out = np.empty((4, len(omegas), len(durations)))
     for times, ends, columns in _stroke_groups(durations, h):
         n, step = len(times), times[1] - times[0]
         steps, deltas = zip(*(lattice(t, step)[1:] for t in ends))
@@ -391,5 +390,5 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
             # index of the first lattice sample that left [0, 1]
             first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
             ok = (shared < first_out) & inside[at_k] & inside[at_end]
-            out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in values]
+            out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in values[1:]]
     return out

@@ -224,8 +224,8 @@ def _full_thermalization_w1(engine):
     # each stroke forgets its start and stores no interaction energy
     r_h = stationary_rho00(engine.omega_h, engine.T_h)
     r_c = stationary_rho00(engine.omega_c, engine.T_c)
-    hot = StrokeEnds(r_h, r_h, 0.0, 0.0, -np.inf)
-    cold = StrokeEnds(r_c, r_c, 0.0, 0.0, -np.inf)
+    hot = StrokeEnds(r_h, -np.inf, 0.0, 0.0)
+    cold = StrokeEnds(r_c, -np.inf, 0.0, 0.0)
     _, degenerate, _, _, ledger = _close_cycle(engine, hot, cold)
     assert not degenerate
     return ledger.W_I

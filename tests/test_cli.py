@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmotto
@@ -329,13 +329,21 @@ class TestSweep:
         st.floats(20.0, 40.0),
     )
 
-    @settings(max_examples=20, deadline=None)
+    # hot baths up to T_h = 40 at couplings up to 0.3 reach strong
+    # coupling, where a hot stroke at omega_h in [1.5, 3] leaves [0, 1]
+    # within a few time units (at omega_h = 1 none shorter than 40 does);
+    # the example's hot stroke fails at t1 = 30 and not at t1 = 2
+    @settings(max_examples=30, deadline=None)
+    @example(backend="tcl2", t1_values=[2.0, 30.0], t2_values=[20.0], T_h=40.0, lam=0.3,
+             omega_h=2.0)
     @given(backend=st.sampled_from(["tcl2", "markov"]),
            t1_values=st.lists(DURATIONS, min_size=1, max_size=3),
-           t2_values=st.lists(DURATIONS, min_size=1, max_size=2))
+           t2_values=st.lists(DURATIONS, min_size=1, max_size=2),
+           T_h=st.floats(5.0, 40.0), lam=st.floats(0.005, 0.3),
+           omega_h=st.floats(0.5, 3.0))
     def test_grid_matches_per_point_on_any_durations(self, backend, t1_values,
-                                                     t2_values):
-        engine = build_config({}).engine
+                                                     t2_values, T_h, lam, omega_h):
+        engine = replace(build_config({}).engine, T_h=T_h, lam=lam, omega_h=omega_h)
         [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, backend)
         grids = astuple(ledger)
         for i, t1 in enumerate(t1_values):

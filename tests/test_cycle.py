@@ -18,20 +18,20 @@ ENGINE = EngineParams(1.0, 0.18, 5.0, 1.0, 0.01, 0.4, 5.0, 60.0)
 
 
 def ends(r0, r1):
-    """Stroke ends without correction integrals: a stroke contracts by
-    r0 - r1 = exp(cum_a) > 0, and a fully thermalizing one (r0 = r1)
-    has cum_a = -inf."""
+    """Stroke ends without correction integrals of the contact ending at
+    r0 from |0> and at r1 from |1>: it contracts by r0 - r1 = exp(cum_a)
+    > 0, and a fully thermalizing one (r0 = r1) has cum_a = -inf."""
     with np.errstate(divide="ignore"):
-        return StrokeEnds(r0, r1, 0.0, 0.0, np.log(np.subtract(r0, r1)))
+        return StrokeEnds(r1, np.log(np.subtract(r0, r1)), 0.0, 0.0)
 
 
 def apply(stroke, p):
-    """One contact of the stroboscopic map; ``stroke`` starts with (r0, r1)."""
-    return p * stroke[0] + (1.0 - p) * stroke[1]
+    """One contact of the stroboscopic map, P -> r1 + exp(cum_a) P."""
+    return stroke.r1 + contraction(stroke) * p
 
 
 def contraction(stroke):
-    return stroke[0] - stroke[1]
+    return np.exp(stroke.cum_a)
 
 
 def composed(hot, cold, p):
@@ -110,9 +110,10 @@ class TestLimitCycle:
             assert abs(composed(ev.hot.ends, ev.cold.ends, ev.P_h) - ev.P_h) <= 1e-12
 
 
-def markov_p_h(engine):
-    """P_h of the Markov limit cycle in 40-digit arithmetic, from the
-    closed-form branches: r1 = rho_inf (1 - e) and r0 - r1 = e = exp(-Gamma t)."""
+def markov_cycle(engine):
+    """(P_h, W_I) of the Markov limit cycle in 40-digit arithmetic, from
+    the closed-form branches: r1 = rho_inf (1 - e) and r0 - r1 = e =
+    exp(-Gamma t)."""
     with mpmath.workdps(40):
         strokes = []
         for omega, temp, t in ((engine.omega_h, engine.T_h, engine.t1),
@@ -123,7 +124,19 @@ def markov_p_h(engine):
             decay = mpmath.exp(-2 * mpmath.pi * j * (1 + 2 * n) * t)
             strokes.append(((1 + n) / (1 + 2 * n) * (1 - decay), decay))
         (r1_h, e_h), (r1_c, e_c) = strokes
-        return float((r1_c + r1_h * e_c) / (1 - e_h * e_c))
+        p_h = (r1_c + r1_h * e_c) / (1 - e_h * e_c)
+        p_c = r1_h + e_h * p_h
+        gap = mpmath.mpf(engine.omega_h) - mpmath.mpf(engine.omega_c)
+        return float(p_h), float(gap * (p_h - p_c))
+
+
+def difference_ratios(values):
+    """Ratios of successive differences of a sequence."""
+    steps = np.diff(values)
+    return steps[:-1] / steps[1:]
+
+
+WEAK_LAMS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
 
 
 class TestWeakCoupling:
@@ -134,18 +147,38 @@ class TestWeakCoupling:
     @pytest.mark.parametrize("lam", [1e-8, 1e-10, 1e-12])
     def test_markov_p_h_against_extended_precision(self, ref_engine, lam, t1, t2):
         eng = replace(ref_engine, lam=lam, t1=t1, t2=t2)
-        want = markov_p_h(eng)
+        want = markov_cycle(eng)[0]
         assert evaluate_cycle(eng, "markov").P_h == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("t1, t2", [(5.0, 60.0), (3.0, 36.0)])
+    @pytest.mark.parametrize("lam", [1e-8, 1e-10, 1e-12])
+    def test_markov_w_i_against_extended_precision(self, ref_engine, lam, t1, t2):
+        # W_I = O(lam) is not formed as a difference of the two adiabatic
+        # works, each near half the gap
+        eng = replace(ref_engine, lam=lam, t1=t1, t2=t2)
+        want = markov_cycle(eng)[1]
+        got = evaluate_cycle(eng, "markov").ledger.W_I
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("t1, t2", [(3.0, 36.0), (5.0, 60.0), (20.0, 10.0)])
     def test_tcl2_p_h_linear_in_coupling(self, ref_engine, t1, t2):
         # P_h = P_h(0) + c lam + O(lam^2): each hundredfold step in lam
         # shrinks the change in P_h a hundredfold
         p_h = [evaluate_cycle(replace(ref_engine, lam=lam, t1=t1, t2=t2)).P_h
-               for lam in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)]
-        steps = np.diff(p_h)
-        ratios = steps[:-1] / steps[1:]
+               for lam in WEAK_LAMS]
+        ratios = difference_ratios(p_h)
         assert np.all((95.0 <= ratios) & (ratios <= 105.0)), ratios
+
+    @pytest.mark.parametrize("t1, t2", [(3.0, 36.0), (5.0, 60.0), (20.0, 10.0)])
+    def test_tcl2_works_linear_in_coupling(self, ref_engine, t1, t2):
+        # W = c1 lam + c2 lam^2 + O(lam^3): W / lam changes a hundredfold
+        # less with each hundredfold step in lam, down to lam = 1e-14
+        ledgers = [evaluate_cycle(replace(ref_engine, lam=lam, t1=t1, t2=t2)).ledger
+                   for lam in WEAK_LAMS]
+        for field in ("W_I", "W_II"):
+            scaled = [getattr(led, field) / lam for led, lam in zip(ledgers, WEAK_LAMS)]
+            ratios = difference_ratios(scaled)
+            assert np.all((95.0 <= ratios) & (ratios <= 105.0)), (field, ratios)
 
     @settings(max_examples=60, deadline=None)
     @given(backend=st.sampled_from(["tcl2", "markov"]),
@@ -163,6 +196,9 @@ class TestWeakCoupling:
             return
         hot, cold, led = ev.hot.ends, ev.cold.ends, ev.ledger
         assert abs(composed(hot, cold, ev.P_h) - ev.P_h) <= 1e-12
+        # the first law forms W_I, equal to the adiabatic works' balance
+        assert led.W_I == led.dES_h + led.dES_c
+        assert abs(led.W_I - (led.W_ad1 - led.W_ad2)) <= 1e-15
         assert 0.0 <= ev.P_h <= 1.0 and 0.0 <= ev.P_c <= 1.0
         for d_es, d_eb, e_i in ((led.dES_h, led.dEB_h, led.E_I_h),
                                 (led.dES_c, led.dEB_c, led.E_I_c)):
@@ -195,7 +231,7 @@ class TestIterateCycle:
             assert abs(ph - ref_tcl2.P_h) <= abs(ref_tcl2.p0) ** k + 1e-15
 
     def test_two_orbits_approach_geometrically(self):
-        hot, cold = (0.9, 0.2), (0.7, 0.4)
+        hot, cold = ends(0.9, 0.2), ends(0.7, 0.4)
         p0 = contraction(hot) * contraction(cold)
         lo = iterate_cycle(hot, cold, 0.0, 12)  # gaps underflow beyond ~25 cycles
         hi = iterate_cycle(hot, cold, 1.0, 12)
@@ -208,14 +244,14 @@ class TestStrokeMap:
     def test_zero_coupling_is_identity(self):
         eng = EngineParams(1.0, 0.18, 5.0, 1.0, 0.0, 0.4, 5.0, 60.0)
         ends = stroke_dynamics(eng, "hot", backend="tcl2").ends
-        assert ends.r0 == 1.0 and ends.r1 == 0.0
+        assert ends.cum_a == 0.0 and ends.r1 == 0.0
         # no unique limit cycle: the closure takes the frozen mixture
         for backend in ("tcl2", "markov"):
             ev = evaluate_cycle(eng, backend)
             assert ev.P_h == ev.P_c == 0.5
 
     def test_markov_long_contact_forgets_start(self, ref_engine):
-        r0, r1 = branch_pair(ref_engine.hot_reservoir, 1.0, 1e5)[:2]
+        r0, r1 = branch_pair(ref_engine.hot_reservoir, 1.0, 1e5)
         rinf = stationary_rho00(1.0, 5.0)
         assert r0 == pytest.approx(rinf, abs=1e-12)
         assert r1 == pytest.approx(rinf, abs=1e-12)
@@ -223,7 +259,7 @@ class TestStrokeMap:
     def test_short_contact_near_identity(self, ref_engine):
         eng = replace(ref_engine, t1=1e-3)
         ends = stroke_dynamics(eng, "hot", backend="tcl2").ends
-        assert ends.r0 > 0.999 and ends.r1 < 1e-3
+        assert ends.r1 + np.exp(ends.cum_a) > 0.999 and ends.r1 < 1e-3
 
     def test_bad_selector(self, ref_engine):
         with pytest.raises(ValueError):

@@ -115,6 +115,14 @@ class TestTrigamma:
             ref = complex(mpmath.polygamma(1, mpmath.mpc(zi)))
             assert abs(oi - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("temperature", [1.0, 5.0, 30.0])
+    def test_shared_real_part_shifts_as_each_element_alone(self, temperature):
+        # every argument of d1 has real part T / cutoff, so shifting all
+        # elements together takes each exactly as far as its own call does
+        spec = ReservoirSpec(temperature=temperature, lam=0.01, cutoff=0.4)
+        tau = np.linspace(0.0, 60.0, 601)
+        assert np.array_equal(d1(tau, spec), [d1(t, spec) for t in tau])
+
     def test_poles_rejected(self):
         for bad in (0.0, -1.0, -7.0):
             with pytest.raises(ValueError):

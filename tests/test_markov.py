@@ -19,7 +19,7 @@ COLD = ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.4)
 
 def markov_rho00(p, reservoir, omega, t):
     """Ground population at time(s) t of the stroke started from p."""
-    rho0, rho1 = branch_pair(reservoir, omega, t)[:2]
+    rho0, rho1 = branch_pair(reservoir, omega, t)
     return p * rho0 + (1.0 - p) * rho1
 
 

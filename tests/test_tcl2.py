@@ -26,8 +26,7 @@ OFF = ReservoirSpec(temperature=5.0, lam=0.0, cutoff=0.4)
 
 def mixed(p, reservoir, omega, t_end, h=None):
     """rho00 of the stroke started from ground population p."""
-    pair = evolve_branch_pair(reservoir, omega, t_end, h)
-    return p * pair.rho00_0 + (1.0 - p) * pair.rho00_1
+    return stroke_balance(p, evolve_branch_pair(reservoir, omega, t_end, h)).rho00
 
 
 def closed_form(p, pair):
@@ -141,22 +140,23 @@ class TestEvolveDiagonal:
     """The stroke solution, through ``evolve_branch_pair``."""
 
     def test_initial_condition_exact(self):
-        for r0 in (0.0, 0.25, 1.0):
-            assert mixed(r0, HOT, 1.0, 5.0)[0] == r0
+        for p in (0.0, 0.25, 1.0):
+            assert mixed(p, HOT, 1.0, 5.0)[0] == p
         assert evolve_branch_pair(HOT, 1.0, 5.0).cum_a[0] == 0.0
 
     def test_zero_coupling_frozen(self):
         assert np.all(mixed(0.7, OFF, 1.0, 10.0) == 0.7)
 
     def test_grid_convergence(self):
-        coarse = evolve_branch_pair(HOT, 1.0, 5.0, h=0.0025)
-        fine = evolve_branch_pair(HOT, 1.0, 5.0, h=0.00125)
-        assert abs(coarse.rho00_0[-1] - fine.rho00_0[-1]) < 1e-7
+        coarse = mixed(1.0, HOT, 1.0, 5.0, h=0.0025)
+        fine = mixed(1.0, HOT, 1.0, 5.0, h=0.00125)
+        assert abs(coarse[-1] - fine[-1]) < 1e-7
 
     def test_deterministic(self):
         a = evolve_branch_pair(HOT, 1.0, 5.0)
         b = evolve_branch_pair(HOT, 1.0, 5.0)
-        assert np.array_equal(a.rho00_0, b.rho00_0)
+        assert np.array_equal(a.rho00_1, b.rho00_1)
+        assert np.array_equal(a.cum_a, b.cum_a)
 
     def test_markovian_limit_large_cutoff(self):
         # correlation time ~ 1/cutoff: growing the cutoff at weak
@@ -165,7 +165,7 @@ class TestEvolveDiagonal:
         diffs = []
         for cutoff in (1.0, 5.0, 10.0):
             res = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=cutoff)
-            end = evolve_branch_pair(res, 1.0, 20.0).rho00_0[-1]
+            end = mixed(1.0, res, 1.0, 20.0)[-1]
             baseline = branch_pair(res, 1.0, 20.0)[0]
             diffs.append(abs(end - baseline))
             assert abs(end - stationary_rho00(1.0, 5.0)) < 2e-2
@@ -208,21 +208,22 @@ class TestSolutionFormula:
         b_sp = CubicSpline(tgrid, b_pts)
         sol = solve_ivp(lambda t, y: a_sp(t) * y - b_sp(t), (0.0, 5.0), [1.0],
                         rtol=1e-11, atol=1e-13, t_eval=[5.0])
-        pair = evolve_branch_pair(HOT, 1.0, 5.0)
-        assert abs(pair.rho00_0[-1] - sol.y[0, -1]) < 1e-9
+        assert abs(mixed(1.0, HOT, 1.0, 5.0)[-1] - sol.y[0, -1]) < 1e-9
 
 
 class TestBranchPair:
     def test_matches_single_branch(self):
-        # each branch is the closed-form solution for its own start
+        # each branch is the closed-form solution for its own start: the
+        # one from |1> stored, the one from |0> the map at p = 1
         pair = evolve_branch_pair(HOT, 1.0, 5.0)
-        assert np.array_equal(pair.rho00_0, closed_form(1.0, pair))
         assert np.array_equal(pair.rho00_1, closed_form(0.0, pair))
+        from_ground = stroke_balance(1.0, pair).rho00
+        assert np.allclose(from_ground, closed_form(1.0, pair), rtol=0.0, atol=1e-15)
 
     def test_affine_mixture(self):
         # the solution is affine in the initial population
         pair = evolve_branch_pair(HOT, 1.0, 5.0)
-        combo = 0.3 * pair.rho00_0 + 0.7 * pair.rho00_1
+        combo = stroke_balance(0.3, pair).rho00
         assert np.allclose(combo, closed_form(0.3, pair), rtol=0.0, atol=1e-15)
 
 
@@ -257,7 +258,7 @@ class TestFamilyEnds:
         times = time_grid(h * max(steps), h)
         solves = self.counting_solves(monkeypatch)
         ends = backend.family_ends(reservoir, omegas, times[list(steps)], h)
-        assert ends.shape == (5, len(omegas), len(steps))
+        assert ends.shape == (4, len(omegas), len(steps))
         assert len(solves) == (len(omegas) if backend is tcl2 else 0)
         failures = 0
         for i, omega in enumerate(omegas):
@@ -319,8 +320,7 @@ class TestFamilyEnds:
             for j, t in enumerate(ends):
                 pair = evolve_branch_pair(HOT, omega, t, h)
                 assert pair.times[-1] == t
-                want = [pair.rho00_0[-1], pair.rho00_1[-1], pair.corr_0[-1], pair.corr_1[-1],
-                        pair.cum_a[-1]]
+                want = [pair.rho00_1[-1], pair.cum_a[-1], pair.corr_0[-1], pair.corr_1[-1]]
                 assert [float(v).hex() for v in got[:, i, j]] == [v.hex() for v in want], t
 
     @pytest.mark.parametrize("reservoir, omega", [(HOT, 1.0), (COLD, 0.18)],
@@ -331,7 +331,7 @@ class TestFamilyEnds:
         # a grid of whole steps just under 0.01) less than halving 0.01 does
         def ends(h):
             pair = evolve_branch_pair(reservoir, omega, t_end, h)
-            return np.array([pair.rho00_0[-1], pair.rho00_1[-1],
+            return np.array([stroke_balance(1.0, pair).rho00[-1], pair.rho00_1[-1],
                              pair.corr_0[-1], pair.corr_1[-1]])
 
         assert lattice(t_end)[2] > 0
