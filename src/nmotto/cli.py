@@ -296,6 +296,8 @@ def _load_config(args) -> RunConfig:
     cfg = build_config(raw)
     if cfg.out is not None:  # before any computation, and without opening the file
         import os  # loaded with the interpreter, so this costs no import time
+        if os.path.isdir(cfg.out):
+            raise ConfigError(f"cannot write output: {cfg.out!r} is a directory")
         if os.path.exists(cfg.out):  # a file, FIFO or device is written in place
             if not os.access(cfg.out, os.W_OK):
                 raise ConfigError(f"cannot write output: {cfg.out!r} is not writable")

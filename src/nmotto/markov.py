@@ -38,7 +38,8 @@ def bose_n(omega: float, temperature: float) -> float:
     """Bose occupation n = 1 / (exp(omega / T) - 1); diverges as omega/T -> 0."""
     if not omega > 0 or not temperature > 0:
         raise ValueError("bose_n needs omega > 0 and temperature > 0")
-    return 1.0 / np.expm1(omega / temperature)
+    with np.errstate(over="ignore"):  # past omega/T ~ 709.8, n = 1/inf = 0
+        return 1.0 / np.expm1(omega / temperature)
 
 
 def stationary_rho00(omega: float, temperature: float) -> float:

@@ -27,7 +27,9 @@ same pass.
 
 ``evolve_branch_pair`` returns one stroke's ``StrokeDynamics`` and
 ``family_ends`` the ends of many: durations on one lattice are read
-off one solve of the longest, bit for bit as their own solves.
+off one solve of the longest, bit for bit as their own solves.  Each
+solve, shared or not, runs from one plan of ``_solve_plans``: its
+sample times, running integral and positivity mask.
 
 Populations leaving [0, 1] beyond ``POSITIVITY_TOL`` raise
 ``PositivityViolation``: that is the regime where the second-order map
@@ -214,50 +216,6 @@ def _closing_weights(h, delta):
             (delta * delta / 3.0 + h * delta / 2.0) / hd)
 
 
-def _integrator(n, h, steps, deltas):
-    """Running integrals of the strokes on one lattice of n samples.
-
-    The stroke with step count k and partial step delta owns the
-    lattice samples before k, its own sample at k and, where delta > 0,
-    its end sample at k h + delta.  Its sample at k is the lattice's,
-    except for odd k inside the lattice: its own solve closes its last
-    whole step over the parabola through k - 2 .. k, where the lattice
-    used k - 1 .. k + 1, so that sample is appended after the lattice.
-    The end samples follow, each closed from its stroke's samples at
-    k - 1 and k by ``_closing_weights``.  Every nested integral is
-    closed in the same pass.
-
-    Returns ``(integrate, odd, at_k, at_end)``: ``integrate(y)`` is the
-    running integral of samples ``y`` in that layout, ``odd`` the step
-    counts with an appended sample, and ``at_k`` / ``at_end`` where each
-    stroke's sample at k and its end sit in the layout.
-    """
-    steps, deltas = np.asarray(steps), np.asarray(deltas)
-    closing = (steps % 2 == 1) & (steps < n - 1)
-    odd = steps[closing]
-    partial = deltas > 0
-    at_k = steps.copy()
-    at_k[closing] = n + np.arange(len(odd))
-    at_end = at_k.copy()
-    at_end[partial] = n + len(odd) + np.arange(np.count_nonzero(partial))
-    k_part, at_k_part = steps[partial], at_k[partial]
-    w0, w1, w2 = _closing_weights(h, deltas[partial])
-
-    def integrate(y):
-        cum = cumulative_simpson(y[:n], h)
-        if len(odd):
-            closed = cum[odd - 1] + _back_piece(y[odd - 2], y[odd - 1],
-                                                y[n:n + len(odd)], h)
-            cum = np.concatenate((cum, closed))
-        if len(k_part):
-            ends = cum[at_k_part] + (w0 * y[k_part - 1] + w1 * y[at_k_part]
-                                     + w2 * y[len(cum):])
-            cum = np.concatenate((cum, ends))
-        return cum
-
-    return integrate, odd, at_k, at_end
-
-
 def _inside(rho00: np.ndarray) -> np.ndarray:
     """Where a population is finite and within [0, 1] up to POSITIVITY_TOL."""
     return (rho00 >= -POSITIVITY_TOL) & (rho00 <= 1.0 + POSITIVITY_TOL)
@@ -322,9 +280,7 @@ def evolve_branch_pair(
     evaluation cheap; the solution is affine in the initial condition
     so no generality is lost.
     """
-    h, m, delta = lattice(t_end, h)
-    times = time_grid(t_end, h)
-    integrate = _integrator(m + 1, h, [m], [delta])[0]
+    [(_, times, integrate, _, _)] = _solve_plans([t_end], h)
     rho0, rho1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1 = _solve(
         times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
     _check_positivity(rho0, times)
@@ -334,28 +290,82 @@ def evolve_branch_pair(
         corr_0=corr0, corr_1=corr1, dcorr_0=dcorr0, dcorr_1=dcorr1)
 
 
-def _stroke_groups(durations, h: float | None):
-    """Durations split into solve groups.
+def _solve_plans(durations, h: float | None):
+    """The solves that yield the strokes of the given durations.
 
-    Returns [(times, ends, columns)]: one solve on the lattice ``times``
-    yields the strokes ending at ``ends``, at ``columns`` of
-    ``durations``.  Durations at one step (every t >= 20 at the default
-    step, every duration under a user ``h``) share that step's lattice,
+    Durations at one step (every t >= 20 at the default step, every
+    duration under a user ``h``) share one solve on that step's lattice,
     of which each one's own ``time_grid`` is a prefix followed by at
     most its end.  An end that rounds onto a lattice point without
-    equalling it keeps its own grid.
+    equalling it keeps its own solve.  Returns one
+    ``(columns, times, integrate, kept, at_end)`` per solve (see
+    ``_plan``) for the strokes at ``columns`` of ``durations``.
     """
     groups = {}
     for j, t in enumerate(durations):
         t = float(t)
         step, m, delta = lattice(t, h)
         key = (step,) if delta or m * step == t else (step, t)
-        steps, ends, columns = groups.setdefault(key, ([], [], []))
-        steps.append(m)
-        ends.append(t)
-        columns.append(j)
-    return [(time_grid(max(ends), h)[:max(steps) + 1], np.array(ends), columns)
-            for steps, ends, columns in groups.values()]
+        groups.setdefault(key, []).append((j, t, m, delta))
+    return [_plan(key[0], *map(np.array, zip(*strokes)))
+            for key, strokes in groups.items()]
+
+
+def _plan(h, columns, ends, steps, deltas):
+    """The sample layout of one solve at step h of the strokes ending at
+    ``ends`` after ``steps`` whole steps and partial steps ``deltas``.
+
+    The stroke with step count k and partial step delta owns the
+    lattice samples before k, its own sample at k and, where delta > 0,
+    its end sample at k h + delta.  Its sample at k is the lattice's,
+    except for odd k inside the lattice: its own solve closes its last
+    whole step over the parabola through k - 2 .. k, where the lattice
+    used k - 1 .. k + 1, so that sample is appended after the lattice.
+    The end samples follow, each closed from its stroke's samples at
+    k - 1 and k by ``_closing_weights``.  Every nested integral is
+    closed in the same pass.
+
+    Returns ``(columns, times, integrate, kept, at_end)``: ``times``
+    are the samples in that layout, ``integrate(y)`` the running
+    integral of samples ``y`` at ``times``, ``kept(inside)`` which
+    strokes stayed inside [0, 1] given where the samples did, and
+    ``at_end`` where each stroke's end sits in the layout.
+    """
+    n = int(steps.max()) + 1
+    partial = deltas > 0
+    closing = (steps % 2 == 1) & (steps < n - 1)
+    odd = steps[closing]
+    lattice_times = np.arange(n) * h
+    # a stroke that ends on the lattice ends at its own t, as in ``time_grid``
+    lattice_times[steps[~partial]] = ends[~partial]
+    times = np.concatenate((lattice_times, lattice_times[odd], ends[partial]))
+    at_k = steps.copy()
+    at_k[closing] = n + np.arange(len(odd))
+    at_end = at_k.copy()
+    at_end[partial] = n + len(odd) + np.arange(np.count_nonzero(partial))
+    # the last lattice sample each stroke shares with the long solve
+    shared = np.where(at_k < n, steps, steps - 1)
+    k_part, at_k_part = steps[partial], at_k[partial]
+    w0, w1, w2 = _closing_weights(h, deltas[partial])
+
+    def integrate(y):
+        cum = cumulative_simpson(y[:n], h)
+        if len(odd):
+            closed = cum[odd - 1] + _back_piece(y[odd - 2], y[odd - 1],
+                                                y[n:n + len(odd)], h)
+            cum = np.concatenate((cum, closed))
+        if len(k_part):
+            closed = cum[at_k_part] + (w0 * y[k_part - 1] + w1 * y[at_k_part]
+                                       + w2 * y[len(cum):])
+            cum = np.concatenate((cum, closed))
+        return cum
+
+    def kept(inside):
+        # index of the first lattice sample that left [0, 1]
+        first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
+        return (shared < first_out) & inside[at_k] & inside[at_end]
+
+    return columns, times, integrate, kept, at_end
 
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
@@ -364,31 +374,17 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
     Returns an array of shape (4, len(omegas), len(durations)): the
     ``StrokeEnds`` fields r1, cum_a, corr_0 and corr_1, nan where
     either branch left [0, 1].  Each column equals
-    ``evolve_branch_pair(reservoir, omega, t, h)`` bit for bit: a solve
-    group (see ``_stroke_groups``) is read off one solve per omega
-    through the same ``_integrator``, and the samples a stroke does not
-    share with the lattice (an odd-step closing, an end past the
-    lattice) ride along after it.  The kernels are sampled once per
-    group for all omegas.  A column is the record's ``ends``.
+    ``evolve_branch_pair(reservoir, omega, t, h)`` bit for bit: each
+    solve of ``_solve_plans`` runs once per omega, and the samples a
+    stroke does not share with the lattice (an odd-step closing, an end
+    past the lattice) ride along after it.  The kernels are evaluated once
+    per solve for all omegas.  A column is the record's ``ends``.
     """
     out = np.empty((4, len(omegas), len(durations)))
-    for times, ends, columns in _stroke_groups(durations, h):
-        n, step = len(times), times[1] - times[0]
-        steps, deltas = zip(*(lattice(t, step)[1:] for t in ends))
-        integrate, odd, at_k, at_end = _integrator(n, step, steps, deltas)
-        steps = np.asarray(steps)
-        # the last lattice sample each stroke shares with the long solve
-        shared = np.where(at_k < n, steps, steps - 1)
-        sampled = np.concatenate((times, ends[at_end != at_k]))
-        # the integrator's layout: the lattice, odd-step closings, ends past it
-        layout = np.concatenate((np.arange(n), odd, np.arange(n, len(sampled))))
-        ext_times = sampled[layout]
-        d1_vals, d2_vals = d1(sampled, reservoir)[layout], d2(sampled, reservoir)[layout]
+    for columns, times, integrate, kept, at_end in _solve_plans(durations, h):
+        d1_vals, d2_vals = d1(times, reservoir), d2(times, reservoir)
         for i, omega in enumerate(omegas):
-            values = _solve(ext_times, d1_vals, d2_vals, omega, integrate)[:5]
-            inside = _inside(values[0]) & _inside(values[1])
-            # index of the first lattice sample that left [0, 1]
-            first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
-            ok = (shared < first_out) & inside[at_k] & inside[at_end]
+            values = _solve(times, d1_vals, d2_vals, omega, integrate)[:5]
+            ok = kept(_inside(values[0]) & _inside(values[1]))
             out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in values[1:]]
     return out

@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -37,6 +38,9 @@ REF_SETS = [
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 BENCH_WORKLOADS = runpy.run_path(str(BENCH_DIR / "workloads.py"))
 BENCH_GATE = runpy.run_path(str(BENCH_DIR / "gate.py"))
+BENCH_TRACER = runpy.run_path(str(BENCH_DIR / "tracer.py"))
+# bench/run.py's bound on the traced layers' self times against run_s
+TRACE_SUM_TOL_S = 1e-6
 
 
 def read_rows(text):
@@ -332,24 +336,26 @@ class TestSweep:
     # hot baths up to T_h = 40 at couplings up to 0.3 reach strong
     # coupling, where a hot stroke at omega_h in [1.5, 3] leaves [0, 1]
     # within a few time units (at omega_h = 1 none shorter than 40 does);
-    # the example's hot stroke fails at t1 = 30 and not at t1 = 2
+    # the example's hot stroke fails at t1 = 30 and not at t1 = 2.  Under a
+    # user step every duration joins one solve, where odd-step closings,
+    # partial ends and positivity failures meet
     @settings(max_examples=30, deadline=None)
     @example(backend="tcl2", t1_values=[2.0, 30.0], t2_values=[20.0], T_h=40.0, lam=0.3,
-             omega_h=2.0)
+             omega_h=2.0, step=None)
     @given(backend=st.sampled_from(["tcl2", "markov"]),
            t1_values=st.lists(DURATIONS, min_size=1, max_size=3),
            t2_values=st.lists(DURATIONS, min_size=1, max_size=2),
            T_h=st.floats(5.0, 40.0), lam=st.floats(0.005, 0.3),
-           omega_h=st.floats(0.5, 3.0))
+           omega_h=st.floats(0.5, 3.0), step=st.sampled_from([None, 1 / 8, 0.05, 0.03]))
     def test_grid_matches_per_point_on_any_durations(self, backend, t1_values,
-                                                     t2_values, T_h, lam, omega_h):
+                                                     t2_values, T_h, lam, omega_h, step):
         engine = replace(build_config({}).engine, T_h=T_h, lam=lam, omega_h=omega_h)
-        [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, backend)
+        [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, backend, step)
         grids = astuple(ledger)
         for i, t1 in enumerate(t1_values):
             for j, t2 in enumerate(t2_values):
                 point = replace(engine, t1=t1, t2=t2)
-                ref, label = point_ledger(point, backend, None)
+                ref, label = point_ledger(point, backend, step)
                 assert [float(w[i, j]).hex() for w in grids] == [w.hex() for w in ref]
                 assert errors[i, j] == label
 
@@ -483,6 +489,33 @@ class TestBenchReference:
                                    reference) == []
 
 
+class TestBenchTracer:
+    # ``bench/run.py --trace 1`` wraps the program at its module
+    # boundaries by name; a refactor that renames what it wraps shows here
+    @pytest.mark.parametrize("argv", [
+        ["sweep", *set_args("t1_count=3", "t2_count=3")],
+        ["dynamics"],
+        ["oracle", *set_args("oracle_modes=2")],
+    ], ids=["sweep", "dynamics", "oracle"])
+    def test_traced_layers_rebuild_the_run(self, tmp_path, argv):
+        eigh, bench_files = np.linalg.eigh, sorted(BENCH_DIR.rglob("*"))
+        tracer = BENCH_TRACER["Tracer"]()
+        tracer.install()
+        try:
+            start = time.perf_counter()
+            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+            run_s = time.perf_counter() - start
+        finally:
+            tracer.uninstall()
+        assert np.linalg.eigh is eigh
+        layers = tracer.layer_metrics(run_s)
+        assert abs(layers["trace.sum_residual_s"]) <= TRACE_SUM_TOL_S
+        assert layers["kernels.d1.calls"] > 0
+        if argv[0] == "dynamics":
+            assert layers["tcl2.solves"] > 0
+        assert sorted(BENCH_DIR.rglob("*")) == bench_files
+
+
 class TestOracleCommand:
     CFG = {"t1": "2", "oracle_modes": "2", "oracle_fock": "2",
            "oracle_samples": "5", "oracle_omega_max": "1.0"}
@@ -561,9 +594,9 @@ class TestMain:
         for name in ("evaluate_cycle", "evaluate_grid"):
             monkeypatch.setattr(energetics, name, unreachable)
         (tmp_path / "file").write_text("kept")
-        for parent in ("missing", "file"):  # no directory, a regular file
+        # in no directory, in a regular file, a directory itself
+        for out in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv", tmp_path):
             for command in ("dynamics", "sweep", "oracle"):
-                out = tmp_path / parent / "x.csv"
                 assert main([command, "--set", "t1=1", "--out", str(out)]) == 2
                 assert capsys.readouterr().err.startswith(
                     "configuration error: cannot write output: ")

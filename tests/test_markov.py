@@ -30,6 +30,7 @@ class TestBose:
 
     def test_large_gap_limit(self):
         assert bose_n(100.0, 1.0) < 1e-40
+        assert bose_n(1.0, 1e-3) == 0.0  # exp(1000) overflows to n = 0, silently
 
     def test_reference_value(self):
         assert bose_n(0.18, 1.0) == pytest.approx(5.0705474617990705, rel=1e-13)

@@ -171,6 +171,20 @@ class TestEvolveDiagonal:
             assert abs(end - stationary_rho00(1.0, 5.0)) < 2e-2
         assert diffs[0] > diffs[1] > diffs[2]
 
+    @pytest.mark.parametrize("temperature, omega",
+                             [(5.0, 1.0), (1.0, 0.18), (1.0, 1.0), (5.0, 0.18), (30.0, 1.0)])
+    def test_long_stroke_rate_approaches_markov(self, temperature, omega):
+        # once the kernels have decayed, a(t) -> -Gamma, the Markov rate;
+        # the tail oscillates (successive ratios 2.4 to 14), so only
+        # bounds at three times are asserted, no convergence rate
+        res = ReservoirSpec(temperature=temperature, lam=0.01, cutoff=0.4)
+        pair = evolve_branch_pair(res, omega, 400.0)
+        gamma = markov.relaxation_rate(omega, res)
+        for t, bound in ((100.0, 2e-3), (200.0, 1e-3), (400.0, 2.5e-4)):
+            k = int(np.searchsorted(pair.times, t))
+            assert pair.times[k] == t
+            assert abs(pair.a_vals[k] + gamma) / gamma < bound, t
+
     def test_transient_population_overshoot(self, ref_tcl2):
         # non-Markovian heating: the excited population passes above its
         # end-of-stroke value during the hot contact
