@@ -277,15 +277,17 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     pair: engine carries the pair's splittings, ledger an
     ``EnergyLedger`` whose every field is an array of shape
     (len(t1_values), len(t2_values)), nan at failed points, and errors
-    the failure labels ("" where the point succeeded).
+    the failure labels ("" where the point succeeded).  A step or
+    duration that ``tcl2.lattice`` rejects raises ``ValueError``, as it
+    does in ``evaluate_cycle``.
     """
     solver = _solver(backend)
-    if h is not None and not h > 0:
-        raise ValueError("grid step must be positive")
     pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
     engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
-    for pick in (np.min, np.max):  # nan propagates: every duration is validated
-        replace(engine, t1=float(pick(t1_values)), t2=float(pick(t2_values)))
+    # the step count grows with t and nan propagates: the extremes stand for all
+    for durations in (t1_values, t2_values):
+        for pick in (np.min, np.max):
+            tcl2.lattice(float(pick(durations)), h)
     hot_ends = solver.family_ends(engine.hot_reservoir, [e.omega_h for e in engines],
                                   t1_values, h)
     cold_ends = solver.family_ends(engine.cold_reservoir, [e.omega_c for e in engines],

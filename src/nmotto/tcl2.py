@@ -118,17 +118,12 @@ def lattice(t_end: float, h: float | None = None):
 
 
 def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
-    """The grid of a stroke of duration t_end: the lattice points
-    0, h, ..., m h of ``lattice(t_end, h)``, then t_end.  Where h
-    divides t_end (delta = 0) t_end replaces m h, so the grid is
-    ``np.linspace(0, t_end, m + 1)`` when t_end / m == h, as at every
-    default step below t_end = 20."""
-    h, m, delta = lattice(t_end, h)
-    times = np.arange(m + 1) * h
-    if delta:
-        return np.append(times, t_end)
-    times[-1] = t_end
-    return times
+    """The samples of the solve of one stroke of duration t_end (see
+    ``_plan``): the lattice points 0, h, ..., m h of ``lattice(t_end,
+    h)``, then t_end.  Where h divides t_end (delta = 0) t_end replaces
+    m h, so the grid is ``np.linspace(0, t_end, m + 1)`` when
+    t_end / m == h, as at every default step below t_end = 20."""
+    return _solve_plans([t_end], h)[0][1]
 
 
 class StrokeEnds(NamedTuple):
@@ -336,7 +331,7 @@ def _plan(h, columns, ends, steps, deltas):
     closing = (steps % 2 == 1) & (steps < n - 1)
     odd = steps[closing]
     lattice_times = np.arange(n) * h
-    # a stroke that ends on the lattice ends at its own t, as in ``time_grid``
+    # a stroke that ends on the lattice ends at its own t
     lattice_times[steps[~partial]] = ends[~partial]
     times = np.concatenate((lattice_times, lattice_times[odd], ends[partial]))
     at_k = steps.copy()

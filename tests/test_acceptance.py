@@ -251,11 +251,15 @@ def test_criterion_09_positive_work_classifier():
                misclassified == 0, f"{misclassified} misclassified")
 
 
+# criterion 10's (omega_h, omega_c) pairs, on its 12x12 duration grid
+SPLIT_GRID = np.linspace(1.0, 60.0, 12)
+BELOW_CARNOT = [(0.9, 0.2), (0.9, 0.25), (1.0, 0.25)]    # eta_O < eta_C
+ABOVE_CARNOT = [(1.0, 0.18), (1.25, 0.18), (1.25, 0.2)]  # eta_O > eta_C
+AT_CARNOT = [(0.9, 0.18), (1.0, 0.2), (1.25, 0.25)]      # eta_O = eta_C
+
+
 def test_criterion_10_splitting_dependence():
-    grid = np.linspace(1.0, 60.0, 12)
-    below = [(0.9, 0.2), (0.9, 0.25), (1.0, 0.25)]    # eta_O < eta_C
-    above = [(1.0, 0.18), (1.25, 0.18), (1.25, 0.2)]  # eta_O > eta_C
-    equal = [(0.9, 0.18), (1.0, 0.2), (1.25, 0.25)]   # eta_O = eta_C
+    grid, below, above, equal = SPLIT_GRID, BELOW_CARNOT, ABOVE_CARNOT, AT_CARNOT
 
     ok_below = all(ledger.W_I.max() > 0.0
                    for ledger in _ledger_grids(grid, grid, "tcl2", below))
@@ -331,3 +335,35 @@ def test_criterion_14_grid_convergence():
     ok = abs(coarse - fine) < 1e-7
     _criterion(14, "halving the quadrature step moves W_II(5, 60) by < 1e-7",
                ok, f"|delta| = {abs(coarse - fine):.2e}")
+
+
+def _entropy_productions(ledger):
+    """(Sigma_I, Sigma_II) per cycle: the heat taken on the system side,
+    -dE_S, and on the reservoir side, dE_B, each over its reservoir's
+    temperature."""
+    sigma_1 = -ledger.dES_h / ENGINE.T_h - ledger.dES_c / ENGINE.T_c
+    sigma_2 = ledger.dEB_h / ENGINE.T_h + ledger.dEB_c / ENGINE.T_c
+    return sigma_1, sigma_2
+
+
+def test_criterion_15_second_law_with_interaction_energy():
+    # the operating pair on the 60x60 grid, then criterion 10's nine pairs
+    unequal = BELOW_CARNOT + ABOVE_CARNOT
+    sigmas = {backend: [_entropy_productions(ledger) for ledger in
+                        _ledger_grids(T_GRID, T_GRID, backend)
+                        + _ledger_grids(SPLIT_GRID, SPLIT_GRID, backend,
+                                        unequal + AT_CARNOT)]
+              for backend in ("tcl2", "markov")}
+    # Markov Sigma_II vanishes where eta_O = eta_C, up to roundoff
+    min_2 = min(s_2.min() for pairs in sigmas.values() for _, s_2 in pairs)
+    ok_2 = min_2 >= -1e-15
+    tcl2_min_1 = [s_1.min() for s_1, _ in sigmas["tcl2"][:1 + len(unequal)]]
+    ok_1 = max(tcl2_min_1) < 0.0
+    ok_markov = all(np.array_equal(s_1, s_2) for s_1, s_2 in sigmas["markov"])
+    _criterion(15, "second law with interaction energy: Sigma_II >= 0 under "
+                   "both backends, TCL2 Sigma_I < 0 somewhere at every unequal "
+                   "pair, Sigma_I == Sigma_II under Markov",
+               ok_2 and ok_1 and ok_markov,
+               f"min Sigma_II {min_2:.2e}, TCL2 min Sigma_I/lam at the "
+               f"operating pair {tcl2_min_1[0] / ENGINE.lam:.3e}, "
+               f"Markov equal={ok_markov}")

@@ -379,13 +379,29 @@ class TestSweep:
                 assert errors[i, j] == label == ""
 
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
-    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), 1e-6])
     def test_grid_rejects_bad_step(self, backend, h):
+        # 1e-6 is a positive step, too fine for the engine's strokes
         engine = build_config({}).engine
-        with pytest.raises(ValueError, match="grid step must be positive"):
+        if h > 0:
+            match, t1_values, t2_values = "needs more than", [5.0], [60.0]
+        else:
+            match, t1_values, t2_values = "grid step must be positive", [1.0, 2.0], [3.0]
+        with pytest.raises(ValueError, match=match):
             evaluate_cycle(engine, backend, h)
-        with pytest.raises(ValueError, match="grid step must be positive"):
-            evaluate_grid(engine, [1.0, 2.0], [3.0], backend, h)
+        with pytest.raises(ValueError, match=match):
+            evaluate_grid(engine, t1_values, t2_values, backend, h)
+
+    @pytest.mark.parametrize("backend", ["tcl2", "markov"])
+    @pytest.mark.parametrize("side", ["t1", "t2"])
+    @pytest.mark.parametrize("t", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_grid_rejects_the_durations_a_point_rejects(self, backend, side, t):
+        engine = build_config({}).engine
+        with pytest.raises(ValueError):
+            evaluate_cycle(replace(engine, **{side: t}), backend)
+        durations = {"t1": [1.0, 2.0], "t2": [3.0], side: [2.0, t]}
+        with pytest.raises(ValueError):
+            evaluate_grid(engine, durations["t1"], durations["t2"], backend)
 
     def test_edge_failure_spares_shorter_strokes_of_its_solve(self):
         cfg = build_config({**self.SMALL, **self.EDGE_FAILURE})
@@ -489,15 +505,30 @@ class TestBenchReference:
                                    reference) == []
 
 
+# the spans each traced run records: the tracer counts a layer only
+# through the names it wraps, so a lost name zeroes that layer's metrics
+STROKE_SPANS = {"energetics.evaluate_cycle", "energetics.stroke_dynamics",
+                "tcl2.evolve_branch_pair", "kernels.d1", "kernels.d2",
+                "oracle.discretize_bath"}
+
+
 class TestBenchTracer:
     # ``bench/run.py --trace 1`` wraps the program at its module
     # boundaries by name; a refactor that renames what it wraps shows here
-    @pytest.mark.parametrize("argv", [
-        ["sweep", *set_args("t1_count=3", "t2_count=3")],
-        ["dynamics"],
-        ["oracle", *set_args("oracle_modes=2")],
-    ], ids=["sweep", "dynamics", "oracle"])
-    def test_traced_layers_rebuild_the_run(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv, spans", [
+        (["sweep", *set_args("t1_count=3", "t2_count=3")], {
+            "cli.run_sweep", "kernels.d1", "kernels.d2", "oracle.discretize_bath"}),
+        (["dynamics"], STROKE_SPANS | {
+            "cli.run_dynamics", "energetics.energy_flow",
+            "energetics.effective_temperature_profile"}),
+        (["oracle", *set_args("oracle_modes=2")], STROKE_SPANS | {
+            "cli.run_oracle", "oracle.exact_evolve", "oracle.eigh"}),
+        (["sweep", "--backend", "markov", *set_args("t1_count=3", "t2_count=3")], {
+            "cli.run_sweep", "oracle.discretize_bath", "markov.family_ends",
+            "markov.branch_pair", "markov.relaxation_rate",
+            "markov.stationary_rho00", "markov.bose_n"}),
+    ], ids=["sweep", "dynamics", "oracle", "markov-sweep"])
+    def test_traced_layers_rebuild_the_run(self, tmp_path, argv, spans):
         eigh, bench_files = np.linalg.eigh, sorted(BENCH_DIR.rglob("*"))
         tracer = BENCH_TRACER["Tracer"]()
         tracer.install()
@@ -510,9 +541,11 @@ class TestBenchTracer:
         assert np.linalg.eigh is eigh
         layers = tracer.layer_metrics(run_s)
         assert abs(layers["trace.sum_residual_s"]) <= TRACE_SUM_TOL_S
-        assert layers["kernels.d1.calls"] > 0
-        if argv[0] == "dynamics":
-            assert layers["tcl2.solves"] > 0
+        assert {tracer.names[k] for k in tracer.name} == spans
+        for metric, span in (("kernels.d1.calls", "kernels.d1"),
+                             ("tcl2.solves", "tcl2.evolve_branch_pair"),
+                             ("markov.calls", "markov.family_ends")):
+            assert span not in spans or layers[metric] > 0, metric
         assert sorted(BENCH_DIR.rglob("*")) == bench_files
 
 

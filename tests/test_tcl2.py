@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nmotto import (
@@ -17,7 +19,15 @@ from nmotto import (
 )
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
-from nmotto.tcl2 import cumulative_simpson, default_step, family_ends, lattice, time_grid
+from nmotto.tcl2 import (
+    POSITIVITY_TOL,
+    StrokeEnds,
+    cumulative_simpson,
+    default_step,
+    family_ends,
+    lattice,
+    time_grid,
+)
 
 HOT = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
 COLD = ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.4)
@@ -197,6 +207,34 @@ class TestEvolveDiagonal:
         hot = ReservoirSpec(temperature=50.0, lam=0.3, cutoff=0.4)
         with pytest.raises(PositivityViolation):
             evolve_branch_pair(hot, 4.0, 10.0)
+
+
+class TestStrokeProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(temperature=st.floats(1.0, 40.0), lam=st.floats(0.005, 0.3),
+           omega=st.floats(0.5, 3.0), t_end=st.floats(0.5, 60.0),
+           h=st.sampled_from([None, 0.05, 0.03]))
+    def test_stroke_raises_or_stays_positive(self, temperature, lam, omega, t_end, h):
+        # a stroke that returns keeps both branches in [0, 1] at every sample
+        res = ReservoirSpec(temperature=temperature, lam=lam, cutoff=0.4)
+        try:
+            pair = evolve_branch_pair(res, omega, t_end, h)
+        except PositivityViolation:
+            return
+        for branch in (pair.rho00_1, pair.rho00_1 + np.exp(pair.cum_a)):
+            assert np.all(np.isfinite(branch))
+            assert branch.min() >= -POSITIVITY_TOL and branch.max() <= 1.0 + POSITIVITY_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(temperature=st.floats(1.0, 5.0), lam=st.floats(0.005, 0.02),
+           omega=st.floats(0.18, 1.0), t_end=st.floats(0.5, 60.0))
+    def test_halving_the_step_keeps_the_ends(self, temperature, lam, omega, t_end):
+        res = ReservoirSpec(temperature=temperature, lam=lam, cutoff=0.4)
+        h = default_step(t_end)
+        coarse, fine = (evolve_branch_pair(res, omega, t_end, step).ends
+                        for step in (h, h / 2))
+        for field, a, b in zip(StrokeEnds._fields, coarse, fine):
+            assert abs(a - b) <= 1e-8 * lam, field
 
 
 class TestSolutionFormula:
