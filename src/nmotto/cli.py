@@ -261,8 +261,6 @@ def run_oracle(cfg: RunConfig) -> str:
     # n samples pick every grid time already; more would pick the same ones
     n = len(hot.times)
     idx = np.round(np.linspace(0, n - 1, min(cfg.oracle_samples, n))).astype(int)
-    # non-decreasing already; np.unique would import numpy.ma on each call
-    idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
     times = hot.times[idx]
     bal = energetics.stroke_balance(p_h, hot)
 

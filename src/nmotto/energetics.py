@@ -183,7 +183,6 @@ class CycleEvaluation:
     cold contact, p0 the per-cycle contraction factor.
     """
 
-    engine: EngineParams
     P_h: float
     P_c: float
     p0: float
@@ -260,7 +259,7 @@ def evaluate_cycle(
             f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
         )
     ledger = EnergyLedger(*(float(v) for v in vars(ledger).values()))
-    return CycleEvaluation(engine=engine, P_h=float(p_h), P_c=float(p_c), p0=float(p0),
+    return CycleEvaluation(P_h=float(p_h), P_c=float(p_c), p0=float(p0),
                            ledger=ledger, hot=hot, cold=cold)
 
 
@@ -278,16 +277,12 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     ``EnergyLedger`` whose every field is an array of shape
     (len(t1_values), len(t2_values)), nan at failed points, and errors
     the failure labels ("" where the point succeeded).  A step or
-    duration that ``tcl2.lattice`` rejects raises ``ValueError``, as it
-    does in ``evaluate_cycle``.
+    duration that ``tcl2.lattice`` rejects raises ``ValueError`` from
+    the backend, as it does in ``evaluate_cycle``.
     """
     solver = _solver(backend)
     pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
     engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
-    # the step count grows with t and nan propagates: the extremes stand for all
-    for durations in (t1_values, t2_values):
-        for pick in (np.min, np.max):
-            tcl2.lattice(float(pick(durations)), h)
     hot_ends = solver.family_ends(engine.hot_reservoir, [e.omega_h for e in engines],
                                   t1_values, h)
     cold_ends = solver.family_ends(engine.cold_reservoir, [e.omega_c for e in engines],

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import EngineParams
 from .kernels import ReservoirSpec, ohmic_j
-from .tcl2 import StrokeDynamics, time_grid
+from .tcl2 import StrokeDynamics, lattice, time_grid
 
 __all__ = [
     "bose_n",
@@ -89,7 +89,10 @@ def evolve_branch_pair(
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
     """Stroke ends (r1, A = -Gamma t, 0, 0) of shape (4, len(omegas), len(durations)),
-    as ``tcl2.family_ends``; ``h`` is ignored, as the closed form needs no grid."""
+    as ``tcl2.family_ends``, and rejecting the same durations and ``h``: the
+    closed form needs no grid, but each stroke still passes ``tcl2.lattice``."""
+    for t in durations:
+        lattice(float(t), h)
     out = np.zeros((4, len(omegas), len(durations)))
     for i, omega in enumerate(omegas):
         out[0, i] = branch_pair(reservoir, omega, durations)[1]

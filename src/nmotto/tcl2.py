@@ -29,7 +29,8 @@ same pass.
 ``family_ends`` the ends of many: durations on one lattice are read
 off one solve of the longest, bit for bit as their own solves.  Each
 solve, shared or not, runs from one plan of ``_solve_plans``: its
-sample times, running integral and positivity mask.
+sample times, running integral and positivity mask, ``kept``, the one
+judge of whether a stroke stayed inside [0, 1].
 
 Populations leaving [0, 1] beyond ``POSITIVITY_TOL`` raise
 ``PositivityViolation``: that is the regime where the second-order map
@@ -216,22 +217,16 @@ def _inside(rho00: np.ndarray) -> np.ndarray:
     return (rho00 >= -POSITIVITY_TOL) & (rho00 <= 1.0 + POSITIVITY_TOL)
 
 
-def _check_positivity(rho00: np.ndarray, times: np.ndarray):
-    if _inside(rho00).all():
-        return
-    finite = np.isfinite(rho00)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise PositivityViolation(
-            f"second-order propagator diverged at t = {times[k]:g}; "
-            "the time-local generator is outside its regime of validity",
-            worst=float("nan"),
-        )
-    lo, hi = float(rho00.min()), float(rho00.max())
-    worst = lo if -lo > hi - 1.0 else hi
-    k = int(np.argmin(rho00) if -lo > hi - 1.0 else np.argmax(rho00))
-    raise PositivityViolation(
-        f"population left [0, 1] (worst {worst:.6g} at t = {times[k]:g}); "
+def _violation(times, rho0, rho1) -> PositivityViolation:
+    """The violation naming the sample farthest outside [0, 1] over both
+    branches; a non-finite value counts as farthest, and a tie goes to
+    the earliest sample."""
+    rho = np.stack((rho0, rho1), axis=1)  # row k holds both branches at times[k]
+    excess = np.where(np.isfinite(rho), np.maximum(-rho, rho - 1.0), np.inf)
+    k = int(np.argmax(excess))
+    worst = float(rho.flat[k])
+    return PositivityViolation(
+        f"population left [0, 1] (worst {worst:.6g} at t = {times[k // 2]:g}); "
         "second-order dynamics is not positive for these parameters",
         worst=worst,
     )
@@ -275,11 +270,11 @@ def evolve_branch_pair(
     evaluation cheap; the solution is affine in the initial condition
     so no generality is lost.
     """
-    [(_, times, integrate, _, _)] = _solve_plans([t_end], h)
+    [(_, times, integrate, kept, _)] = _solve_plans([t_end], h)
     rho0, rho1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1 = _solve(
         times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
-    _check_positivity(rho0, times)
-    _check_positivity(rho1, times)
+    if not kept(_inside(rho0) & _inside(rho1))[0]:
+        raise _violation(times, rho0, rho1)
     return StrokeDynamics(
         omega=omega, times=times, rho00_1=rho1, cum_a=cum_a, a_vals=a, b_vals=b,
         corr_0=corr0, corr_1=corr1, dcorr_0=dcorr0, dcorr_1=dcorr1)

@@ -125,13 +125,19 @@ class TestConfig:
         raw = parse_config("# a comment\n\nt1 = 2.0  # trailing\n")
         assert raw == {"t1": "2.0"}
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, capsys):
         with pytest.raises(ConfigError):
             parse_config("coupling_strength = 1\n")
         with pytest.raises(ConfigError, match="unknown key 'foo'"):
             build_config({"foo": "1"})
         # --set hands its keys to build_config unchecked
         assert main(["dynamics", "--set", "foo=1"]) == 2
+        # a line or an item with no key=value at all
+        with pytest.raises(ConfigError, match="line 2: expected key=value, got 't2'"):
+            parse_config("t1 = 2\nt2\n")
+        capsys.readouterr()
+        assert main(["dynamics", "--set", "foo"]) == 2
+        assert "--set expects key=value, got 'foo'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name", BENCH_WORKLOADS["NAMES"])
@@ -211,6 +217,11 @@ class TestConfig:
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigError):
             build_config({"omega_c": "2.0"})  # above omega_h
+        for raw, message in (({"T_c": "6"}, "need T_h >= T_c > 0"),
+                             ({"lambda": "-0.01"}, "coupling must be nonnegative"),
+                             ({"cutoff": "0"}, "cutoff must be positive")):
+            with pytest.raises(ConfigError, match=message):
+                build_config(raw)
 
     def test_backend_validated(self):
         with pytest.raises(ConfigError):
@@ -403,6 +414,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             evaluate_grid(engine, durations["t1"], durations["t2"], backend)
 
+    @pytest.mark.parametrize("backend", ["tcl2", "markov"])
+    def test_empty_side_gives_an_empty_grid(self, backend):
+        engine = build_config({}).engine
+        [(_, ledger, errors)] = evaluate_grid(engine, [], [5.0], backend)
+        assert errors.shape == (0, 1)
+        assert all(np.shape(v) == (0, 1) for v in astuple(ledger))
+
     def test_edge_failure_spares_shorter_strokes_of_its_solve(self):
         cfg = build_config({**self.SMALL, **self.EDGE_FAILURE})
         _, rows = read_rows(run_sweep(cfg))
@@ -574,6 +592,18 @@ class TestOracleCommand:
         assert texts[0] == texts[1] == texts[2]
         assert column(texts[0], "t").tolist() == [0.0, 0.25, 0.5]
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 10**4), samples=st.integers(2, 10**12))
+    @example(n=2, samples=2)
+    @example(n=10**4, samples=10**4 - 1)
+    def test_sampled_times_strictly_increase(self, n, samples):
+        # a hot stroke of n - 1 steps (two at least), on n grid times
+        cfg = build_config({**self.CFG, "t1": "1", "t2": "1", "step": repr(1 / (n - 1)),
+                            "oracle_samples": str(samples)})
+        t = column(run_oracle(cfg), "t")
+        assert len(t) == min(samples, max(n, 3))
+        assert np.all(np.diff(t) > 0)
+
     def test_zero_coupling_all_zero(self):
         cfg = build_config({**self.CFG, "lambda": "0"})
         text = run_oracle(cfg)
@@ -652,6 +682,22 @@ class TestMain:
                 "configuration error: cannot write output: ")
         assert not (tmp_path / "new.csv").exists()
 
+    def test_stdout_is_the_out_file(self, tmp_path):
+        # the module run as a script writes to stdout what --out writes
+        args = ["sweep", "--set", "t1_count=2", "--set", "t2_count=2"]
+        out = tmp_path / "sweep.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        assert fresh_process("-m", "nmotto.cli", *args) == out.read_bytes()
+
+    def test_write_failure_after_the_run(self, tmp_path, capsys):
+        # a name too long for the file system passes the checks made as
+        # the config is read, and fails only when the CSV is written
+        out = tmp_path / ("x" * 300)
+        assert main(["dynamics", "--set", "t1=1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_exit_code_numerical_failure(self, capsys):
         rc = main(["dynamics", "--set", "omega_h=4", "--set", "omega_c=0.5",
                    "--set", "T_h=50", "--set", "lambda=0.3", "--set", "t1=10"])
@@ -659,13 +705,18 @@ class TestMain:
         assert "PositivityViolation" in capsys.readouterr().err
 
 
-def fresh_modules(code):
-    """stdout of ``code`` run in a fresh interpreter, where no test module
-    has imported anything yet."""
+def fresh_process(*args):
+    """stdout bytes of ``python *args`` in a fresh interpreter, where no
+    test module has imported anything yet."""
     src = str(Path(nmotto.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True).stdout
+
+
+def fresh_modules(code):
+    """stdout of ``code`` run in a fresh interpreter, stripped."""
+    return fresh_process("-c", code).decode().strip()
 
 
 class TestRuntime:

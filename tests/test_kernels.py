@@ -153,8 +153,9 @@ class TestNoiseKernel:
             assert abs(c - q) <= 1e-6 * abs(q) + 1e-12
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            d1(-1.0, REF_SPEC)
+        for kernel in (d1, d2):
+            with pytest.raises(ValueError, match="tau must be nonnegative"):
+                kernel(-1.0, REF_SPEC)
 
 
 class TestDissipationKernel:

@@ -12,7 +12,7 @@ from nmotto import (
     relaxation_rate,
     stationary_rho00,
 )
-from nmotto.markov import branch_pair
+from nmotto.markov import branch_pair, evolve_branch_pair, family_ends
 
 COLD = ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.4)
 
@@ -72,6 +72,24 @@ class TestRelaxation:
 
     def test_rate_positive(self):
         assert relaxation_rate(1.0, COLD) > 0.0
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            branch_pair(COLD, 0.18, [0.0, -1.0])
+
+
+class TestStrokeCalls:
+    @pytest.mark.parametrize("t, h", [
+        (float("nan"), None), (0.0, None), (float("inf"), None),
+        (5.0, 0.0), (5.0, -1.0), (5.0, 1e-6),
+    ])
+    def test_family_ends_rejects_what_a_stroke_rejects(self, t, h):
+        # the closed form needs no grid, but each stroke passes tcl2.lattice
+        with pytest.raises(ValueError) as point:
+            evolve_branch_pair(COLD, 0.18, t, h)
+        with pytest.raises(ValueError) as grid:
+            family_ends(COLD, [0.18], [1.0, t], h)
+        assert str(grid.value) == str(point.value)
 
 
 class TestPositiveWorkCondition:

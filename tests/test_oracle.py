@@ -52,6 +52,13 @@ class TestDiscretizeBath:
             DiscretizedBath(
                 frequencies=np.ones(8), couplings=np.ones(8),
                 fock_cutoff=4, temperature=1.0)
+        for bad, message in (({"couplings": np.ones(3)}, "equal length"),
+                             ({"fock_cutoff": 0}, "at least two Fock levels"),
+                             ({"temperature": 0.0}, "temperature must be positive")):
+            kwargs = {"frequencies": np.ones(2), "couplings": np.ones(2),
+                      "fock_cutoff": 2, "temperature": 1.0, **bad}
+            with pytest.raises(ValueError, match=message):
+                DiscretizedBath(**kwargs)
 
     @pytest.mark.parametrize("eps", [-0.5, 0.0, np.nan])
     def test_mode_frequencies_positive(self, eps):
@@ -63,6 +70,10 @@ class TestDiscretizeBath:
         # every mode at least doubles the dimension
         with pytest.raises(ValueError, match="16 modes exceed composite dimension 32768"):
             discretize_bath(REF_SPEC, 16, 2.0, 1)
+        with pytest.raises(ValueError, match="at least one mode"):
+            discretize_bath(REF_SPEC, 0, 2.0, 1)
+        with pytest.raises(ValueError, match="omega_max must be positive"):
+            discretize_bath(REF_SPEC, 2, 0.0, 1)
 
 
 def brute_force_energies(p, omega, bath, times):
@@ -211,6 +222,11 @@ class TestExactEvolve:
         bath = discretize_bath(COLDISH, 1, 0.8, 2)
         with pytest.raises(ValueError):
             exact_evolve(p, 1.0, bath, [0.0])
+
+    def test_level_splitting_validated(self):
+        bath = discretize_bath(COLDISH, 1, 0.8, 2)
+        with pytest.raises(ValueError, match="level splitting must be positive"):
+            exact_evolve(0.5, 0.0, bath, [0.0])
 
     @pytest.mark.parametrize("times", [[], [float("nan"), 1.0], [float("inf")], [-1.0]],
                              ids=["empty", "nan", "inf", "negative"])

@@ -208,6 +208,37 @@ class TestEvolveDiagonal:
         with pytest.raises(PositivityViolation):
             evolve_branch_pair(hot, 4.0, 10.0)
 
+    @pytest.mark.parametrize("temperature, lam, omega, t_end, named", [
+        (50.0, 0.3, 4.0, 10.0, "worst 1.3024 at t = 1.595"),
+        # the branches overflow: a non-finite sample is the farthest out
+        (30.0, 0.3, 0.5, 60.0, "worst inf at t = 21.12"),
+    ], ids=["finite", "diverging"])
+    def test_violation_names_the_farthest_sample(self, monkeypatch, temperature, lam,
+                                                 omega, t_end, named):
+        solved, solve = [], tcl2._solve
+
+        def recording(times, *args):
+            values = solve(times, *args)
+            solved.append((times, *values[:2]))
+            return values
+
+        monkeypatch.setattr(tcl2, "_solve", recording)
+        res = ReservoirSpec(temperature=temperature, lam=lam, cutoff=0.4)
+        with pytest.raises(PositivityViolation) as exc:
+            evolve_branch_pair(res, omega, t_end)
+        [(times, rho0, rho1)] = solved
+
+        def distance(x):  # how far outside [0, 1]; non-finite is farthest
+            return max(-x, x - 1.0) if np.isfinite(x) else np.inf
+
+        # the earliest sample of either branch at the largest distance
+        farthest = max(distance(x) for x in (*rho0, *rho1))
+        k, worst = next((k, x) for k in range(len(times)) for x in (rho0[k], rho1[k])
+                        if distance(x) == farthest)
+        assert exc.value.worst == worst
+        assert f"worst {worst:.6g} at t = {times[k]:g}" in str(exc.value)
+        assert named in str(exc.value)
+
 
 class TestStrokeProperties:
     @settings(max_examples=200, deadline=None)
