@@ -21,7 +21,7 @@ from .energetics import (
     stroke_dynamics,
 )
 from .engine import EngineParams
-from .errors import ConfigError, DegenerateCycle, PositivityViolation, TruncationWarning
+from .errors import ConfigError, DegenerateCycle, PositivityViolation
 from .kernels import ReservoirSpec, d1, d2, ohmic_j, trigamma
 from .markov import bose_n, positive_work_condition, relaxation_rate, stationary_rho00
 from .oracle import DiscretizedBath, OracleResult, discretize_bath, exact_evolve
@@ -40,7 +40,6 @@ __all__ = [
     "PositivityViolation",
     "ReservoirSpec",
     "StrokeDynamics",
-    "TruncationWarning",
     "bose_n",
     "d1",
     "d2",

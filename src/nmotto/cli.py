@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 
@@ -266,9 +265,7 @@ def run_oracle(cfg: RunConfig) -> str:
 
     bath = discretize_bath(cfg.engine.hot_reservoir, cfg.oracle_modes,
                            cfg.oracle_omega_max, cfg.oracle_fock)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the flag column carries this
-        ref = exact_evolve(p_h, cfg.engine.omega_h, bath, times)
+    ref = exact_evolve(p_h, cfg.engine.omega_h, bath, times)
 
     return _csv("t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation",
                 map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,
@@ -304,6 +301,14 @@ def _load_config(args) -> RunConfig:
             if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 raise ConfigError(f"cannot write output: {folder!r} is not a writable "
                                   "directory")
+            try:  # -1 where the folder's file system sets no limit
+                name_max = os.pathconf(folder, "PC_NAME_MAX")
+            except (AttributeError, OSError, ValueError):  # no limit reported here
+                name_max = -1
+            name = os.fsencode(os.path.basename(cfg.out))
+            if 0 <= name_max < len(name):
+                raise ConfigError(f"cannot write output: a file name of {len(name)} "
+                                  f"bytes exceeds {name_max}")
     return cfg
 
 

@@ -1,4 +1,4 @@
-"""Package-wide exception and warning types."""
+"""Package-wide exception types."""
 
 
 class PositivityViolation(RuntimeError):
@@ -26,15 +26,6 @@ class DegenerateCycle(RuntimeError):
     def __init__(self, message, p0=None):
         super().__init__(message)
         self.p0 = p0
-
-
-class TruncationWarning(RuntimeWarning):
-    """Fock-space truncation of a discretized bath is carrying weight.
-
-    Emitted when the top Fock level of any mode holds population above
-    the reporting threshold, i.e. the truncated bath no longer
-    faithfully represents a thermal continuum.
-    """
 
 
 class ConfigError(ValueError):

@@ -12,21 +12,21 @@ energy pieces under exact unitary evolution then provide reference
 trajectories for dE_S, dE_B and E_I with conservation holding to
 linear-algebra precision.  The working memory is about 5 dim_b^2
 doubles, plus the eigensolver's workspace and a few MB of phases
-whatever the number of sampled times.  A handful of modes cannot mimic a continuum for long
-(the discretization recurs on the scale 2 pi / d_eps) and a finite Fock
-cutoff cannot hold large thermal occupations, so the reference is used
-to validate signs and trends, and quantitative agreement only where the
-truncation converges.
+whatever the number of sampled times.  A handful of modes cannot mimic
+a continuum for long (the discretization recurs on the scale
+2 pi / d_eps) and a finite Fock cutoff cannot hold large thermal
+occupations, so the reference is used to validate signs and trends, and
+quantitative agreement only where the truncation converges.  Truncation
+is reported once, by ``OracleResult.truncation_flagged`` at each sampled
+time.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationWarning
 from .kernels import ReservoirSpec
 
 __all__ = [
@@ -149,7 +149,8 @@ def _thermal_weights(bath: DiscretizedBath) -> np.ndarray:
 
     States below ``WEIGHT_CUTOFF`` are dropped and the remainder is
     renormalized, bounding the cost of low-weight corners without
-    biasing the retained mixture.
+    biasing the retained mixture.  The bath ground state always stays:
+    its weight is at least 1 / bath_dimension, far above the cutoff.
     """
     levels = np.arange(bath.fock_cutoff + 1, dtype=float)
     w = np.array([1.0])
@@ -158,10 +159,7 @@ def _thermal_weights(bath: DiscretizedBath) -> np.ndarray:
         wk /= wk.sum()
         w = np.kron(w, wk)
     w[w < WEIGHT_CUTOFF] = 0.0
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("weight cutoff removed the entire thermal mixture")
-    return w / total
+    return w / w.sum()
 
 
 def _couple(bath: DiscretizedBath, x: np.ndarray) -> np.ndarray:
@@ -194,8 +192,8 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
     ``bath_dimension``.  Each block is diagonalized once, and freed
     before the next; every observable is read through its eigenbasis
     phases, one matrix product per chunk of the time axis, and summed
-    over the blocks.  Emits ``TruncationWarning`` when the top Fock level
-    of any mode ever carries population above the reporting threshold.
+    over the blocks.  Truncation is reported only by the result's
+    ``truncation_flagged``; no warning is emitted.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("ground probability p must lie in [0, 1]")
@@ -216,7 +214,7 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
     chunk = max(1, _PHASE_ELEMENTS // dim_b)  # samples per pass over the phases
     # rows: E_I (0 at t = 0: factorized start), qubit excitation, h_bath, top levels
     values = np.zeros((3 + n_modes, n_t))
-    at_zero = np.zeros(3 + n_modes)
+    at_zero = np.zeros(2)  # qubit excitation and h_bath, at t = 0
 
     def block(parity):
         excited = (occupation.sum(axis=1) + parity) % 2  # qubit level per state
@@ -253,23 +251,16 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
         accumulate(0, _couple(bath, vectors).T @ vectors)
         for j, diag in enumerate([excited, h_bath, *(occupation.T == m)], start=1):
             accumulate(j, in_eigenbasis(diag))
-            at_zero[j] += w @ diag
+        at_zero[:] += w @ excited, w @ h_bath
 
     for parity in (0, 1):
         block(parity)
 
-    worst_top = values[3:].max(axis=0)
-    top = max(worst_top.max(), at_zero[3:].max())
-    if top > TRUNCATION_THRESHOLD:
-        warnings.warn(f"top Fock level carries population {top:.3g} (> "
-                      f"{TRUNCATION_THRESHOLD:g}); bath truncation is not converged",
-                      TruncationWarning, stacklevel=2)
-
     return OracleResult(
         times=times,
         # h_sys = omega (|1><1| - 1/2), and the trace is conserved
-        d_system=omega * (values[1] - at_zero[1]),
-        d_bath=values[2] - at_zero[2],
+        d_system=omega * (values[1] - at_zero[0]),
+        d_bath=values[2] - at_zero[1],
         interaction=values[0],
-        top_level_population=worst_top,
+        top_level_population=values[3:].max(axis=0),
     )

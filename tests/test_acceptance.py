@@ -25,7 +25,6 @@ eta_O = 0.82 exceeds eta_C = 0.8:
   Markov W_II, non-increasing in both durations, has none.
 """
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -43,7 +42,6 @@ from nmotto import (
     stroke_balance,
 )
 from nmotto.energetics import StrokeEnds, _close_cycle, effective_temperature_profile
-from nmotto.errors import TruncationWarning
 from nmotto.kernels import d1, d2
 from test_kernels import REF_SPEC, d1_by_quadrature, d2_by_quadrature
 
@@ -103,9 +101,7 @@ def oracle_run(tcl2_eval):
     times = np.arange(0.0, 5.25, 0.25)
     bath = discretize_bath(ENGINE.hot_reservoir, 4, 2.0, 4)
     p_h = tcl2_eval.P_h
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        result = exact_evolve(p_h, ENGINE.omega_h, bath, times)
+    result = exact_evolve(p_h, ENGINE.omega_h, bath, times)
     return result, bath
 
 

@@ -180,6 +180,23 @@ class TestWeakCoupling:
             ratios = difference_ratios(scaled)
             assert np.all((95.0 <= ratios) & (ratios <= 105.0)), (field, ratios)
 
+    def test_tcl2_ledger_approaches_its_first_order_limit(self, ref_engine):
+        # every kernel is linear in lam, so W / lam has a finite limit as
+        # lam -> 0, read off here at lam = 1e-12; the second-order slopes
+        # at (3, 36) are 9.50 for W_I and 1.54 for W_II
+        eng = replace(ref_engine, t1=3.0, t2=36.0)
+        limit = evaluate_cycle(replace(eng, lam=1e-12)).ledger
+        lim_i, lim_ii = limit.W_I / 1e-12, limit.W_II / 1e-12
+        assert lim_i == pytest.approx(0.6194395873, abs=1e-9)
+        assert lim_ii == pytest.approx(-0.9962075706, abs=1e-9)
+        # the interaction energy keeps a nonzero share of the work as the
+        # coupling vanishes: E_I / W_I -> -2.608
+        assert (limit.E_I_h + limit.E_I_c) / limit.W_I == pytest.approx(-2.608, abs=1e-3)
+        for lam in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10):
+            led = evaluate_cycle(replace(eng, lam=lam)).ledger
+            assert abs(led.W_I / lam - lim_i) <= 10 * lam
+            assert abs(led.W_II / lam - lim_ii) <= 2 * lam
+
     @settings(max_examples=60, deadline=None)
     @given(backend=st.sampled_from(["tcl2", "markov"]),
            log_lam=st.floats(-12.0, np.log10(0.02)), T_h=st.floats(1.0, 5.0),

@@ -1,7 +1,6 @@
 """Exact few-mode reference: construction, conservation, agreement."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from scipy.linalg import expm
 
 from nmotto import (
     ReservoirSpec,
-    TruncationWarning,
     discretize_bath,
     exact_evolve,
     stroke_dynamics,
@@ -130,9 +128,7 @@ def brute_force_energies(p, omega, bath, times):
 class TestExactEvolve:
     def test_factorized_start_all_zero(self):
         bath = discretize_bath(COLDISH, 2, 1.0, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(0.8, 1.0, bath, [0.0])
+        res = exact_evolve(0.8, 1.0, bath, [0.0])
         assert abs(res.d_system[0]) < 1e-13
         assert abs(res.d_bath[0]) < 1e-13
         assert abs(res.interaction[0]) < 1e-13
@@ -140,18 +136,14 @@ class TestExactEvolve:
     def test_zero_coupling_stays_zero(self):
         off = ReservoirSpec(temperature=1.0, lam=0.0, cutoff=0.4)
         bath = discretize_bath(off, 2, 1.0, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(0.7, 1.0, bath, np.linspace(0, 5, 6))
+        res = exact_evolve(0.7, 1.0, bath, np.linspace(0, 5, 6))
         assert np.max(np.abs(res.d_system)) < 1e-14
         assert np.max(np.abs(res.d_bath)) < 1e-14
         assert np.max(np.abs(res.interaction)) < 1e-14
 
     def test_conservation_exact(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            bath = discretize_bath(REF_SPEC, 3, 1.5, 3)
-            res = exact_evolve(0.5, 1.0, bath, np.linspace(0, 5, 11))
+        bath = discretize_bath(REF_SPEC, 3, 1.5, 3)
+        res = exact_evolve(0.5, 1.0, bath, np.linspace(0, 5, 11))
         scale = 1.0 + np.sum(bath.frequencies * bath.fock_cutoff)
         assert np.max(np.abs(res.conservation_residual)) < 1e-10 * scale
 
@@ -160,9 +152,7 @@ class TestExactEvolve:
         # the tiny deliberately-unconverged bath flags truncation
         bath = discretize_bath(COLDISH, 1, 0.8, 2)
         times = np.array([0.0, 0.7, 1.9, 3.3])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(0.62, 1.1, bath, times)
+        res = exact_evolve(0.62, 1.1, bath, times)
         ref = brute_force_energies(0.62, 1.1, bath, times)
         assert np.allclose(res.d_system, ref[:, 0] - ref[0, 0], atol=1e-12)
         assert np.allclose(res.d_bath, ref[:, 1] - ref[0, 1], atol=1e-12)
@@ -180,9 +170,7 @@ class TestExactEvolve:
         spec = ReservoirSpec(temperature=1.0, lam=0.3, cutoff=0.4)
         bath = discretize_bath(spec, n_modes, 1.0, fock)
         times = np.array([0.0, 0.4, 1.3, 2.9, 6.1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(start, 1.1, bath, times)
+        res = exact_evolve(start, 1.1, bath, times)
         ref = brute_force_energies(start, 1.1, bath, times)
         np.testing.assert_allclose(res.d_system, ref[:, 0] - ref[0, 0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(res.d_bath, ref[:, 1] - ref[0, 1], rtol=0, atol=1e-12)
@@ -201,9 +189,7 @@ class TestExactEvolve:
         spec = ReservoirSpec(temperature=temperature, lam=lam, cutoff=0.4)
         bath = discretize_bath(spec, n_modes, 1.5, fock)
         times = np.array([0.0, 0.4, 1.3, 2.9])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = exact_evolve(p, omega, bath, times)
+        res = exact_evolve(p, omega, bath, times)
         ref = brute_force_energies(p, omega, bath, times)
         atol = 1e-12 * (1.0 + np.sum(bath.frequencies * bath.fock_cutoff))
         for got, want in [(res.d_system, ref[:, 0] - ref[0, 0]),
@@ -212,10 +198,10 @@ class TestExactEvolve:
                           (res.top_level_population, ref[:, 5:].max(axis=1))]:
             np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
-    def test_truncation_warning_at_high_temperature(self):
+    def test_truncation_flagged_at_high_temperature(self):
         bath = discretize_bath(REF_SPEC, 2, 1.0, 3)
-        with pytest.warns(TruncationWarning):
-            exact_evolve(0.5, 1.0, bath, [0.0, 1.0])
+        res = exact_evolve(0.5, 1.0, bath, [0.0, 1.0])
+        assert res.truncation_flagged.any()
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
     def test_ground_probability_validated(self, p):
@@ -240,11 +226,10 @@ class TestExactEvolve:
         with pytest.raises(ValueError, match="times must be"):
             exact_evolve(0.5, 1.0, bath, times)
 
-    def test_no_warning_when_converged(self):
+    def test_nothing_flagged_when_converged(self):
         bath = discretize_bath(COLDISH, 2, 1.0, 10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)
-            exact_evolve(0.5, 1.0, bath, [0.0, 1.0])
+        res = exact_evolve(0.5, 1.0, bath, [0.0, 1.0])
+        assert not res.truncation_flagged.any()
 
     def test_fock_convergence_where_representable(self):
         # at low temperature the cutoff is converged: one more level
@@ -253,9 +238,7 @@ class TestExactEvolve:
         vals = {}
         for m in (3, 4):
             bath = discretize_bath(COLDISH, 3, 1.5, m)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                res = exact_evolve(0.8, 1.0, bath, times)
+            res = exact_evolve(0.8, 1.0, bath, times)
             vals[m] = res.interaction[-1]
         assert abs(vals[4] - vals[3]) < 0.05 * abs(vals[4])
 
@@ -273,9 +256,7 @@ def traced_peak(call):
 
 class TestWorkingMemory:
     def run(self, bath, times):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            exact_evolve(0.6, 1.0, bath, times)
+        exact_evolve(0.6, 1.0, bath, times)
 
     def test_bench_bath_within_five_block_matrices(self):
         # one parity block alive at a time and no dense coupling matrix
@@ -312,9 +293,7 @@ class TestSolverAgreement:
         d_eb, e_i = bal.dEB[idx], bal.E_I[idx]
 
         bath = discretize_bath(eng.hot_reservoir, 3, 1.5, 10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            ref = exact_evolve(p, eng.omega_h, bath, times)
+        ref = exact_evolve(p, eng.omega_h, bath, times)
 
         assert np.all(np.sign(d_eb) == np.sign(ref.d_bath))
         assert np.all(np.sign(e_i) == np.sign(ref.interaction))
