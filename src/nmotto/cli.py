@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -88,6 +88,14 @@ def _backend(text: str) -> str:
     return text
 
 
+def _out(text: str) -> str | None:
+    # a path the config line format carries back unchanged
+    if text.splitlines() != [text] or text != text.strip() or "#" in text:
+        raise ConfigError("must be a nonempty path without '#', a line break or "
+                          f"surrounding whitespace, got {text!r}")
+    return None if text == "-" else text
+
+
 def _pairs(text: str):
     if text.lower() in ("", "none"):
         return None
@@ -110,8 +118,7 @@ _KEYS = {
     "backend": (_backend, str),
     "step": (lambda text: None if text.lower() == "auto" else _finite(text),
              lambda h: "auto" if h is None else _show_float(h)),
-    "out": (lambda text: None if text == "-" else text,
-            lambda out: "-" if out is None else out),
+    "out": (_out, lambda out: "-" if out is None else out),
     "t1_min": _FLOAT, "t1_max": _FLOAT, "t1_count": _COUNT,
     "t2_min": _FLOAT, "t2_max": _FLOAT, "t2_count": _COUNT,
     "omega_pairs": (_pairs, lambda pairs: "none" if pairs is None else ",".join(
@@ -208,9 +215,14 @@ def _cells(values):
         yield from ("%.12g\n" * len(part) % tuple(part)).split("\n")[:-1]
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text of equally long columns of cells, read row by row, LF line endings."""
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+def _csv(header: str, blocks) -> str:
+    """CSV text of blocks of cell columns, LF line endings: each block is
+    read row by row, up to its shortest column, and dropped once joined."""
+    rows = [header]
+    for columns in blocks:
+        rows.extend(map(",".join, zip(*columns)))
+    rows.append("")  # the last line's ending, without a copy of the text
+    return "\n".join(rows)
 
 
 def run_dynamics(cfg: RunConfig) -> str:
@@ -220,8 +232,8 @@ def run_dynamics(cfg: RunConfig) -> str:
     bal = energetics.stroke_balance(p_h, hot)
     t_eff = energetics.effective_temperature_profile(bal.rho00, hot.omega)
     theta = energetics.energy_flow(p_h, hot)[1]
-    return _csv("t,rho00,rho11,T_eff,dES,dEB,EI,theta", map(_cells, (
-        hot.times, bal.rho00, 1.0 - bal.rho00, t_eff, bal.dES, bal.dEB, bal.E_I, theta)))
+    return _csv("t,rho00,rho11,T_eff,dES,dEB,EI,theta", [map(_cells, (
+        hot.times, bal.rho00, 1.0 - bal.rho00, t_eff, bal.dES, bal.dEB, bal.E_I, theta))])
 
 
 def run_sweep(cfg: RunConfig) -> str:
@@ -238,18 +250,14 @@ def run_sweep(cfg: RunConfig) -> str:
     # cells that repeat down a block are formatted once and repeated
     t1_cells = [c for c in _cells(t1_values) for _ in t2_values]
     t2_cells = list(_cells(t2_values)) * len(t1_values)
-    size = len(t1_cells)
     lead = "omega_h,omega_c," if cfg.omega_pairs is not None else ""
-    per_block = []
-    for engine, ledger, errors in blocks:
-        pair = [engine.omega_h, engine.omega_c] if lead else []
-        per_block.append([
-            *(repeat(c, size) for c in _cells(pair)), t1_cells, t2_cells,
-            *map(_cells, (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
-            *(repeat(c, size) for c in _cells([engine.eta_otto, engine.eta_carnot])),
-            errors.ravel().tolist()])
-    return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error",
-                map(chain.from_iterable, zip(*per_block)))
+    return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error", (
+        [*map(repeat, _cells([engine.omega_h, engine.omega_c] if lead else [])),
+         t1_cells, t2_cells,
+         *map(_cells, (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
+         *map(repeat, _cells([engine.eta_otto, engine.eta_carnot])),
+         errors.ravel().tolist()]
+        for engine, ledger, errors in blocks))
 
 
 def run_oracle(cfg: RunConfig) -> str:
@@ -268,8 +276,8 @@ def run_oracle(cfg: RunConfig) -> str:
     ref = exact_evolve(p_h, cfg.engine.omega_h, bath, times)
 
     return _csv("t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation",
-                map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,
-                             bal.E_I[idx], ref.interaction, ref.truncation_flagged)))
+                [map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,
+                              bal.E_I[idx], ref.interaction, ref.truncation_flagged))])
 
 
 def _load_config(args) -> RunConfig:
@@ -278,7 +286,7 @@ def _load_config(args) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw.update(parse_config(fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     for item in args.set or []:
         if "=" not in item:

@@ -53,7 +53,6 @@ __all__ = [
     "MAX_STEPS",
     "StrokeEnds",
     "StrokeDynamics",
-    "default_step",
     "lattice",
     "time_grid",
     "cumulative_simpson",
@@ -69,19 +68,6 @@ POSITIVITY_TOL = 1e-9
 MAX_STEPS = 10**6
 
 
-def default_step(t_end: float) -> float:
-    """Default grid step: at most 0.01, and >= 2000 points per stroke.
-
-    At weak coupling this resolves the kernel decay and the level
-    oscillation with margin: halving it moves the stroke ends by about
-    1e-11 at the paper's operating point.  At strong coupling and high
-    temperature it does not: at T = 30, lam = 0.2 halving it moves the
-    rho00 ends by up to 1e-5 and the C(t) ends by up to 1e-3, so pass a
-    smaller ``h`` there when that matters.
-    """
-    return min(0.01, t_end / 2000.0)
-
-
 # an end this close to a lattice point, relative to the duration, ends on it
 _LATTICE_TOL = 1e-12
 
@@ -95,11 +81,17 @@ def lattice(t_end: float, h: float | None = None):
     (delta = 0, and the last grid point is t_end itself).  A stroke
     shorter than two steps runs two steps of t_end / 2, and one of more
     than ``MAX_STEPS`` steps raises ``ValueError``.
+
+    The default step, min(0.01, t_end / 2000), resolves the kernel decay
+    and the level oscillation at weak coupling: halving it moves the
+    stroke ends by about 1e-11 at the paper's operating point.  At
+    T = 30, lam = 0.2 it moves the rho00 ends by up to 1e-5 and the C(t)
+    ends by up to 1e-3, so pass a smaller ``h`` there when that matters.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     if h is None:
-        h = default_step(t_end)
+        h = min(0.01, t_end / 2000.0)
     if not h > 0:
         raise ValueError("grid step must be positive")
     if not t_end / h <= MAX_STEPS:
@@ -212,11 +204,6 @@ def _closing_weights(h, delta):
             (delta * delta / 3.0 + h * delta / 2.0) / hd)
 
 
-def _inside(rho00: np.ndarray) -> np.ndarray:
-    """Where a population is finite and within [0, 1] up to POSITIVITY_TOL."""
-    return (rho00 >= -POSITIVITY_TOL) & (rho00 <= 1.0 + POSITIVITY_TOL)
-
-
 def _violation(times, rho0, rho1) -> PositivityViolation:
     """The violation naming the sample farthest outside [0, 1] over both
     branches; a non-finite value counts as farthest, and a tie goes to
@@ -273,7 +260,7 @@ def evolve_branch_pair(
     [(_, times, integrate, kept, _)] = _solve_plans([t_end], h)
     rho0, rho1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1 = _solve(
         times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
-    if not kept(_inside(rho0) & _inside(rho1))[0]:
+    if not kept(rho0, rho1)[0]:
         raise _violation(times, rho0, rho1)
     return StrokeDynamics(
         omega=omega, times=times, rho00_1=rho1, cum_a=cum_a, a_vals=a, b_vals=b,
@@ -317,8 +304,8 @@ def _plan(h, columns, ends, steps, deltas):
 
     Returns ``(columns, times, integrate, kept, at_end)``: ``times``
     are the samples in that layout, ``integrate(y)`` the running
-    integral of samples ``y`` at ``times``, ``kept(inside)`` which
-    strokes stayed inside [0, 1] given where the samples did, and
+    integral of samples ``y`` at ``times``, ``kept(rho0, rho1)`` which
+    strokes kept both branches, sampled at ``times``, inside [0, 1], and
     ``at_end`` where each stroke's end sits in the layout.
     """
     n = int(steps.max()) + 1
@@ -350,7 +337,10 @@ def _plan(h, columns, ends, steps, deltas):
             cum = np.concatenate((cum, closed))
         return cum
 
-    def kept(inside):
+    def kept(rho0, rho1):
+        # where both branches are finite and within [0, 1] up to POSITIVITY_TOL
+        inside = ((rho0 >= -POSITIVITY_TOL) & (rho0 <= 1.0 + POSITIVITY_TOL)
+                  & (rho1 >= -POSITIVITY_TOL) & (rho1 <= 1.0 + POSITIVITY_TOL))
         # index of the first lattice sample that left [0, 1]
         first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
         return (shared < first_out) & inside[at_k] & inside[at_end]
@@ -375,6 +365,6 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
         d1_vals, d2_vals = d1(times, reservoir), d2(times, reservoir)
         for i, omega in enumerate(omegas):
             values = _solve(times, d1_vals, d2_vals, omega, integrate)[:5]
-            ok = kept(_inside(values[0]) & _inside(values[1]))
+            ok = kept(values[0], values[1])
             out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in values[1:]]
     return out

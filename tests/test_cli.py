@@ -121,6 +121,21 @@ class TestConfig:
         assert cfg != build_config({})
         assert build_config(parse_config(serialize_config(cfg))) == cfg
 
+    @settings(max_examples=100, deadline=None)
+    @given(out=st.text())
+    @example(out="run#1.csv")
+    @example(out=" x.csv")
+    @example(out="x.csv\n")
+    @example(out="")
+    @example(out="a = b.csv")
+    def test_every_accepted_out_round_trips(self, out):
+        # an out the config line format cannot carry back is refused
+        try:
+            cfg = build_config({"out": out})
+        except ConfigError:
+            return
+        assert build_config(parse_config(serialize_config(cfg))) == cfg
+
     def test_comments_and_blank_lines(self):
         raw = parse_config("# a comment\n\nt1 = 2.0  # trailing\n")
         assert raw == {"t1": "2.0"}
@@ -649,6 +664,18 @@ class TestMain:
     def test_exit_code_missing_config_file(self):
         assert main(["dynamics", "--config", "/nonexistent.cfg"]) == 2
 
+    def test_exit_code_config_file_not_utf8(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluator reached")
+
+        for name in ("evaluate_cycle", "evaluate_grid"):
+            monkeypatch.setattr(energetics, name, unreachable)
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"t1 = 5\xff\n")
+        assert main(["dynamics", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: cannot read config file: 'utf-8' codec can't decode")
+
     def test_exit_code_unwritable_output(self, tmp_path, capsys, monkeypatch):
         # rejected while the config is read, before any stroke is solved
         def unreachable(*args, **kwargs):
@@ -665,6 +692,17 @@ class TestMain:
                 assert main([command, "--set", "t1=1", "--out", str(out)]) == 2
                 assert capsys.readouterr().err.startswith(
                     "configuration error: cannot write output: ")
+        # a name the config line format cannot carry back: empty, with a
+        # comment mark, a line break or surrounding whitespace
+        for out in ("", str(tmp_path / "run#1.csv"), str(tmp_path / "a\nb.csv"),
+                    " x.csv", str(tmp_path / "x.csv ")):
+            for command in ("dynamics", "sweep", "oracle"):
+                assert main([command, "--set", "t1=1", "--out", out]) == 2
+                assert capsys.readouterr().err == (
+                    "configuration error: out must be a nonempty path without '#', "
+                    f"a line break or surrounding whitespace, got {out!r}\n")
+        assert main(["sweep", "--set", "out="]) == 2
+        assert "got ''" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == "kept"
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from nmotto import DegenerateCycle, EngineParams, evaluate_cycle, stroke_dynamics
 from nmotto.energetics import DEGENERACY_TOL, StrokeEnds, _close_cycle
+from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
 
 # the fixed point reads only the stroke ends; any nonzero coupling
@@ -139,6 +141,33 @@ def difference_ratios(values):
 WEAK_LAMS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
 
 
+def stroke_integrals(reservoir, omega, t):
+    """(A, B, S, K) of one stroke from the kernels by weighted
+    quadrature: A = Int a = -2 Int_0^t (t - u) D1 cos(omega u) du,
+    B = -Int b = -A/2 + Int_0^t (t - u) D2 sin(omega u) du,
+    S = Int_0^t D1 sin(omega u) du and K = Int_0^t D2 cos(omega u) du."""
+    def weighted(f, weight):
+        return quad(f, 0.0, t, weight=weight, wvar=omega, limit=200)[0]
+
+    a_int = -2.0 * weighted(lambda u: (t - u) * d1(u, reservoir), "cos")
+    b_int = -a_int / 2 + weighted(lambda u: (t - u) * d2(u, reservoir), "sin")
+    return (a_int, b_int, weighted(lambda u: d1(u, reservoir), "sin"),
+            weighted(lambda u: d2(u, reservoir), "cos"))
+
+
+def first_order_ledger(engine):
+    """lim W / lam as lam -> 0 at the engine's durations, (W_I, W_II, E_I):
+    every kernel is linear in lam, so the cycle to first order closes on
+    the stroke integrals at unit coupling; no stroke is solved."""
+    unit = replace(engine, lam=1.0)
+    a_h, b_h, s_h, k_h = stroke_integrals(unit.hot_reservoir, unit.omega_h, unit.t1)
+    a_c, b_c, s_c, k_c = stroke_integrals(unit.cold_reservoir, unit.omega_c, unit.t2)
+    p = -(b_h + b_c) / (a_h + a_c)  # the zero-coupling P_h = P_c
+    w_i = -(unit.omega_h - unit.omega_c) * (a_h * p + b_h)
+    e_i = -(k_h + (2 * p - 1) * s_h) - (k_c + (2 * p - 1) * s_c)
+    return w_i, w_i + e_i, e_i
+
+
 class TestWeakCoupling:
     """The closure keeps its digits as the coupling, and with it 1 - p0,
     goes to zero."""
@@ -196,6 +225,27 @@ class TestWeakCoupling:
             led = evaluate_cycle(replace(eng, lam=lam)).ledger
             assert abs(led.W_I / lam - lim_i) <= 10 * lam
             assert abs(led.W_II / lam - lim_ii) <= 2 * lam
+
+    @pytest.mark.parametrize("T_h", [5.0, 2.0])
+    @pytest.mark.parametrize("t1, t2", [(1.0, 5.0), (3.0, 36.0), (5.0, 60.0), (20.0, 20.0)])
+    def test_tcl2_ledger_against_the_first_order_ledger(self, ref_engine, T_h, t1, t2):
+        # W / lam = W1 + O(lam), with second-order slopes up to 9.5 at
+        # (3, 36); the 1e-9 floor is the solver's own step error, 2.9e-10
+        # at lam = 1e-12.  At lam = 1e-2, W_II at (20, 20) is up to 13 lam off.
+        eng = replace(ref_engine, T_h=T_h, t1=t1, t2=t2)
+        w_i, w_ii, _ = first_order_ledger(eng)
+        for lam in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            led = evaluate_cycle(replace(eng, lam=lam)).ledger
+            assert abs(led.W_I / lam - w_i) <= 10 * lam + 1e-9, lam
+            assert abs(led.W_II / lam - w_ii) <= 10 * lam + 1e-9, lam
+
+    def test_first_order_ledger_at_the_operating_pair(self, ref_engine):
+        # the interaction energy keeps a nonzero share of the work as the
+        # coupling vanishes
+        w_i, w_ii, e_i = first_order_ledger(replace(ref_engine, t1=3.0, t2=36.0))
+        assert w_i == pytest.approx(0.619439587261, abs=1e-11)
+        assert w_ii == pytest.approx(-0.996207570606, abs=1e-11)
+        assert e_i / w_i == pytest.approx(-2.608, abs=1e-3)
 
     @settings(max_examples=60, deadline=None)
     @given(backend=st.sampled_from(["tcl2", "markov"]),

@@ -23,7 +23,6 @@ from nmotto.tcl2 import (
     POSITIVITY_TOL,
     StrokeEnds,
     cumulative_simpson,
-    default_step,
     family_ends,
     lattice,
     time_grid,
@@ -63,8 +62,8 @@ def quad_coefficient(kind, t, reservoir, omega):
 
 class TestGrid:
     def test_default_step(self):
-        assert default_step(60.0) == 0.01
-        assert default_step(1.0) == pytest.approx(0.0005)
+        assert lattice(60.0)[0] == 0.01
+        assert lattice(1.0)[0] == pytest.approx(0.0005)
 
     def test_grid_endpoints(self):
         t = time_grid(5.0)
@@ -261,7 +260,7 @@ class TestStrokeProperties:
            omega=st.floats(0.18, 1.0), t_end=st.floats(0.5, 60.0))
     def test_halving_the_step_keeps_the_ends(self, temperature, lam, omega, t_end):
         res = ReservoirSpec(temperature=temperature, lam=lam, cutoff=0.4)
-        h = default_step(t_end)
+        h = lattice(t_end)[0]
         coarse, fine = (evolve_branch_pair(res, omega, t_end, step).ends
                         for step in (h, h / 2))
         for field, a, b in zip(StrokeEnds._fields, coarse, fine):
