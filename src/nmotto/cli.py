@@ -24,19 +24,23 @@ import numpy as np
 from . import energetics
 from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
-from .oracle import discretize_bath, exact_evolve
+from .oracle import DiscretizedBath, discretize_bath, exact_evolve
 from .tcl2 import lattice
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
 _BACKENDS = tuple(energetics.BACKENDS)
+# A sweep at this many points (t1 x t2 x omega pairs) peaks at about
+# 0.5 GB, as ``dynamics`` does at ``tcl2.MAX_STEPS`` steps.
+MAX_SWEEP_POINTS = 10**6
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved run: engine, backend, grids, ranges, output."""
+    """One fully resolved run; a rule across its keys raises ``ValueError``."""
 
-    engine: EngineParams
+    engine: EngineParams = EngineParams(omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
+                                        lam=0.01, cutoff=0.4, t1=5.0, t2=60.0)
     backend: str = "tcl2"
     step: float | None = None
     out: str | None = None
@@ -52,11 +56,26 @@ class RunConfig:
     oracle_omega_max: float = 2.0
     oracle_samples: int = 51
 
+    def __post_init__(self):
+        for name in ("t1", "t2"):
+            if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
+                raise ValueError(f"need {name}_min <= {name}_max")
+        points = self.t1_count * self.t2_count * max(1, len(self.omega_pairs or ()))
+        if points > MAX_SWEEP_POINTS:
+            raise ValueError(f"a sweep of {points} points exceeds {MAX_SWEEP_POINTS}")
+        # longest first: a step too fine for every duration is named at the longest
+        for t in sorted((self.engine.t1, self.engine.t2, self.t1_min, self.t1_max,
+                         self.t2_min, self.t2_max), reverse=True):
+            lattice(t, self.step)
+        self.bath  # discretized, not kept
+        for hi, lo in self.omega_pairs or ():
+            replace(self.engine, omega_h=hi, omega_c=lo)
 
-_DEFAULT_ENGINE = EngineParams(
-    omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
-    lam=0.01, cutoff=0.4, t1=5.0, t2=60.0,
-)
+    @property
+    def bath(self) -> DiscretizedBath:
+        """The few-mode stand-in for the hot reservoir of the exact run."""
+        return discretize_bath(self.engine.hot_reservoir, self.oracle_modes,
+                               self.oracle_omega_max, self.oracle_fock)
 
 
 def _finite(text: str) -> float:
@@ -89,10 +108,10 @@ def _backend(text: str) -> str:
 
 
 def _out(text: str) -> str | None:
-    # a path the config line format carries back unchanged
-    if text.splitlines() != [text] or text != text.strip() or "#" in text:
-        raise ConfigError("must be a nonempty path without '#', a line break or "
-                          f"surrounding whitespace, got {text!r}")
+    # a path the config line format carries back unchanged, and open takes
+    if text.splitlines() != [text] or text != text.strip() or "#" in text or "\0" in text:
+        raise ConfigError("must be a nonempty path without '#', a NUL, a line break "
+                          f"or surrounding whitespace, got {text!r}")
     return None if text == "-" else text
 
 
@@ -127,9 +146,6 @@ _KEYS = {
     "oracle_samples": (_at_least(2), str),
 }
 
-# A sweep at this many points (t1 x t2 x omega pairs) peaks at about
-# 0.5 GB, as ``dynamics`` does at ``tcl2.MAX_STEPS`` steps.
-MAX_SWEEP_POINTS = 10**6
 # workers is still read, so that configs written when sweeps ran on a
 # process pool keep working; its only valid value is 1
 _KNOWN = {*_KEYS, "workers"}
@@ -169,29 +185,10 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(f"{key} {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
-
     try:
-        engine = replace(_DEFAULT_ENGINE, **engine_kwargs)
+        return RunConfig(engine=replace(RunConfig.engine, **engine_kwargs), **run_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(engine=engine, **run_kwargs)
-
-    for name in ("t1", "t2"):
-        if not (0 < getattr(cfg, f"{name}_min") <= getattr(cfg, f"{name}_max")):
-            raise ConfigError(f"need 0 < {name}_min <= {name}_max")
-    points = cfg.t1_count * cfg.t2_count * max(1, len(cfg.omega_pairs or ()))
-    if points > MAX_SWEEP_POINTS:
-        raise ConfigError(f"a sweep of {points} points exceeds {MAX_SWEEP_POINTS}")
-    try:  # the step on the longest stroke any command runs, the oracle bath,
-        # and the engine of each omega pair
-        lattice(max(engine.t1, engine.t2, cfg.t1_max, cfg.t2_max), cfg.step)
-        discretize_bath(engine.hot_reservoir, cfg.oracle_modes,
-                        cfg.oracle_omega_max, cfg.oracle_fock)
-        for hi, lo in cfg.omega_pairs or ():
-            replace(engine, omega_h=hi, omega_c=lo)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -271,9 +268,7 @@ def run_oracle(cfg: RunConfig) -> str:
     times = hot.times[idx]
     bal = energetics.stroke_balance(p_h, hot)
 
-    bath = discretize_bath(cfg.engine.hot_reservoir, cfg.oracle_modes,
-                           cfg.oracle_omega_max, cfg.oracle_fock)
-    ref = exact_evolve(p_h, cfg.engine.omega_h, bath, times)
+    ref = exact_evolve(p_h, cfg.engine.omega_h, cfg.bath, times)
 
     return _csv("t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation",
                 [map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,
@@ -347,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one configuration key (repeatable)")
-        p.add_argument("--backend", choices=_BACKENDS)
+        p.add_argument("--backend", help=f"one of {_BACKENDS}")
         p.add_argument("--out", help="output CSV path (default: stdout)")
     return parser
 

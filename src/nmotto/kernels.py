@@ -30,8 +30,8 @@ __all__ = ["ReservoirSpec", "ohmic_j", "trigamma", "d1", "d2"]
 class ReservoirSpec:
     """One bosonic reservoir: temperature, coupling and spectral cutoff.
 
-    ``lam`` may be zero (coupling switched off) which makes every kernel
-    vanish identically; temperature and cutoff must be positive.
+    ``lam`` may be zero, which makes every kernel vanish; temperature and
+    cutoff must be positive, with finite temperature**2 and cutoff**3.
     """
 
     temperature: float
@@ -48,6 +48,12 @@ class ReservoirSpec:
             raise ValueError(f"coupling must be nonnegative, got {self.lam}")
         if not self.cutoff > 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        for name, power in (("temperature", 2), ("cutoff", 3)):
+            try:  # d1 and d2 take these powers, and a float power raises on overflow
+                getattr(self, name) ** power
+            except OverflowError:
+                raise ValueError(f"{name}**{power} must be a finite float, "
+                                 f"got {name} {getattr(self, name)}") from None
 
 
 def ohmic_j(omega, spec: ReservoirSpec):
@@ -111,9 +117,6 @@ def d1(tau, spec: ReservoirSpec):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("kernel argument tau must be nonnegative")
-    if spec.lam == 0.0:
-        out = np.zeros_like(tau)
-        return out if out.ndim else 0.0
     x = spec.cutoff * tau
     x2 = x * x
     zeta = (spec.temperature / spec.cutoff) * (1.0 + 1j * x)

@@ -79,8 +79,8 @@ def lattice(t_end: float, h: float | None = None):
     then a partial step delta = t_end - m h, 0 <= delta < h.  An end
     within ``_LATTICE_TOL * t_end`` of a lattice point ends on it
     (delta = 0, and the last grid point is t_end itself).  A stroke
-    shorter than two steps runs two steps of t_end / 2, and one of more
-    than ``MAX_STEPS`` steps raises ``ValueError``.
+    shorter than two steps runs two steps of t_end / 2; one of more than
+    ``MAX_STEPS`` steps or a step below 1.49e-154 raises ``ValueError``.
 
     The default step, min(0.01, t_end / 2000), resolves the kernel decay
     and the level oscillation at weak coupling: halving it moves the
@@ -89,7 +89,7 @@ def lattice(t_end: float, h: float | None = None):
     ends by up to 1e-3, so pass a smaller ``h`` there when that matters.
     """
     if not t_end > 0:
-        raise ValueError("t_end must be positive")
+        raise ValueError(f"stroke duration must be positive, got {t_end:g}")
     if h is None:
         h = min(0.01, t_end / 2000.0)
     if not h > 0:
@@ -106,7 +106,10 @@ def lattice(t_end: float, h: float | None = None):
     if abs(delta) <= tol:
         delta = 0.0
     if m < 2:
-        return t_end / 2, 2, 0.0
+        h, m, delta = t_end / 2, 2, 0.0
+    if not h * h >= np.finfo(float).tiny:  # _closing_weights divides by h (h + delta)
+        raise ValueError(f"a stroke of duration {t_end:g} at step {h:g} needs "
+                         "a step of at least 1.49e-154")
     return h, m, delta
 
 

@@ -69,11 +69,11 @@ def markov_eval():
     return evaluate_cycle(ENGINE, "markov")
 
 
-def _ledger_grids(t1_values, t2_values, backend, omega_pairs=None):
+def _ledger_grids(t1_values, t2_values, backend, omega_pairs=None, engine=ENGINE):
     """The ``EnergyLedger`` of grids, one per omega pair.  Every point
     must succeed, as the per-point ``evaluate_cycle`` would raise
     otherwise."""
-    blocks = evaluate_grid(ENGINE, t1_values, t2_values, backend,
+    blocks = evaluate_grid(engine, t1_values, t2_values, backend,
                            omega_pairs=omega_pairs)
     for _, _, errors in blocks:
         assert np.all(errors == ""), set(errors.flat)
@@ -363,3 +363,20 @@ def test_criterion_15_second_law_with_interaction_energy():
                f"min Sigma_II {min_2:.2e}, TCL2 min Sigma_I/lam at the "
                f"operating pair {tcl2_min_1[0] / ENGINE.lam:.3e}, "
                f"Markov equal={ok_markov}")
+
+
+def test_criterion_17_second_law_split_at_weak_coupling():
+    # finding (1) does not fade with the coupling: Sigma_I / lam and
+    # Sigma_II / lam tend to nonzero limits, about -1.68e-2 at
+    # (t1, t2) = (3, 60) and 0.1305
+    lams = (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+    scaled = [[sigma / lam for sigma in _entropy_productions(
+        _ledger_grids(T_GRID, T_GRID, "tcl2", engine=replace(ENGINE, lam=lam))[0])]
+              for lam in lams]
+    min_1 = [s_1.min() for s_1, _ in scaled]
+    min_2 = [s_2.min() for _, s_2 in scaled]
+    ok = max(min_1) < 0.0 and min(min_2) >= 0.0
+    _criterion(17, "Sigma_II >= 0 everywhere and Sigma_I < 0 somewhere on the "
+                   "60x60 TCL2 grid at every lam in 1e-2 .. 1e-12", ok,
+               f"min Sigma_I/lam in [{min(min_1):.4e}, {max(min_1):.4e}], "
+               f"min Sigma_II/lam {min(min_2):.4f}")

@@ -178,6 +178,15 @@ class TestConfig:
         ("sweep", ["t1_max=2e4", "step=0.01"], "duration 20000 at step 0.01 needs"),
         ("oracle", ["step=1e-320"], "needs more than 1000000 steps"),
         ("sweep", ["step=0"], "grid step must be positive"),
+        # every duration is checked, the shortest too: a default step of
+        # t / 2000 that underflows, or whose square does
+        ("dynamics", ["t1=5e-324"], "grid step must be positive"),
+        ("dynamics", ["t1=1e-310"], "at step 5e-314 needs a step of at least 1.49e-154"),
+        ("sweep", ["t1_min=1e-310", "t1_count=2", "t2_count=2"],
+         "duration 1e-310 at step 5e-314 needs a step of at least 1.49e-154"),
+        ("oracle", [f"{key}=2.5e-200" for key in ("t1", "t2", "t1_min", "t1_max",
+                                                   "t2_min", "t2_max")] + ["step=1e-200"],
+         "duration 2.5e-200 at step 1e-200 needs a step of at least 1.49e-154"),
     ])
     def test_step_checked_against_longest_stroke(self, monkeypatch, capsys, command,
                                                  sets, message):
@@ -185,15 +194,19 @@ class TestConfig:
         monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
         monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
         assert main([command, *(arg for s in sets for arg in ("--set", s))]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
 
     @pytest.mark.parametrize("command", ["oracle", "dynamics"])
     def test_oversized_oracle_bath_rejected(self, monkeypatch, capsys, command):
-        # 4 modes of 51 Fock levels, checked for every command as the config is read
+        # 4 modes of 51 Fock levels, and 13 of 2, checked for every command
+        # as the config is read
         monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
-        assert main([command, "--set", "oracle_modes=4", "--set", "oracle_fock=50"]) == 2
-        assert capsys.readouterr().err == (
-            "configuration error: composite dimension 13530402 exceeds 32768\n")
+        for modes, fock, dimension in (("4", "50", 13530402), ("13", "1", 16384)):
+            assert main([command, "--set", f"oracle_modes={modes}",
+                         "--set", f"oracle_fock={fock}"]) == 2
+            assert capsys.readouterr().err == (
+                f"configuration error: composite dimension {dimension} exceeds 8192\n")
 
     @pytest.mark.parametrize("items, message", [
         (["backend=exact"], "backend must be one of ('tcl2', 'markov'), got 'exact'"),
@@ -234,13 +247,22 @@ class TestConfig:
             build_config({"omega_c": "2.0"})  # above omega_h
         for raw, message in (({"T_c": "6"}, "need T_h >= T_c > 0"),
                              ({"lambda": "-0.01"}, "coupling must be nonnegative"),
-                             ({"cutoff": "0"}, "cutoff must be positive")):
+                             ({"cutoff": "0"}, "cutoff must be positive"),
+                             # the kernels' float powers would overflow
+                             ({"cutoff": "1e200"}, r"cutoff\*\*3 must be a finite float"),
+                             ({"cutoff": "1e103"}, r"cutoff\*\*3 must be a finite float"),
+                             ({"T_h": "1e300"}, r"temperature\*\*2 must be a finite")):
             with pytest.raises(ConfigError, match=message):
                 build_config(raw)
 
-    def test_backend_validated(self):
+    def test_backend_validated(self, monkeypatch, capsys):
         with pytest.raises(ConfigError):
             build_config({"backend": "exact"})
+        # the flag is read by the key's own parser
+        monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
+        assert main(["dynamics", "--backend", "exact"]) == 2
+        assert capsys.readouterr().err == ("configuration error: backend must be one "
+                                           "of ('tcl2', 'markov'), got 'exact'\n")
 
     @pytest.mark.parametrize("key, value", [
         ("lambda", "nan"), ("lambda", "inf"), ("T_h", "inf"), ("cutoff", "inf"),
@@ -693,16 +715,22 @@ class TestMain:
                 assert capsys.readouterr().err.startswith(
                     "configuration error: cannot write output: ")
         # a name the config line format cannot carry back: empty, with a
-        # comment mark, a line break or surrounding whitespace
+        # comment mark, a line break or surrounding whitespace; or one no
+        # file can have, with a NUL
         for out in ("", str(tmp_path / "run#1.csv"), str(tmp_path / "a\nb.csv"),
-                    " x.csv", str(tmp_path / "x.csv ")):
+                    " x.csv", str(tmp_path / "x.csv "), str(tmp_path / "a\0b.csv")):
             for command in ("dynamics", "sweep", "oracle"):
                 assert main([command, "--set", "t1=1", "--out", out]) == 2
                 assert capsys.readouterr().err == (
                     "configuration error: out must be a nonempty path without '#', "
-                    f"a line break or surrounding whitespace, got {out!r}\n")
+                    f"a NUL, a line break or surrounding whitespace, got {out!r}\n")
         assert main(["sweep", "--set", "out="]) == 2
         assert "got ''" in capsys.readouterr().err
+        cfg_file = tmp_path / "nul.cfg"  # a NUL can come from a config file
+        cfg_file.write_text("out = a\0b.csv\n")
+        assert main(["dynamics", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.endswith("got 'a\\x00b.csv'\n")
+        cfg_file.unlink()
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == "kept"
 

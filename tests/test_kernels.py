@@ -77,6 +77,15 @@ class TestOhmicJ:
         with pytest.raises(ValueError):
             ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.0)
 
+    def test_kernel_powers_finite(self):
+        # d1 takes temperature**2 and d2 cutoff**3, and a float power
+        # raises OverflowError where numpy would give inf
+        ReservoirSpec(temperature=1.34e154, lam=0.01, cutoff=5.64e102)
+        with pytest.raises(ValueError, match=r"temperature\*\*2 must be a finite float"):
+            ReservoirSpec(temperature=1.35e154, lam=0.01, cutoff=0.4)
+        with pytest.raises(ValueError, match=r"cutoff\*\*3 must be a finite float"):
+            ReservoirSpec(temperature=1.0, lam=0.01, cutoff=5.65e102)
+
 
 class TestFiniteParameters:
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])

@@ -66,7 +66,7 @@ class TestDiscretizeBath:
 
     def test_mode_count_bounded_before_allocating(self):
         # every mode at least doubles the dimension
-        with pytest.raises(ValueError, match="16 modes exceed composite dimension 32768"):
+        with pytest.raises(ValueError, match="16 modes exceed composite dimension 8192"):
             discretize_bath(REF_SPEC, 16, 2.0, 1)
         with pytest.raises(ValueError, match="at least one mode"):
             discretize_bath(REF_SPEC, 0, 2.0, 1)

@@ -113,6 +113,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="needs more than 1000000 steps"):
             lattice(60.0, 1e-320)  # t_end / h overflows to inf
 
+    def test_step_whose_square_underflows_refused(self):
+        # _closing_weights divides by h (h + delta): the least step is 1.49e-154
+        assert lattice(3e-151)[0] == 1.5e-154
+        for t_end, h in ((2.9e-151, None), (2.5e-200, 1e-200), (1e-160, 0.01)):
+            with pytest.raises(ValueError, match="needs a step of at least 1.49e-154"):
+                lattice(t_end, h)
+
 
 class TestCumulativeSimpson:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 2001, 2002, 6000, 6001])
