@@ -18,7 +18,6 @@ from .energetics import (
     evaluate_cycle,
     evaluate_grid,
     stroke_balance,
-    stroke_dynamics,
 )
 from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
@@ -54,6 +53,5 @@ __all__ = [
     "relaxation_rate",
     "stationary_rho00",
     "stroke_balance",
-    "stroke_dynamics",
     "trigamma",
 ]

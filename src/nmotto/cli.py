@@ -67,7 +67,11 @@ class RunConfig:
         for t in sorted((self.engine.t1, self.engine.t2, self.t1_min, self.t1_max,
                          self.t2_min, self.t2_max), reverse=True):
             lattice(t, self.step)
-        self.bath  # discretized, not kept
+            x = self.engine.cutoff * t  # the kernels square x**2 + 1
+            if not math.isfinite((x * x) * (x * x)):
+                raise ValueError(f"(cutoff t)**4 must be a finite float, got cutoff "
+                                 f"{self.engine.cutoff:g} at t = {t:g}")
+        self.bath.check_phases(self.engine.omega_h, self.engine.t1)
         for hi, lo in self.omega_pairs or ():
             replace(self.engine, omega_h=hi, omega_c=lo)
 

@@ -35,7 +35,7 @@ the composed hot and cold maps is the limit cycle; it and the whole
 ``_close_cycle``, which both evaluators call: ``evaluate_cycle`` for
 one engine and ``evaluate_grid`` over a duration grid, bit for bit
 alike.  ``BACKENDS`` picks the module, ``tcl2`` or ``markov``, that
-returns a stroke's ``StrokeDynamics`` record or many strokes' ends.
+returns a stroke's ``StrokeDynamics`` or many strokes' ``StrokeEnds``.
 ``energy_flow`` assembles theta = d(dE_B)/dt from the analytic
 integrands, never by numerical differencing.
 """
@@ -60,7 +60,6 @@ __all__ = [
     "StrokeBalance",
     "EnergyLedger",
     "CycleEvaluation",
-    "stroke_dynamics",
     "stroke_balance",
     "energy_flow",
     "effective_temperature_profile",
@@ -86,23 +85,6 @@ def _solver(backend: str):
     return BACKENDS[backend]
 
 
-def stroke_dynamics(
-    engine: EngineParams,
-    which: str,
-    backend: str = "tcl2",
-    h: float | None = None,
-) -> StrokeDynamics:
-    """Solve one stroke of the engine with full energetic diagnostics,
-    through the backend's ``evolve_branch_pair``."""
-    if which == "hot":
-        reservoir, omega, t_end = engine.hot_reservoir, engine.omega_h, engine.t1
-    elif which == "cold":
-        reservoir, omega, t_end = engine.cold_reservoir, engine.omega_c, engine.t2
-    else:
-        raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
-    return _solver(backend).evolve_branch_pair(reservoir, omega, t_end, h)
-
-
 class StrokeBalance(NamedTuple):
     """A contact started at ground population p, elementwise: its ground
     population rho00, the system energy change dES = omega (p - rho00),
@@ -115,19 +97,18 @@ class StrokeBalance(NamedTuple):
     dEB: np.ndarray
 
 
-def _balance(p, omega, r1, cum_a, corr_0, corr_1) -> StrokeBalance:
+def _balance(p, omega, ends: StrokeEnds) -> StrokeBalance:
     """``StrokeBalance`` from the contact map and both branches' C values."""
-    moved = r1 + p * np.expm1(cum_a)  # rho00 - p, formed without cancellation
+    moved = ends.r1 + p * np.expm1(ends.cum_a)  # rho00 - p, formed without cancellation
     d_es = -omega * moved
-    e_i = -_mixed(p, corr_0, corr_1)
+    e_i = -_mixed(p, ends.corr_0, ends.corr_1)
     return StrokeBalance(rho00=p + moved, dES=d_es, E_I=e_i, dEB=-d_es - e_i)
 
 
 def stroke_balance(p: float, stroke: StrokeDynamics) -> StrokeBalance:
     """``StrokeBalance`` profiles on the stroke grid: the first sample
     of each balance is exactly 0, the last the ledger's value bit for bit."""
-    return _balance(p, stroke.omega, stroke.rho00_1, stroke.cum_a,
-                    stroke.corr_0, stroke.corr_1)
+    return _balance(p, stroke.omega, stroke.ends_at(slice(None)))
 
 
 def energy_flow(p: float, stroke: StrokeDynamics):
@@ -231,8 +212,8 @@ def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
         p_c = (hot.r1 + np.exp(hot.cum_a) * cold.r1) / one_minus_p0
         if engine.lam == 0.0:
             degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-        bal_h = _balance(p_h, engine.omega_h, *hot)
-        bal_c = _balance(p_c, engine.omega_c, *cold)
+        bal_h = _balance(p_h, engine.omega_h, hot)
+        bal_c = _balance(p_c, engine.omega_c, cold)
         gap = engine.omega_h - engine.omega_c
         w_ad1, w_ad2 = gap * (1.0 - bal_h.rho00), gap * (1.0 - bal_c.rho00)
         w_1 = bal_h.dES + bal_c.dES
@@ -251,8 +232,9 @@ def evaluate_cycle(
     Raises ``PositivityViolation`` or ``DegenerateCycle`` from the
     underlying layers.
     """
-    hot = stroke_dynamics(engine, "hot", backend, h)
-    cold = stroke_dynamics(engine, "cold", backend, h)
+    solver = _solver(backend)
+    hot = solver.evolve_branch_pair(engine.hot_reservoir, engine.omega_h, engine.t1, h)
+    cold = solver.evolve_branch_pair(engine.cold_reservoir, engine.omega_c, engine.t2, h)
     p0, degenerate, p_h, p_c, ledger = _close_cycle(engine, hot.ends, cold.ends)
     if degenerate:
         raise DegenerateCycle(
@@ -291,8 +273,8 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     blocks = []
     for k, eng in enumerate(engines):
         # hot ends down a column, cold ends along a row: they broadcast
-        hot = StrokeEnds._make(hot_ends[:, k, :, None])
-        cold = StrokeEnds._make(cold_ends[:, k, None, :])
+        hot = StrokeEnds._make(end[k, :, None] for end in hot_ends)
+        cold = StrokeEnds._make(end[k, None, :] for end in cold_ends)
         _, degenerate, _, _, ledger = _close_cycle(eng, hot, cold)
         errors = np.full(degenerate.shape, "", dtype=object)
         errors[degenerate] = DegenerateCycle.__name__

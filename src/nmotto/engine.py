@@ -40,7 +40,7 @@ class EngineParams:
                              f"omega_h = {self.omega_h}, omega_c = {self.omega_c}")
         if not (self.T_h >= self.T_c > 0):
             raise ValueError("need T_h >= T_c > 0")
-        self.hot_reservoir  # its ReservoirSpec checks lam, cutoff and T_h >= T_c
+        self.hot_reservoir, self.cold_reservoir  # ReservoirSpec checks lam, cutoff, T
         if not (self.t1 > 0 and self.t2 > 0):
             raise ValueError("contact durations must be positive")
 

@@ -31,7 +31,9 @@ class ReservoirSpec:
     """One bosonic reservoir: temperature, coupling and spectral cutoff.
 
     ``lam`` may be zero, which makes every kernel vanish; temperature and
-    cutoff must be positive, with finite temperature**2 and cutoff**3.
+    cutoff must be positive.  The floats the closed forms take must be
+    finite: temperature**2, cutoff**3, (cutoff / temperature)**2 (the
+    trigamma recurrence's 1 / z**2 at tau = 0) and 4 lam cutoff**3.
     """
 
     temperature: float
@@ -48,12 +50,16 @@ class ReservoirSpec:
             raise ValueError(f"coupling must be nonnegative, got {self.lam}")
         if not self.cutoff > 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        for name, power in (("temperature", 2), ("cutoff", 3)):
-            try:  # d1 and d2 take these powers, and a float power raises on overflow
-                getattr(self, name) ** power
+        t, c = self.temperature, self.cutoff
+        for text, value in (("temperature**2", lambda: t**2), ("cutoff**3", lambda: c**3),
+                            ("(cutoff / temperature)**2", lambda: (c / t)**2),
+                            ("4 lam cutoff**3", lambda: 4.0 * self.lam * c**3)):
+            try:  # a float power raises on overflow, a float product gives inf
+                finite = math.isfinite(value())
             except OverflowError:
-                raise ValueError(f"{name}**{power} must be a finite float, "
-                                 f"got {name} {getattr(self, name)}") from None
+                finite = False
+            if not finite:
+                raise ValueError(f"{text} must be a finite float, got {self}")
 
 
 def ohmic_j(omega, spec: ReservoirSpec):

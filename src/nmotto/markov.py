@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import EngineParams
 from .kernels import ReservoirSpec, ohmic_j
-from .tcl2 import StrokeDynamics, lattice, time_grid
+from .tcl2 import StrokeDynamics, StrokeEnds, lattice, time_grid
 
 __all__ = [
     "bose_n",
@@ -88,15 +88,15 @@ def evolve_branch_pair(
 
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
-    """Stroke ends (r1, A = -Gamma t, 0, 0) of shape (4, len(omegas), len(durations)),
-    as ``tcl2.family_ends``, and rejecting the same durations and ``h``: the
+    """``StrokeEnds`` (r1, A = -Gamma t, 0, 0) of (len(omegas), len(durations))
+    arrays, as ``tcl2.family_ends``, and rejecting the same durations and ``h``: the
     closed form needs no grid, but each stroke still passes ``tcl2.lattice``."""
     for t in durations:
         lattice(float(t), h)
-    out = np.zeros((4, len(omegas), len(durations)))
+    out = StrokeEnds._make(np.zeros((4, len(omegas), len(durations))))
     for i, omega in enumerate(omegas):
-        out[0, i] = branch_pair(reservoir, omega, durations)[1]
-        out[1, i] = -relaxation_rate(omega, reservoir) * np.asarray(durations, float)
+        out.r1[i] = branch_pair(reservoir, omega, durations)[1]
+        out.cum_a[i] = -relaxation_rate(omega, reservoir) * np.asarray(durations, float)
     return out
 
 

@@ -23,6 +23,7 @@ time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,17 @@ class DiscretizedBath:
     def total_dimension(self) -> int:
         return 2 * self.bath_dimension
 
+    def check_phases(self, omega: float, t_end: float):
+        """Raise ``ValueError`` unless every phase E t of an exact run at
+        splitting omega up to time t_end is a finite float.  |E| is at most
+        omega / 2 + M sum eps_k + 2 sqrt(M) sum g_k, M the Fock cutoff,
+        since ||b + b^+|| <= 2 sqrt(M) on a truncated mode."""
+        bound = (float(omega) / 2 + self.fock_cutoff * sum(map(float, self.frequencies))
+                 + 2 * math.sqrt(self.fock_cutoff) * sum(map(float, self.couplings)))
+        if not math.isfinite(bound * float(t_end)):
+            raise ValueError(f"exact-run energies up to {bound:g} overflow the phases "
+                             f"E t by t = {float(t_end):g}")
+
 
 def _band_weight(upper, spec: ReservoirSpec):
     """Int_0^upper J(w) dw = lam cutoff^2 (1 - e^{-x} (1 + x)), x = upper/cutoff."""
@@ -110,6 +122,10 @@ def discretize_bath(
         raise ValueError(f"{n_modes} modes exceed composite dimension {MAX_DIMENSION}")
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")
+    top = float(omega_max)
+    # _band_weight divides by the cutoff, and a mode sits at half the sum of its edges
+    if not (math.isfinite(top / float(spec.cutoff)) and math.isfinite(2.0 * top)):
+        raise ValueError(f"omega_max {top:g} overflows the band at cutoff {spec.cutoff:g}")
     edges = np.linspace(0.0, omega_max, n_modes + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     g2 = _band_weight(edges[1:], spec) - _band_weight(edges[:-1], spec)
@@ -204,6 +220,7 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be nonempty, finite and nonnegative")
+    bath.check_phases(omega, times.max())
 
     m, n_modes, dim_b = bath.fock_cutoff, bath.n_modes, bath.bath_dimension
     # row s: the quanta in each mode of bath state s, mode 0 most

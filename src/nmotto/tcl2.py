@@ -128,8 +128,9 @@ class StrokeEnds(NamedTuple):
     A contact started at ground population P ends at r1 + exp(cum_a) P:
     r1 is the final ground population from |1> and cum_a = A(t_end) the
     decay exponent.  corr_0 / corr_1 are the final correction integrals
-    C(t_end) from |0> and |1>.  Floats for one stroke, or arrays that
-    broadcast over a grid of strokes.
+    C(t_end) from |0> and |1>.  Floats for one stroke, or arrays: over a
+    stroke's samples (``StrokeDynamics.ends_at``), over omegas and
+    durations (``family_ends``), or broadcast over a grid of strokes.
     """
 
     r1: float
@@ -161,10 +162,15 @@ class StrokeDynamics:
     dcorr_0: np.ndarray
     dcorr_1: np.ndarray
 
+    def ends_at(self, samples) -> StrokeEnds:
+        """The contact map of the stroke cut short at ``samples``, an index
+        or an index array into ``times``."""
+        return StrokeEnds(r1=self.rho00_1[samples], cum_a=self.cum_a[samples],
+                          corr_0=self.corr_0[samples], corr_1=self.corr_1[samples])
+
     @property
     def ends(self) -> StrokeEnds:
-        return StrokeEnds(r1=float(self.rho00_1[-1]), cum_a=float(self.cum_a[-1]),
-                          corr_0=float(self.corr_0[-1]), corr_1=float(self.corr_1[-1]))
+        return StrokeEnds._make(map(float, self.ends_at(-1)))
 
 
 def _back_piece(f1, f2, f3, dx):
@@ -228,8 +234,8 @@ def _solve(times, d1_vals, d2_vals, omega, integrate):
     ``integrate(y)`` returns the running integral of samples ``y`` taken
     at ``times``; every other operation is elementwise.  Past a
     positivity failure the values may overflow to inf or nan.  Returns
-    (rho0, rho1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1), the _0 /
-    _1 values from |0> / |1>; ``dcorr`` is the integrand dC/dt.
+    ``(rho0, stroke)``: the branch from |0>, which ``kept`` judges beside
+    ``stroke.rho00_1``, and the stroke's ``StrokeDynamics``.
     """
     sin_wt, cos_wt = np.sin(omega * times), np.cos(omega * times)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,7 +251,9 @@ def _solve(times, d1_vals, d2_vals, omega, integrate):
         dcorr0 = (2.0 * rho_from0 - 1.0) * d1_vals * sin_wt + d2_vals * cos_wt
         dcorr1 = (2.0 * rho_from1 - 1.0) * d1_vals * sin_wt + d2_vals * cos_wt
         corr0, corr1 = integrate(dcorr0), integrate(dcorr1)
-    return rho_from0, rho_from1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1
+    return rho_from0, StrokeDynamics(
+        omega=omega, times=times, rho00_1=rho_from1, cum_a=cum_a, a_vals=a, b_vals=b,
+        corr_0=corr0, corr_1=corr1, dcorr_0=dcorr0, dcorr_1=dcorr1)
 
 
 def evolve_branch_pair(
@@ -261,13 +269,11 @@ def evolve_branch_pair(
     so no generality is lost.
     """
     [(_, times, integrate, kept, _)] = _solve_plans([t_end], h)
-    rho0, rho1, cum_a, corr0, corr1, a, b, dcorr0, dcorr1 = _solve(
-        times, d1(times, reservoir), d2(times, reservoir), omega, integrate)
-    if not kept(rho0, rho1)[0]:
-        raise _violation(times, rho0, rho1)
-    return StrokeDynamics(
-        omega=omega, times=times, rho00_1=rho1, cum_a=cum_a, a_vals=a, b_vals=b,
-        corr_0=corr0, corr_1=corr1, dcorr_0=dcorr0, dcorr_1=dcorr1)
+    rho0, stroke = _solve(times, d1(times, reservoir), d2(times, reservoir), omega,
+                          integrate)
+    if not kept(rho0, stroke.rho00_1)[0]:
+        raise _violation(times, rho0, stroke.rho00_1)
+    return stroke
 
 
 def _solve_plans(durations, h: float | None):
@@ -354,20 +360,22 @@ def _plan(h, columns, ends, steps, deltas):
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
     """End values of the strokes of the given durations, for every omega.
 
-    Returns an array of shape (4, len(omegas), len(durations)): the
-    ``StrokeEnds`` fields r1, cum_a, corr_0 and corr_1, nan where
-    either branch left [0, 1].  Each column equals
-    ``evolve_branch_pair(reservoir, omega, t, h)`` bit for bit: each
-    solve of ``_solve_plans`` runs once per omega, and the samples a
-    stroke does not share with the lattice (an odd-step closing, an end
-    past the lattice) ride along after it.  The kernels are evaluated once
-    per solve for all omegas.  A column is the record's ``ends``.
+    Returns ``StrokeEnds`` whose fields are arrays of shape
+    (len(omegas), len(durations)), nan where either branch left [0, 1].
+    Element (i, j) equals ``evolve_branch_pair(reservoir, omegas[i],
+    durations[j], h).ends`` bit for bit: each solve of ``_solve_plans``
+    runs once per omega, and the samples a stroke does not share with
+    the lattice (an odd-step closing, an end past the lattice) ride
+    along after it.  The kernels are evaluated once per solve for all
+    omegas.
     """
-    out = np.empty((4, len(omegas), len(durations)))
+    out = StrokeEnds._make(np.empty((4, len(omegas), len(durations))))
     for columns, times, integrate, kept, at_end in _solve_plans(durations, h):
         d1_vals, d2_vals = d1(times, reservoir), d2(times, reservoir)
         for i, omega in enumerate(omegas):
-            values = _solve(times, d1_vals, d2_vals, omega, integrate)[:5]
-            ok = kept(values[0], values[1])
-            out[:, i, columns] = [np.where(ok, v[at_end], np.nan) for v in values[1:]]
+            rho0, stroke = _solve(times, d1_vals, d2_vals, omega, integrate)
+            ok = kept(rho0, stroke.rho00_1)
+            for field, end in zip(out, stroke.ends_at(at_end)):
+                field[i, columns] = np.where(ok, end, np.nan)
+            del rho0, stroke  # its profiles, before the next omega's solve
     return out

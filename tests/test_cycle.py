@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nmotto import DegenerateCycle, EngineParams, evaluate_cycle, stroke_dynamics
+from nmotto import DegenerateCycle, EngineParams, evaluate_cycle
 from nmotto.energetics import DEGENERACY_TOL, StrokeEnds, _close_cycle
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
@@ -310,7 +310,7 @@ class TestIterateCycle:
 class TestStrokeMap:
     def test_zero_coupling_is_identity(self):
         eng = EngineParams(1.0, 0.18, 5.0, 1.0, 0.0, 0.4, 5.0, 60.0)
-        ends = stroke_dynamics(eng, "hot", backend="tcl2").ends
+        ends = evaluate_cycle(eng, "tcl2").hot.ends
         assert ends.cum_a == 0.0 and ends.r1 == 0.0
         # no unique limit cycle: the closure takes the frozen mixture
         for backend in ("tcl2", "markov"):
@@ -325,11 +325,9 @@ class TestStrokeMap:
 
     def test_short_contact_near_identity(self, ref_engine):
         eng = replace(ref_engine, t1=1e-3)
-        ends = stroke_dynamics(eng, "hot", backend="tcl2").ends
+        ends = evaluate_cycle(eng, "tcl2").hot.ends
         assert ends.r1 + np.exp(ends.cum_a) > 0.999 and ends.r1 < 1e-3
 
     def test_bad_selector(self, ref_engine):
         with pytest.raises(ValueError):
-            stroke_dynamics(ref_engine, "tepid")
-        with pytest.raises(ValueError):
-            stroke_dynamics(ref_engine, "hot", backend="exact")
+            evaluate_cycle(ref_engine, backend="exact")

@@ -14,7 +14,6 @@ from nmotto import (
     evaluate_cycle,
     evaluate_grid,
     stroke_balance,
-    stroke_dynamics,
 )
 from nmotto.energetics import StrokeEnds, _close_cycle, effective_temperature_profile
 from nmotto.markov import branch_pair
@@ -61,7 +60,7 @@ class TestConservation:
         # the map at p = 1, rho00_1 + exp(A), is that branch's own
         # solution on the whole profile: e^A (1 - Int b e^-A) from the
         # record's coefficients, or the Markov closed form
-        stroke = stroke_dynamics(ref_engine, which, backend)
+        stroke = getattr(evaluate_cycle(ref_engine, backend), which)
         if backend == "tcl2":
             inner = simpson(stroke.b_vals * np.exp(-stroke.cum_a), stroke.times[1])
             want = np.exp(stroke.cum_a) * (1.0 - inner)
@@ -155,7 +154,7 @@ class TestInteractionEnergy:
     def test_markov_equilibrium_start_no_change(self, ref_engine):
         # starting on the stationary population, nothing moves
         from nmotto.markov import stationary_rho00
-        hot = stroke_dynamics(ref_engine, "hot", "markov")
+        hot = evaluate_cycle(ref_engine, "markov").hot
         p_star = stationary_rho00(ref_engine.omega_h, ref_engine.T_h)
         profile = stroke_balance(p_star, hot).dES
         # p mixes the two pure branches; at p = rho_inf the mixture sits
@@ -174,7 +173,7 @@ class TestEnergyFlow:
 
     def test_zero_coupling_flow_vanishes(self):
         eng = EngineParams(1.0, 0.18, 5.0, 1.0, 0.0, 0.4, 5.0, 60.0)
-        hot = stroke_dynamics(eng, "hot", "tcl2")
+        hot = evaluate_cycle(eng, "tcl2").hot
         _, theta = energy_flow(0.5, hot)
         assert np.all(theta == 0.0)
 

@@ -85,6 +85,12 @@ class TestOhmicJ:
             ReservoirSpec(temperature=1.35e154, lam=0.01, cutoff=0.4)
         with pytest.raises(ValueError, match=r"cutoff\*\*3 must be a finite float"):
             ReservoirSpec(temperature=1.0, lam=0.01, cutoff=5.65e102)
+        # trigamma's 1 / z**2 at z = temperature / cutoff, and D2's prefactor
+        ReservoirSpec(temperature=7.5e-155, lam=4.4e307, cutoff=1.0)
+        with pytest.raises(ValueError, match=r"\(cutoff / temperature\)\*\*2 must be"):
+            ReservoirSpec(temperature=7.4e-155, lam=0.01, cutoff=1.0)
+        with pytest.raises(ValueError, match=r"4 lam cutoff\*\*3 must be a finite float"):
+            ReservoirSpec(temperature=1.0, lam=4.5e307, cutoff=1.0)
 
 
 class TestFiniteParameters:

@@ -11,8 +11,8 @@ from scipy.linalg import expm
 from nmotto import (
     ReservoirSpec,
     discretize_bath,
+    evaluate_cycle,
     exact_evolve,
-    stroke_dynamics,
 )
 from nmotto import oracle
 from nmotto.energetics import stroke_balance
@@ -72,6 +72,8 @@ class TestDiscretizeBath:
             discretize_bath(REF_SPEC, 0, 2.0, 1)
         with pytest.raises(ValueError, match="omega_max must be positive"):
             discretize_bath(REF_SPEC, 2, 0.0, 1)
+        with pytest.raises(ValueError, match="omega_max 1e\\+308 overflows the band"):
+            discretize_bath(REF_SPEC, 2, 1e308, 1)
 
 
 def brute_force_energies(p, omega, bath, times):
@@ -214,16 +216,20 @@ class TestExactEvolve:
         with pytest.raises(ValueError, match="level splitting must be positive"):
             exact_evolve(0.5, 0.0, bath, [0.0])
 
-    @pytest.mark.parametrize("times", [[], [float("nan"), 1.0], [float("inf")], [-1.0]],
-                             ids=["empty", "nan", "inf", "negative"])
-    def test_times_validated_before_any_eigensolve(self, monkeypatch, times):
+    @pytest.mark.parametrize("times, message", [
+        ([], "times must be"), ([float("nan"), 1.0], "times must be"),
+        ([float("inf")], "times must be"), ([-1.0], "times must be"),
+        # each energy times the longest time must be a finite phase
+        ([0.0, 1.5e308], "overflow the phases E t by t = 1.5e\\+308"),
+    ], ids=["empty", "nan", "inf", "negative", "overflowing"])
+    def test_times_validated_before_any_eigensolve(self, monkeypatch, times, message):
         bath = discretize_bath(COLDISH, 1, 0.8, 2)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("eigh reached")
 
         monkeypatch.setattr(np.linalg, "eigh", unreachable)
-        with pytest.raises(ValueError, match="times must be"):
+        with pytest.raises(ValueError, match=message):
             exact_evolve(0.5, 1.0, bath, times)
 
     def test_nothing_flagged_when_converged(self):
@@ -284,7 +290,7 @@ class TestSolverAgreement:
         from nmotto import EngineParams
         eng = EngineParams(omega_h=1.0, omega_c=0.18, T_h=0.25, T_c=0.2,
                            lam=0.01, cutoff=0.4, t1=2.0, t2=2.0)
-        hot = stroke_dynamics(eng, "hot", "tcl2")
+        hot = evaluate_cycle(eng, "tcl2").hot
         p = 0.8
         times = np.arange(0.25, 2.25, 0.25)
         idx = np.rint(times / hot.times[1]).astype(int)

@@ -1,10 +1,12 @@
 """The README's Python example runs as written, its example config
-lists every key, and every module it names imports."""
+lists every key, and every module and dotted name it gives exists."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import nmotto
 from nmotto import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +34,28 @@ def test_lower_layers_name_modules():
     assert names
     for name in names:
         importlib.import_module(f"nmotto.{name}")
+
+
+def test_dotted_names_resolve():
+    # a backticked reference such as `tcl2.lattice` or `OracleResult.ends`,
+    # headed by a module or a public name of the package, names an attribute
+    modules = {module.name for module in pkgutil.iter_modules(nmotto.__path__)}
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    checked = 0
+    for span in spans:
+        match = re.match(r"([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*)+)", span)
+        if match is None:
+            continue
+        head, attrs = match.group(1), match.group(2).split(".")[1:]
+        if head in modules:
+            owner = importlib.import_module(f"nmotto.{head}")
+        elif head in nmotto.__all__:
+            owner = getattr(nmotto, head)
+        else:
+            continue
+        for attr in attrs:
+            assert hasattr(owner, attr), match.group(0)
+            owner = getattr(owner, attr)
+        checked += 1
+    assert checked
