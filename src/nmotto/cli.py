@@ -25,7 +25,7 @@ from . import energetics
 from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
 from .oracle import DiscretizedBath, discretize_bath, exact_evolve
-from .tcl2 import lattice
+from .tcl2 import POSITIVITY_TOL, lattice
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
@@ -67,11 +67,7 @@ class RunConfig:
         for t in sorted((self.engine.t1, self.engine.t2, self.t1_min, self.t1_max,
                          self.t2_min, self.t2_max), reverse=True):
             lattice(t, self.step)
-            x = self.engine.cutoff * t  # the kernels square x**2 + 1
-            if not math.isfinite((x * x) * (x * x)):
-                raise ValueError(f"(cutoff t)**4 must be a finite float, got cutoff "
-                                 f"{self.engine.cutoff:g} at t = {t:g}")
-        self.bath.check_phases(self.engine.omega_h, self.engine.t1)
+        self.bath  # discretize_bath checks the oracle keys
         for hi, lo in self.omega_pairs or ():
             replace(self.engine, omega_h=hi, omega_c=lo)
 
@@ -272,7 +268,11 @@ def run_oracle(cfg: RunConfig) -> str:
     times = hot.times[idx]
     bal = energetics.stroke_balance(p_h, hot)
 
-    ref = exact_evolve(p_h, cfg.engine.omega_h, cfg.bath, times)
+    # the exact start needs 0 <= P_h <= 1, which the cycle meets to the
+    # strokes' tolerance: P_h = 1 + 2e-16 is a ground state, P_h = 1.1 is not
+    if not -POSITIVITY_TOL <= p_h <= 1.0 + POSITIVITY_TOL:
+        raise PositivityViolation(f"limit-cycle P_h = {p_h!r} left [0, 1]", worst=p_h)
+    ref = exact_evolve(min(max(p_h, 0.0), 1.0), cfg.engine.omega_h, cfg.bath, times)
 
     return _csv("t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation",
                 [map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,

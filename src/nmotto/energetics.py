@@ -130,10 +130,11 @@ def effective_temperature_profile(rho00: np.ndarray, omega: float) -> np.ndarray
     rho11 = 1 - rho00.
 
     Positive for a normal population distribution, negative when
-    inverted, +inf where the populations are degenerate to 1e-12.
+    inverted, +inf where the populations are degenerate to 1e-12, and
+    nan where one lies below 0 (within the positivity tolerance).
     """
     rho11 = 1.0 - rho00
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = omega / np.log(rho00 / rho11)
     return np.where(np.abs(rho00 - rho11) < TEMPERATURE_DEGENERACY_TOL, np.inf, out)
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .kernels import ReservoirSpec
+from .kernels import ReservoirSpec, check_range
 
 __all__ = ["EngineParams"]
 
@@ -19,7 +18,8 @@ class EngineParams:
     cutoff the shared Ohmic coupling parameters, t1 / t2 the contact
     durations.  Degenerate settings (omega_h == omega_c, T_h == T_c,
     lam == 0) are representable so that boundary cases can be analyzed;
-    a working engine has omega_h > omega_c > 0 and T_h > T_c > 0.
+    a working engine has omega_h > omega_c > 0 and T_h > T_c > 0.  Each
+    value lies in [1 / SCALE, SCALE] (``kernels.SCALE``), lam in [0, SCALE].
     """
 
     omega_h: float
@@ -32,17 +32,14 @@ class EngineParams:
     t2: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("omega_h", "omega_c", "t1", "t2"):
+            check_range(name, getattr(self, name))
+        self.hot_reservoir, self.cold_reservoir  # ReservoirSpec checks lam, cutoff, T
         if not (self.omega_h >= self.omega_c > 0):
             raise ValueError("need omega_h >= omega_c > 0, got "
                              f"omega_h = {self.omega_h}, omega_c = {self.omega_c}")
         if not (self.T_h >= self.T_c > 0):
             raise ValueError("need T_h >= T_c > 0")
-        self.hot_reservoir, self.cold_reservoir  # ReservoirSpec checks lam, cutoff, T
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise ValueError("contact durations must be positive")
 
     @property
     def hot_reservoir(self) -> ReservoirSpec:

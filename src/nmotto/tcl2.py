@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PositivityViolation
-from .kernels import ReservoirSpec, d1, d2
+from .kernels import ReservoirSpec, check_range, d1, d2
 
 __all__ = [
     "POSITIVITY_TOL",
@@ -80,7 +80,8 @@ def lattice(t_end: float, h: float | None = None):
     within ``_LATTICE_TOL * t_end`` of a lattice point ends on it
     (delta = 0, and the last grid point is t_end itself).  A stroke
     shorter than two steps runs two steps of t_end / 2; one of more than
-    ``MAX_STEPS`` steps or a step below 1.49e-154 raises ``ValueError``.
+    ``MAX_STEPS`` steps raises ``ValueError``, as do a t_end or a given h
+    outside [1 / SCALE, SCALE] (``kernels.SCALE``).
 
     The default step, min(0.01, t_end / 2000), resolves the kernel decay
     and the level oscillation at weak coupling: halving it moves the
@@ -88,12 +89,11 @@ def lattice(t_end: float, h: float | None = None):
     T = 30, lam = 0.2 it moves the rho00 ends by up to 1e-5 and the C(t)
     ends by up to 1e-3, so pass a smaller ``h`` there when that matters.
     """
-    if not t_end > 0:
-        raise ValueError(f"stroke duration must be positive, got {t_end:g}")
+    check_range("stroke duration", t_end)
     if h is None:
         h = min(0.01, t_end / 2000.0)
-    if not h > 0:
-        raise ValueError("grid step must be positive")
+    else:
+        check_range("grid step", h)
     if not t_end / h <= MAX_STEPS:
         raise ValueError(f"a stroke of duration {t_end:g} at step {h:g} "
                          f"needs more than {MAX_STEPS} steps")
@@ -107,9 +107,6 @@ def lattice(t_end: float, h: float | None = None):
         delta = 0.0
     if m < 2:
         h, m, delta = t_end / 2, 2, 0.0
-    if not h * h >= np.finfo(float).tiny:  # _closing_weights divides by h (h + delta)
-        raise ValueError(f"a stroke of duration {t_end:g} at step {h:g} needs "
-                         "a step of at least 1.49e-154")
     return h, m, delta
 
 

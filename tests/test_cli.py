@@ -1,11 +1,14 @@
 """Command-line surface: config handling, CSV contracts, determinism."""
 
+import io
+import math
 import os
 import runpy
 import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from nmotto.cli import (
     serialize_config,
 )
 from nmotto.errors import ConfigError, DegenerateCycle, PositivityViolation
+from nmotto.kernels import SCALE
 
 REF_SETS = [
     "t1=5", "t2=60", "omega_h=1.0", "omega_c=0.18", "T_h=5.0", "T_c=1.0",
@@ -67,6 +71,10 @@ def point_ledger(engine, backend, step):
     except (PositivityViolation, DegenerateCycle) as exc:
         return (float("nan"),) * N_FIELDS, type(exc).__name__
     return astuple(ledger), ""
+
+
+# the input range as the checks print it
+RANGE = f"[{1 / SCALE!r}, {SCALE!r}]"
 
 
 def no_solve(*args, **kwargs):
@@ -176,17 +184,23 @@ class TestConfig:
         ("sweep", ["step=1e-9"], "duration 60 at step 1e-09 needs more than 1000000 steps"),
         ("dynamics", ["t2=1e6"], "duration 1e+06 at step 0.01 needs more than"),
         ("sweep", ["t1_max=2e4", "step=0.01"], "duration 20000 at step 0.01 needs"),
-        ("oracle", ["step=1e-320"], "needs more than 1000000 steps"),
-        ("sweep", ["step=0"], "grid step must be positive"),
-        # every duration is checked, the shortest too: a default step of
-        # t / 2000 that underflows, or whose square does
-        ("dynamics", ["t1=5e-324"], "grid step must be positive"),
-        ("dynamics", ["t1=1e-310"], "at step 5e-314 needs a step of at least 1.49e-154"),
+        ("oracle", ["step=1e-320"], f"grid step must lie in {RANGE}, got 1e-320"),
+        ("sweep", ["step=0"], f"grid step must lie in {RANGE}, got 0.0"),
+        # every duration is checked, the shortest too, against the input range
+        ("dynamics", ["t1=5e-324"], f"t1 must lie in {RANGE}, got 5e-324"),
+        ("dynamics", ["t1=1e-310"], f"t1 must lie in {RANGE}, got 1e-310"),
         ("sweep", ["t1_min=1e-310", "t1_count=2", "t2_count=2"],
-         "duration 1e-310 at step 5e-314 needs a step of at least 1.49e-154"),
+         f"stroke duration must lie in {RANGE}, got 1e-310"),
         ("oracle", [f"{key}=2.5e-200" for key in ("t1", "t2", "t1_min", "t1_max",
                                                    "t2_min", "t2_max")] + ["step=1e-200"],
-         "duration 2.5e-200 at step 1e-200 needs a step of at least 1.49e-154"),
+         f"t1 must lie in {RANGE}, got 2.5e-200"),
+        # the least step in range is still too fine for a 60-long stroke
+        ("oracle", [f"step={1 / SCALE!r}"], "needs more than 1000000 steps"),
+        # a coupling whose kernels overflow, and a splitting beyond the range
+        ("dynamics", ["lambda=3e307"], f"lam must lie in [0.0, {SCALE!r}], got 3e+307"),
+        ("sweep", ["lambda=3e307", "t1_count=2", "t2_count=2"],
+         f"lam must lie in [0.0, {SCALE!r}], got 3e+307"),
+        ("dynamics", ["omega_h=1e308"], f"omega_h must lie in {RANGE}, got 1e+308"),
     ])
     def test_step_checked_against_longest_stroke(self, monkeypatch, capsys, command,
                                                  sets, message):
@@ -215,10 +229,9 @@ class TestConfig:
         (["omega_pairs=1:0.18,0.1:0.5"],
          "need omega_h >= omega_c > 0, got omega_h = 0.1, omega_c = 0.5"),
         (["omega_pairs=1:0.18:2"], "bad value for 'omega_pairs': '1:0.18:2'"),
-        # the oracle bath whose band weight, or whose phases E t1, overflow
-        (["oracle_omega_max=1e308"], "omega_max 1e+308 overflows the band at cutoff 0.4"),
-        (["oracle_omega_max=1e307"],
-         "exact-run energies up to 8e+307 overflow the phases E t by t = 5"),
+        # an oracle band beyond the input range, whose weight or phases overflow
+        (["oracle_omega_max=1e308"], f"omega_max must lie in {RANGE}, got 1e+308"),
+        (["oracle_omega_max=1e307"], f"omega_max must lie in {RANGE}, got 1e+307"),
     ])
     def test_check_messages(self, monkeypatch, capsys, items, message):
         monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
@@ -250,21 +263,34 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"omega_c": "2.0"})  # above omega_h
         for raw, message in (({"T_c": "6"}, "need T_h >= T_c > 0"),
-                             ({"lambda": "-0.01"}, "coupling must be nonnegative"),
-                             ({"cutoff": "0"}, "cutoff must be positive"),
-                             # the kernels' float powers would overflow
-                             ({"cutoff": "1e200"}, r"cutoff\*\*3 must be a finite float"),
-                             ({"cutoff": "1e103"}, r"cutoff\*\*3 must be a finite float"),
-                             ({"T_h": "1e300"}, r"temperature\*\*2 must be a finite"),
-                             ({"T_c": "1e-300"},
-                              r"\(cutoff / temperature\)\*\*2 must be a finite float"),
-                             ({"lambda": "1e308"}, r"4 lam cutoff\*\*3 must be a finite"),
-                             # ... and so would (1 + (cutoff t)**2)**2 at t2 = 60
-                             ({"cutoff": "1e80"}, r"\(cutoff t\)\*\*4 must be a finite")):
+                             ({"lambda": "-0.01"}, r"lam must lie in \[0.0, "),
+                             ({"cutoff": "0"}, r"cutoff must lie in \["),
+                             # values far outside the range, most of which
+                             # would overflow the kernels' powers and products
+                             ({"cutoff": "1e200"}, r"cutoff must lie in \["),
+                             ({"cutoff": "1e103"}, r"cutoff must lie in \["),
+                             ({"T_h": "1e300"}, r"temperature must lie in \["),
+                             ({"T_c": "1e-300"}, r"temperature must lie in \["),
+                             ({"lambda": "1e308"}, r"lam must lie in \["),
+                             ({"cutoff": "1e80"}, r"cutoff must lie in \["),
+                             ({"T_c": "1e-154"}, r"temperature must lie in \["),
+                             ({"lambda": "4.4e307"}, r"lam must lie in \["),
+                             ({"cutoff": "1.9e75"}, r"cutoff must lie in \[")):
             with pytest.raises(ConfigError, match=message):
                 build_config(raw)
-        for raw in ({"T_c": "1e-154"}, {"lambda": "4.4e307"}, {"cutoff": "1.9e75"}):
-            build_config(raw)  # just inside the last three bounds
+        # each engine value at the edges of [1 / SCALE, SCALE]
+        top, bottom = repr(SCALE), repr(1 / SCALE)
+        for key in ("omega_h", "omega_c", "t1", "t2"):
+            for value in (SCALE * (1 + 2**-52), 1 / SCALE / 2):
+                with pytest.raises(ConfigError, match=rf"{key} must lie in \["):
+                    build_config({key: repr(value)})
+        for raw in ({"omega_h": top}, {"omega_h": top, "omega_c": top}, {"omega_c": bottom},
+                    {"omega_h": bottom, "omega_c": bottom}, {"t1": bottom}, {"t2": bottom},
+                    {"t1": top, "step": repr(SCALE / 1000)},
+                    {"t2": top, "step": repr(SCALE / 1000)},
+                    {"T_h": top}, {"T_c": bottom}, {"lambda": top}, {"cutoff": top},
+                    {"cutoff": bottom}):
+            build_config(raw)
 
     def test_backend_validated(self, monkeypatch, capsys):
         with pytest.raises(ConfigError):
@@ -445,7 +471,7 @@ class TestSweep:
         if h > 0:
             match, t1_values, t2_values = "needs more than", [5.0], [60.0]
         else:
-            match, t1_values, t2_values = "grid step must be positive", [1.0, 2.0], [3.0]
+            match, t1_values, t2_values = "grid step must lie in", [1.0, 2.0], [3.0]
         with pytest.raises(ValueError, match=match):
             evaluate_cycle(engine, backend, h)
         with pytest.raises(ValueError, match=match):
@@ -635,6 +661,17 @@ class TestOracleCommand:
         first = [abs(float(v)) for v in rows[0][:7]]
         assert max(first) < 1e-12  # t = 0 row carries only roundoff
 
+    @pytest.mark.parametrize("p_h", [-1e-8, 1.1])
+    def test_cycle_outside_the_unit_interval_is_a_numerical_failure(
+            self, monkeypatch, capsys, p_h):
+        # past the strokes' tolerance P_h is no ground probability to start from
+        solved = energetics.evaluate_cycle
+        monkeypatch.setattr(energetics, "evaluate_cycle",
+                            lambda *args: replace(solved(*args), P_h=p_h))
+        assert main(["oracle", *set_args(*(f"{k}={v}" for k, v in self.CFG.items()))]) == 3
+        assert capsys.readouterr().err == ("numerical failure: PositivityViolation: "
+                                           f"limit-cycle P_h = {p_h!r} left [0, 1]\n")
+
     def test_samples_beyond_the_grid_take_every_time(self):
         # a stroke of two steps has three grid times; 10**12 samples must
         # pick them without allocating 10**12 positions
@@ -689,6 +726,49 @@ class TestMain:
                    "--backend", "tcl2", "--set", "t1=5", "--out", str(out)])
         assert rc == 0
         assert column(out.read_text(), "theta").min() < 0.0  # tcl2 backflow
+
+    # a value of the input range: a corner, or log-uniform between them
+    IN_RANGE = st.one_of(st.sampled_from([1 / SCALE, 1.0, SCALE]),
+                         st.floats(-100.0, 100.0).map(lambda e: 2.0**e))
+    # durations at the default step, or at a step of a thousandth of the longest
+    DURATIONS = st.one_of(
+        st.tuples(st.lists(st.one_of(st.sampled_from([1 / SCALE, 1.0, 60.0]),
+                                     st.floats(-100.0, math.log2(60.0)).map(
+                                         lambda e: 2.0**e)), min_size=4, max_size=4),
+                  st.just(False)),
+        st.tuples(st.lists(IN_RANGE, min_size=4, max_size=4), st.just(True)))
+
+    @settings(max_examples=100, deadline=None)
+    # the cycle rounds P_h to 1 + 2**-52: T_eff and the exact start take it
+    @example(omegas=[4.0, 2.0**94], temperatures=[1 / SCALE] * 2, lam=1 / SCALE,
+             cutoff=SCALE, durations=([1 / SCALE, 1.0, 1 / SCALE, 2.0**58], True),
+             backend="markov", modes=1, fock=1, omega_max=1 / SCALE)
+    @given(omegas=st.lists(IN_RANGE, min_size=2, max_size=2),
+           temperatures=st.lists(IN_RANGE, min_size=2, max_size=2),
+           lam=st.one_of(st.just(0.0), IN_RANGE), cutoff=IN_RANGE, durations=DURATIONS,
+           backend=st.sampled_from(["tcl2", "markov"]), modes=st.integers(1, 2),
+           fock=st.integers(1, 3), omega_max=IN_RANGE)
+    def test_in_range_configs_run_clean(self, omegas, temperatures, lam, cutoff,
+                                        durations, backend, modes, fock, omega_max):
+        # inside the input range no closed form overflows: every command ends
+        # in CSV or a numerical failure, and any warning fails the test
+        (t1a, t1b, t2a, t2b), explicit = durations
+        t1s, t2s = sorted([t1a, t1b]), sorted([t2a, t2b])
+        step = max(t1s[1], t2s[1]) / 1000 if explicit else None
+        values = {"omega_h": max(omegas), "omega_c": min(omegas),
+                  "T_h": max(temperatures), "T_c": min(temperatures), "lambda": lam,
+                  "cutoff": cutoff, "t1": t1s[1], "t2": t2s[1], "t1_min": t1s[0],
+                  "t1_max": t1s[1], "t2_min": t2s[0], "t2_max": t2s[1], "t1_count": 2,
+                  "t2_count": 2, "backend": backend, "oracle_modes": modes,
+                  "oracle_fock": fock, "oracle_omega_max": omega_max, "oracle_samples": 5,
+                  "step": "auto" if step is None else max(step, 1 / SCALE)}
+        sets = set_args(*(f"{key}={value}" for key, value in values.items()))
+        for command in ("dynamics", "sweep", "oracle"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as stderr:
+                code = main([command, *sets])
+            err = stderr.getvalue()
+            assert code in (0, 3), err
+            assert err.startswith("numerical failure: ") if code else err == ""
 
     def test_exit_code_config_error(self, capsys):
         assert main(["dynamics", "--set", "lambda=abc"]) == 2

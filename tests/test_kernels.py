@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from nmotto import EngineParams, ReservoirSpec, d1, d2, ohmic_j, trigamma
+from nmotto.kernels import SCALE
 
 REF_SPEC = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
 REF_ENGINE = EngineParams(omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
@@ -78,19 +79,20 @@ class TestOhmicJ:
             ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.0)
 
     def test_kernel_powers_finite(self):
-        # d1 takes temperature**2 and d2 cutoff**3, and a float power
-        # raises OverflowError where numpy would give inf
-        ReservoirSpec(temperature=1.34e154, lam=0.01, cutoff=5.64e102)
-        with pytest.raises(ValueError, match=r"temperature\*\*2 must be a finite float"):
-            ReservoirSpec(temperature=1.35e154, lam=0.01, cutoff=0.4)
-        with pytest.raises(ValueError, match=r"cutoff\*\*3 must be a finite float"):
-            ReservoirSpec(temperature=1.0, lam=0.01, cutoff=5.65e102)
-        # trigamma's 1 / z**2 at z = temperature / cutoff, and D2's prefactor
-        ReservoirSpec(temperature=7.5e-155, lam=4.4e307, cutoff=1.0)
-        with pytest.raises(ValueError, match=r"\(cutoff / temperature\)\*\*2 must be"):
-            ReservoirSpec(temperature=7.4e-155, lam=0.01, cutoff=1.0)
-        with pytest.raises(ValueError, match=r"4 lam cutoff\*\*3 must be a finite float"):
-            ReservoirSpec(temperature=1.0, lam=4.5e307, cutoff=1.0)
+        # every value lies in [1 / SCALE, SCALE], lam in [0, SCALE], where no
+        # power or product the closed forms take can overflow or underflow;
+        # values far outside, whose powers would overflow, are refused too
+        above = SCALE * (1 + 2**-52)
+        for field, inside, outside in (
+                ("temperature", [SCALE, 1 / SCALE],
+                 [above, 1 / SCALE / 2, 1.35e154, 1.34e154, 7.5e-155, 7.4e-155]),
+                ("cutoff", [SCALE, 1 / SCALE], [above, 1 / SCALE / 2, 5.65e102, 5.64e102]),
+                ("lam", [SCALE, 1 / SCALE / 2, 0.0], [above, 4.5e307, 4.4e307, -5e-324])):
+            for value in inside:
+                replace(REF_SPEC, **{field: value})
+            for value in outside:
+                with pytest.raises(ValueError, match=rf"{field} must lie in \["):
+                    replace(REF_SPEC, **{field: value})
 
 
 class TestFiniteParameters:
@@ -101,7 +103,7 @@ class TestFiniteParameters:
         (REF_ENGINE, "cutoff"), (REF_ENGINE, "t1"),
     ], ids=lambda x: type(x).__name__ if hasattr(x, "lam") else x)
     def test_non_finite_rejected(self, base, field, value):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=r"must lie in \["):
             replace(base, **{field: value})
 
 
@@ -139,7 +141,9 @@ class TestTrigamma:
         assert np.array_equal(d1(tau, spec), [d1(t, spec) for t in tau])
 
     def test_poles_rejected(self):
-        for bad in (0.0, -1.0, -7.0):
+        # and every real part that is not a finite positive number: upward
+        # from -1e9 the recurrence would take about 1e9 steps
+        for bad in (0.0, -1.0, -7.0, -0.5, -1e9 - 0.5, np.nan):
             with pytest.raises(ValueError):
                 trigamma(bad)
 

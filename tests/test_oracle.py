@@ -1,5 +1,6 @@
 """Exact few-mode reference: construction, conservation, agreement."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from nmotto import (
 )
 from nmotto import oracle
 from nmotto.energetics import stroke_balance
+from nmotto.kernels import SCALE
 from nmotto.oracle import WEIGHT_CUTOFF, DiscretizedBath
 
 REF_SPEC = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
@@ -50,17 +52,30 @@ class TestDiscretizeBath:
             DiscretizedBath(
                 frequencies=np.ones(8), couplings=np.ones(8),
                 fock_cutoff=4, temperature=1.0)
+        above = SCALE * (1 + 2**-52)
         for bad, message in (({"couplings": np.ones(3)}, "equal length"),
                              ({"fock_cutoff": 0}, "at least two Fock levels"),
-                             ({"temperature": 0.0}, "temperature must be positive")):
+                             ({"temperature": 0.0}, r"temperature must lie in \["),
+                             ({"temperature": above}, r"temperature must lie in \["),
+                             ({"temperature": 1 / SCALE / 2}, r"temperature must lie in \["),
+                             ({"couplings": [1.0, SCALE**2 * (1 + 2**-52)]},
+                              r"couplings must lie in \[0.0, "),
+                             ({"couplings": [1.0, -5e-324]}, r"couplings must lie in \[0.0, ")):
             kwargs = {"frequencies": np.ones(2), "couplings": np.ones(2),
                       "fock_cutoff": 2, "temperature": 1.0, **bad}
             with pytest.raises(ValueError, match=message):
                 DiscretizedBath(**kwargs)
+        for edge in ({"temperature": SCALE}, {"temperature": 1 / SCALE},
+                     {"couplings": [0.0, SCALE**2]}):
+            DiscretizedBath(**{"frequencies": np.ones(2), "couplings": np.ones(2),
+                               "fock_cutoff": 2, "temperature": 1.0, **edge})
 
-    @pytest.mark.parametrize("eps", [-0.5, 0.0, np.nan])
+    @pytest.mark.parametrize("eps", [-0.5, 0.0, np.nan, SCALE * (1 + 2**-52)])
     def test_mode_frequencies_positive(self, eps):
-        with pytest.raises(ValueError, match="mode frequencies must be positive"):
+        # frequencies lie in (0, SCALE]
+        DiscretizedBath(frequencies=np.array([SCALE, math.ulp(0.0)]),
+                        couplings=np.ones(2), fock_cutoff=2, temperature=1.0)
+        with pytest.raises(ValueError, match=r"mode frequencies must lie in \[5e-324, "):
             DiscretizedBath(frequencies=np.array([1.0, eps]),
                             couplings=np.ones(2), fock_cutoff=2, temperature=1.0)
 
@@ -70,10 +85,11 @@ class TestDiscretizeBath:
             discretize_bath(REF_SPEC, 16, 2.0, 1)
         with pytest.raises(ValueError, match="at least one mode"):
             discretize_bath(REF_SPEC, 0, 2.0, 1)
-        with pytest.raises(ValueError, match="omega_max must be positive"):
-            discretize_bath(REF_SPEC, 2, 0.0, 1)
-        with pytest.raises(ValueError, match="omega_max 1e\\+308 overflows the band"):
-            discretize_bath(REF_SPEC, 2, 1e308, 1)
+        for omega_max in (0.0, 1e308, SCALE * (1 + 2**-52), 1 / SCALE / 2):
+            with pytest.raises(ValueError, match=r"omega_max must lie in \["):
+                discretize_bath(REF_SPEC, 2, omega_max, 1)
+        for omega_max in (SCALE, 1 / SCALE):
+            discretize_bath(REF_SPEC, 2, omega_max, 1)
 
 
 def brute_force_energies(p, omega, bath, times):
@@ -213,20 +229,25 @@ class TestExactEvolve:
 
     def test_level_splitting_validated(self):
         bath = discretize_bath(COLDISH, 1, 0.8, 2)
-        with pytest.raises(ValueError, match="level splitting must be positive"):
-            exact_evolve(0.5, 0.0, bath, [0.0])
+        for omega in (0.0, SCALE * (1 + 2**-52), 1 / SCALE / 2):
+            with pytest.raises(ValueError, match=r"level splitting must lie in \["):
+                exact_evolve(0.5, omega, bath, [0.0])
+        for omega in (SCALE, 1 / SCALE):
+            exact_evolve(0.5, omega, bath, [0.0, 1.0])
 
     @pytest.mark.parametrize("times, message", [
-        ([], "times must be"), ([float("nan"), 1.0], "times must be"),
-        ([float("inf")], "times must be"), ([-1.0], "times must be"),
-        # each energy times the longest time must be a finite phase
-        ([0.0, 1.5e308], "overflow the phases E t by t = 1.5e\\+308"),
-    ], ids=["empty", "nan", "inf", "negative", "overflowing"])
+        ([], "times must be nonempty"), ([float("nan"), 1.0], r"times must lie in \["),
+        ([float("inf")], r"times must lie in \["), ([-1.0], r"times must lie in \["),
+        ([0.0, 1.5e308], r"times must lie in \[0.0, "),
+        ([0.0, SCALE * (1 + 2**-52)], r"times must lie in \[0.0, "),
+        # times in [0, SCALE] pass the checks and reach the eigensolver
+        ([0.0, SCALE], "eigh reached"),
+    ], ids=["empty", "nan", "inf", "negative", "overflowing", "above-range", "range-edges"])
     def test_times_validated_before_any_eigensolve(self, monkeypatch, times, message):
         bath = discretize_bath(COLDISH, 1, 0.8, 2)
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("eigh reached")
+            raise ValueError("eigh reached")
 
         monkeypatch.setattr(np.linalg, "eigh", unreachable)
         with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 """The README's Python example runs as written, its example config
-lists every key, and every module and dotted name it gives exists."""
+lists every key, every module and dotted name it gives exists, and it
+states the input range the checks apply."""
 
 import importlib
 import pkgutil
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import nmotto
 from nmotto import cli
+from nmotto.kernels import SCALE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +61,12 @@ def test_dotted_names_resolve():
             owner = getattr(owner, attr)
         checked += 1
     assert checked
+
+
+def test_input_range_stated_as_printed():
+    # the one range, as a refused input's message prints it, in place of
+    # the per-formula edges it replaced
+    text = README.read_text(encoding="utf-8")
+    assert f"[{1 / SCALE!r}, {SCALE!r}]" in text
+    for edge in ("1.49e-154", "1.16e77", "1.34e154", "5.64e102", "7.5e-155"):
+        assert edge not in text

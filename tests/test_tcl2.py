@@ -17,7 +17,7 @@ from nmotto import (
     stroke_balance,
     tcl2,
 )
-from nmotto.kernels import d1, d2
+from nmotto.kernels import SCALE, d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
 from nmotto.tcl2 import (
     POSITIVITY_TOL,
@@ -111,13 +111,28 @@ class TestGrid:
         with pytest.raises(ValueError, match="needs more than 1000000 steps"):
             lattice(0.5 * tcl2.MAX_STEPS + 0.5, 0.5)
         with pytest.raises(ValueError, match="needs more than 1000000 steps"):
-            lattice(60.0, 1e-320)  # t_end / h overflows to inf
+            lattice(60.0, 1 / SCALE)  # the least step in range
+        with pytest.raises(ValueError, match=r"grid step must lie in \["):
+            lattice(60.0, 1e-320)
 
     def test_step_whose_square_underflows_refused(self):
-        # _closing_weights divides by h (h + delta): the least step is 1.49e-154
-        assert lattice(3e-151)[0] == 1.5e-154
-        for t_end, h in ((2.9e-151, None), (2.5e-200, 1e-200), (1e-160, 0.01)):
-            with pytest.raises(ValueError, match="needs a step of at least 1.49e-154"):
+        # a duration and a given step lie in [1 / SCALE, SCALE], so each
+        # h (h + delta) that _closing_weights divides by is a normal float;
+        # the default step and a short stroke's t_end / 2 are not checked
+        assert lattice(1 / SCALE)[0] == 1 / SCALE / 2000
+        assert lattice(4 / SCALE, 1 / SCALE)[:2] == (1 / SCALE, 4)
+        assert lattice(1 / SCALE, SCALE)[:2] == (1 / SCALE / 2, 2)
+        assert lattice(SCALE, SCALE / 1000)[1] == 1000
+        above = SCALE * (1 + 2**-52)
+        for t_end, h, name in ((3e-151, None, "stroke duration"),
+                               (2.9e-151, None, "stroke duration"),
+                               (2.5e-200, 1e-200, "stroke duration"),
+                               (1e-160, 0.01, "stroke duration"),
+                               (1 / SCALE / 2, None, "stroke duration"),
+                               (above, SCALE, "stroke duration"),
+                               (1.0, 1 / SCALE / 2, "grid step"),
+                               (1.0, above, "grid step")):
+            with pytest.raises(ValueError, match=rf"{name} must lie in \["):
                 lattice(t_end, h)
 
 
