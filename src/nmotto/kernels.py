@@ -82,16 +82,17 @@ def trigamma(z):
         psi'(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k + 1)
 
     is summed through k = 6.  Accurate to at least 12 significant
-    digits for Re z > 0, |Im z| < 1e4.  A real part that is not a finite
-    positive number (the poles among them) raises ``ValueError``.
+    digits for Re z > 0, |Im z| < 1e4.  A real part outside
+    [1 / SCALE**2, SCALE**2] (the poles and nan among them) raises
+    ``ValueError``; ``d1`` passes T / cutoff >= 1 / SCALE**2.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     zz = np.atleast_1d(z).copy()
 
-    # from Re z <= 0 the recurrence would take about |Re z| steps
-    if not np.all((zz.real > 0) & (zz.real < np.inf)):
-        raise ValueError("trigamma needs a finite positive real part")
+    # from Re z <= 0 the recurrence would take about |Re z| steps, and far
+    # below 1 / SCALE**2 its z**2 underflows to 0
+    check_range("trigamma's real part", zz.real, low=SCALE**-2, high=SCALE**2)
 
     shifted = np.zeros_like(zz)
     while zz.size and zz.real.min() < _ASYMPTOTIC_EDGE:

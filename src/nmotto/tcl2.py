@@ -326,8 +326,6 @@ def _plan(h, columns, ends, steps, deltas):
     at_k[closing] = n + np.arange(len(odd))
     at_end = at_k.copy()
     at_end[partial] = n + len(odd) + np.arange(np.count_nonzero(partial))
-    # the last lattice sample each stroke shares with the long solve
-    shared = np.where(at_k < n, steps, steps - 1)
     k_part, at_k_part = steps[partial], at_k[partial]
     w0, w1, w2 = _closing_weights(h, deltas[partial])
 
@@ -347,9 +345,9 @@ def _plan(h, columns, ends, steps, deltas):
         # where both branches are finite and within [0, 1] up to POSITIVITY_TOL
         inside = ((rho0 >= -POSITIVITY_TOL) & (rho0 <= 1.0 + POSITIVITY_TOL)
                   & (rho1 >= -POSITIVITY_TOL) & (rho1 <= 1.0 + POSITIVITY_TOL))
-        # index of the first lattice sample that left [0, 1]
-        first_out = n if inside[:n].all() else int(np.argmin(inside[:n]))
-        return (shared < first_out) & inside[at_k] & inside[at_end]
+        # every lattice sample before k, the sample at k and the end
+        return (np.logical_and.accumulate(inside[:n])[steps - 1]
+                & inside[at_k] & inside[at_end])
 
     return columns, times, integrate, kept, at_end
 

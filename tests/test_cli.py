@@ -73,8 +73,8 @@ def point_ledger(engine, backend, step):
     return astuple(ledger), ""
 
 
-# the input range as the checks print it
-RANGE = f"[{1 / SCALE!r}, {SCALE!r}]"
+# the input range as the checks print it, and the coupling's
+RANGE, LAM = f"[{1 / SCALE!r}, {SCALE!r}]", f"[0.0, {SCALE!r}]"
 
 
 def no_solve(*args, **kwargs):
@@ -83,6 +83,96 @@ def no_solve(*args, **kwargs):
 
 def set_args(*items):
     return [arg for item in items for arg in ("--set", item)]
+
+
+def command_line(line):
+    """argv of ``command item ...``: each item a ``--set``, or a --flag=value."""
+    name, *items = line.split()
+    return [name, *(arg for item in items
+                    for arg in ([item] if item.startswith("--") else ["--set", item]))]
+
+
+def outside(line, name, *values):
+    """``line=value`` for each value, refused by the range check of ``name``."""
+    interval = LAM if name == "lam" else RANGE
+    return {f"{line}={value}": f"{name} must lie in {interval}, got {float(value)!r}"
+            for value in values}
+
+
+TOO_FINE = "a stroke of duration {} at step {} needs more than 1000000 steps"
+# just above the range, and half its least value
+EDGES = repr(SCALE * (1 + 2**-52)), repr(1 / SCALE / 2)
+# the config files that rows of REFUSED read, from the working directory
+CONFIG_FILES = {"unknown.cfg": b"coupling_strength = 1\n", "bare.cfg": b"t1 = 2\nt2\n",
+                "latin1.cfg": b"t1 = 5\xff\n"}
+# Every config value, key or file the CLI refuses (the --out checks aside,
+# see TestMain), and its message after "configuration error: "; each is
+# refused with exit 2 as the config is read, before any stroke is solved
+REFUSED = {
+    # unreadable files or text, unknown keys, and the checks of one key
+    "dynamics --config=/nonexistent.cfg":
+        "cannot read config file: [Errno 2] No such file or directory: '/nonexistent.cfg'",
+    "dynamics --config=latin1.cfg": "cannot read config file: 'utf-8' codec can't decode "
+                                    "byte 0xff in position 6: invalid start byte",
+    "dynamics --config=bare.cfg": "line 2: expected key=value, got 't2'",
+    "dynamics --config=unknown.cfg": "line 1: unknown key 'coupling_strength'",
+    "dynamics foo=1": "unknown key 'foo'",
+    "dynamics foo": "--set expects key=value, got 'foo'",
+    "sweep workers=2": "workers must be 1: sweeps run in one process",
+    "dynamics t1=soon": "bad value for 't1': 'soon'",
+    "dynamics lambda=abc": "bad value for 'lambda': 'abc'",
+    "sweep omega_pairs=1:0.18:2": "bad value for 'omega_pairs': '1:0.18:2'",
+    **dict.fromkeys(["sweep backend=exact", "dynamics backend=exact",
+                     "dynamics --backend=exact"],
+                    "backend must be one of ('tcl2', 'markov'), got 'exact'"),
+    "sweep t2_count=0": "t2_count must be >= 1",
+    "sweep oracle_samples=1": "oracle_samples must be >= 2",
+    # orderings, once every duration has passed the step bound
+    "dynamics t1_min=5 t1_max=1": "need t1_min <= t1_max",
+    "sweep t1_min=5 t1_max=1 step=1e-9": TOO_FINE.format(60, "1e-09"),
+    "dynamics omega_c=2.0":
+        "need omega_h >= omega_c > 0, got omega_h = 1.0, omega_c = 2.0",
+    "sweep omega_pairs=1:0.18,0.1:0.5":
+        "need omega_h >= omega_c > 0, got omega_h = 0.1, omega_c = 0.5",
+    "dynamics T_c=6": "need T_h >= T_c > 0",
+    # sizes: a sweep's points, and an oracle bath, for every command
+    **{f"sweep {line}": f"a sweep of {n} points exceeds 1000000" for line, n in (
+        ("t1_count=1000000000000", 60 * 10**12),
+        ("t1_count=100000 t2_count=100000", 10**10),
+        ("t1_count=1000 t2_count=1000 omega_pairs=1:0.18,0.9:0.2", 2 * 10**6))},
+    **{f"{name} oracle_modes={modes} oracle_fock={fock}":
+       f"composite dimension {dimension} exceeds 8192" for name in ("oracle", "dynamics")
+       for modes, fock, dimension in ((4, 50, 13530402), (13, 1, 16384))},
+    # the step against the longest stroke, even at the least step in range
+    "sweep step=1e-9": TOO_FINE.format(60, "1e-09"),
+    "dynamics t2=1e6": TOO_FINE.format("1e+06", 0.01),
+    "sweep t1_max=2e4 step=0.01": TOO_FINE.format(20000, 0.01),
+    f"oracle step={1 / SCALE!r}": TOO_FINE.format(60, "7.88861e-31"),
+    # outside the input range, every duration checked; nan and +-inf among them
+    **outside("oracle step", "grid step", "1e-320"),
+    **outside("sweep step", "grid step", "0"),
+    **outside("dynamics step", "grid step", "inf", "nan"),
+    **outside("dynamics t1", "t1", "5e-324", "1e-310", *EDGES),
+    **outside("sweep t1_count=2 t2_count=2 t1_min", "stroke duration", "1e-310"),
+    **outside("dynamics t1_min", "stroke duration", "nan"),
+    **outside("dynamics t1_max", "stroke duration", "inf"),
+    **outside("sweep t1_max", "stroke duration", "inf"),
+    **outside("oracle t2=2.5e-200 t1_min=2.5e-200 t1_max=2.5e-200 t2_min=2.5e-200 "
+              "t2_max=2.5e-200 step=1e-200 t1", "t1", "2.5e-200"),
+    **outside("dynamics lambda", "lam", "3e307", "-0.01", "1e308", "4.4e307",
+              "nan", "inf"),
+    **outside("sweep t1_count=2 t2_count=2 lambda", "lam", "3e307"),
+    **outside("dynamics cutoff", "cutoff", "0", "1e200", "1e103", "1e80", "1.9e75", "inf"),
+    **outside("dynamics T_h", "temperature", "1e300", "inf"),
+    **outside("dynamics T_c", "temperature", "1e-300", "1e-154"),
+    **outside("dynamics omega_h", "omega_h", "1e308", "inf", *EDGES),
+    **outside("dynamics omega_c", "omega_c", *EDGES),
+    **outside("dynamics t2", "t2", *EDGES),
+    **outside("sweep oracle_omega_max", "omega_max", "1e308", "1e307"),
+    **outside("dynamics oracle_omega_max", "omega_max", "inf"),
+    "dynamics omega_pairs=inf:0.5": f"omega_h must lie in {RANGE}, got inf",
+    "dynamics omega_pairs=1:nan": f"omega_c must lie in {RANGE}, got nan",
+}
 
 
 class TestConfig:
@@ -148,20 +238,6 @@ class TestConfig:
         raw = parse_config("# a comment\n\nt1 = 2.0  # trailing\n")
         assert raw == {"t1": "2.0"}
 
-    def test_unknown_key_rejected(self, capsys):
-        with pytest.raises(ConfigError):
-            parse_config("coupling_strength = 1\n")
-        with pytest.raises(ConfigError, match="unknown key 'foo'"):
-            build_config({"foo": "1"})
-        # --set hands its keys to build_config unchecked
-        assert main(["dynamics", "--set", "foo=1"]) == 2
-        # a line or an item with no key=value at all
-        with pytest.raises(ConfigError, match="line 2: expected key=value, got 't2'"):
-            parse_config("t1 = 2\nt2\n")
-        capsys.readouterr()
-        assert main(["dynamics", "--set", "foo"]) == 2
-        assert "--set expects key=value, got 'foo'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name", BENCH_WORKLOADS["NAMES"])
     def test_bench_configs_accepted(self, name, seed):
@@ -169,146 +245,33 @@ class TestConfig:
         text = BENCH_WORKLOADS["make"](name, seed).config_text("-")
         build_config(parse_config(text))
 
-    def test_workers_other_than_one_rejected(self, capsys):
-        # sweeps run in one process; old configs may still say workers = 1
-        with pytest.raises(ConfigError, match="one process"):
-            build_config({"workers": "2"})
-        assert main(["sweep", "--set", "workers=2"]) == 2
-        assert "one process" in capsys.readouterr().err
-        # the --workers flag is gone: argparse exits with usage status 2
+    @pytest.mark.parametrize("line", REFUSED)
+    def test_refused(self, tmp_path, monkeypatch, capsys, line):
+        for name, text in CONFIG_FILES.items():
+            (tmp_path / name).write_bytes(text)
+        monkeypatch.chdir(tmp_path)
+        for owner, name in ((energetics, "evaluate_cycle"), (energetics, "evaluate_grid"),
+                            (cli, "exact_evolve")):
+            monkeypatch.setattr(owner, name, no_solve)
+        assert main(command_line(line)) == 2
+        assert capsys.readouterr().err == f"configuration error: {REFUSED[line]}\n"
+
+    # the sweep size at its bound, and each engine value at a corner of the range
+    @pytest.mark.parametrize("line", [
+        "t1_count=1000 t2_count=1000", *(f"{key}={SCALE!r}" for key in (
+            "omega_h", "T_h", "lambda", "cutoff")), f"omega_h={SCALE!r} omega_c={SCALE!r}",
+        *(f"{key}={1 / SCALE!r}" for key in ("omega_c", "t1", "t2", "T_c", "cutoff")),
+        f"omega_h={1 / SCALE!r} omega_c={1 / SCALE!r}",
+        *(f"{key}={SCALE!r} step={SCALE / 1000!r}" for key in ("t1", "t2"))])
+    def test_accepted_at_the_edges(self, line):
+        cfg = build_config(dict(item.split("=", 1) for item in line.split()))
+        assert build_config(parse_config(serialize_config(cfg))) == cfg
+
+    def test_workers_other_than_one_rejected(self):
+        # `sweep workers=2` is a REFUSED row; the --workers flag exits through argparse
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--workers", "2"])
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("command, sets, message", [
-        ("sweep", ["step=1e-9"], "duration 60 at step 1e-09 needs more than 1000000 steps"),
-        ("dynamics", ["t2=1e6"], "duration 1e+06 at step 0.01 needs more than"),
-        ("sweep", ["t1_max=2e4", "step=0.01"], "duration 20000 at step 0.01 needs"),
-        ("oracle", ["step=1e-320"], f"grid step must lie in {RANGE}, got 1e-320"),
-        ("sweep", ["step=0"], f"grid step must lie in {RANGE}, got 0.0"),
-        # every duration is checked, the shortest too, against the input range
-        ("dynamics", ["t1=5e-324"], f"t1 must lie in {RANGE}, got 5e-324"),
-        ("dynamics", ["t1=1e-310"], f"t1 must lie in {RANGE}, got 1e-310"),
-        ("sweep", ["t1_min=1e-310", "t1_count=2", "t2_count=2"],
-         f"stroke duration must lie in {RANGE}, got 1e-310"),
-        ("oracle", [f"{key}=2.5e-200" for key in ("t1", "t2", "t1_min", "t1_max",
-                                                   "t2_min", "t2_max")] + ["step=1e-200"],
-         f"t1 must lie in {RANGE}, got 2.5e-200"),
-        # the least step in range is still too fine for a 60-long stroke
-        ("oracle", [f"step={1 / SCALE!r}"], "needs more than 1000000 steps"),
-        # a coupling whose kernels overflow, and a splitting beyond the range
-        ("dynamics", ["lambda=3e307"], f"lam must lie in [0.0, {SCALE!r}], got 3e+307"),
-        ("sweep", ["lambda=3e307", "t1_count=2", "t2_count=2"],
-         f"lam must lie in [0.0, {SCALE!r}], got 3e+307"),
-        ("dynamics", ["omega_h=1e308"], f"omega_h must lie in {RANGE}, got 1e+308"),
-    ])
-    def test_step_checked_against_longest_stroke(self, monkeypatch, capsys, command,
-                                                 sets, message):
-        # rejected while the config is read: nothing is solved or allocated
-        monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
-        monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
-        assert main([command, *(arg for s in sets for arg in ("--set", s))]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and message in err
-
-    @pytest.mark.parametrize("command", ["oracle", "dynamics"])
-    def test_oversized_oracle_bath_rejected(self, monkeypatch, capsys, command):
-        # 4 modes of 51 Fock levels, and 13 of 2, checked for every command
-        # as the config is read
-        monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
-        for modes, fock, dimension in (("4", "50", 13530402), ("13", "1", 16384)):
-            assert main([command, "--set", f"oracle_modes={modes}",
-                         "--set", f"oracle_fock={fock}"]) == 2
-            assert capsys.readouterr().err == (
-                f"configuration error: composite dimension {dimension} exceeds 8192\n")
-
-    @pytest.mark.parametrize("items, message", [
-        (["backend=exact"], "backend must be one of ('tcl2', 'markov'), got 'exact'"),
-        (["t2_count=0"], "t2_count must be >= 1"),
-        (["oracle_samples=1"], "oracle_samples must be >= 2"),
-        (["omega_pairs=1:0.18,0.1:0.5"],
-         "need omega_h >= omega_c > 0, got omega_h = 0.1, omega_c = 0.5"),
-        (["omega_pairs=1:0.18:2"], "bad value for 'omega_pairs': '1:0.18:2'"),
-        # an oracle band beyond the input range, whose weight or phases overflow
-        (["oracle_omega_max=1e308"], f"omega_max must lie in {RANGE}, got 1e+308"),
-        (["oracle_omega_max=1e307"], f"omega_max must lie in {RANGE}, got 1e+307"),
-    ])
-    def test_check_messages(self, monkeypatch, capsys, items, message):
-        monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
-        assert main(["sweep", *set_args(*items)]) == 2
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-
-    @pytest.mark.parametrize("items, points", [
-        (["t1_count=1000000000000"], 60 * 10**12),
-        (["t1_count=100000", "t2_count=100000"], 10**10),
-        (["t1_count=1000", "t2_count=1000", "omega_pairs=1:0.18,0.9:0.2"], 2 * 10**6),
-    ])
-    def test_sweep_size_bounded(self, monkeypatch, capsys, items, points):
-        # rejected while the config is read, before any grid is allocated
-        monkeypatch.setattr(energetics, "evaluate_grid", no_solve)
-        assert main(["sweep", *set_args(*items)]) == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: a sweep of {points} points exceeds 1000000\n")
-        build_config({"t1_count": "1000", "t2_count": "1000"})  # at the bound
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config({"t1": "soon"})
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config({"t1_min": "5", "t1_max": "1"})
-
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config({"omega_c": "2.0"})  # above omega_h
-        for raw, message in (({"T_c": "6"}, "need T_h >= T_c > 0"),
-                             ({"lambda": "-0.01"}, r"lam must lie in \[0.0, "),
-                             ({"cutoff": "0"}, r"cutoff must lie in \["),
-                             # values far outside the range, most of which
-                             # would overflow the kernels' powers and products
-                             ({"cutoff": "1e200"}, r"cutoff must lie in \["),
-                             ({"cutoff": "1e103"}, r"cutoff must lie in \["),
-                             ({"T_h": "1e300"}, r"temperature must lie in \["),
-                             ({"T_c": "1e-300"}, r"temperature must lie in \["),
-                             ({"lambda": "1e308"}, r"lam must lie in \["),
-                             ({"cutoff": "1e80"}, r"cutoff must lie in \["),
-                             ({"T_c": "1e-154"}, r"temperature must lie in \["),
-                             ({"lambda": "4.4e307"}, r"lam must lie in \["),
-                             ({"cutoff": "1.9e75"}, r"cutoff must lie in \[")):
-            with pytest.raises(ConfigError, match=message):
-                build_config(raw)
-        # each engine value at the edges of [1 / SCALE, SCALE]
-        top, bottom = repr(SCALE), repr(1 / SCALE)
-        for key in ("omega_h", "omega_c", "t1", "t2"):
-            for value in (SCALE * (1 + 2**-52), 1 / SCALE / 2):
-                with pytest.raises(ConfigError, match=rf"{key} must lie in \["):
-                    build_config({key: repr(value)})
-        for raw in ({"omega_h": top}, {"omega_h": top, "omega_c": top}, {"omega_c": bottom},
-                    {"omega_h": bottom, "omega_c": bottom}, {"t1": bottom}, {"t2": bottom},
-                    {"t1": top, "step": repr(SCALE / 1000)},
-                    {"t2": top, "step": repr(SCALE / 1000)},
-                    {"T_h": top}, {"T_c": bottom}, {"lambda": top}, {"cutoff": top},
-                    {"cutoff": bottom}):
-            build_config(raw)
-
-    def test_backend_validated(self, monkeypatch, capsys):
-        with pytest.raises(ConfigError):
-            build_config({"backend": "exact"})
-        # the flag is read by the key's own parser
-        monkeypatch.setattr(energetics, "evaluate_cycle", no_solve)
-        assert main(["dynamics", "--backend", "exact"]) == 2
-        assert capsys.readouterr().err == ("configuration error: backend must be one "
-                                           "of ('tcl2', 'markov'), got 'exact'\n")
-
-    @pytest.mark.parametrize("key, value", [
-        ("lambda", "nan"), ("lambda", "inf"), ("T_h", "inf"), ("cutoff", "inf"),
-        ("omega_h", "inf"), ("t1_max", "inf"), ("step", "inf"),
-        ("omega_pairs", "inf:0.5"), ("oracle_omega_max", "inf"),
-    ])
-    def test_non_finite_rejected(self, key, value):
-        with pytest.raises(ConfigError):
-            build_config({key: value})
 
 
 class TestDynamics:
@@ -769,29 +732,6 @@ class TestMain:
             err = stderr.getvalue()
             assert code in (0, 3), err
             assert err.startswith("numerical failure: ") if code else err == ""
-
-    def test_exit_code_config_error(self, capsys):
-        assert main(["dynamics", "--set", "lambda=abc"]) == 2
-        assert "configuration error" in capsys.readouterr().err
-
-    def test_exit_code_non_finite_value(self, capsys):
-        assert main(["sweep", "--set", "t1_max=inf"]) == 2
-        assert "configuration error" in capsys.readouterr().err
-
-    def test_exit_code_missing_config_file(self):
-        assert main(["dynamics", "--config", "/nonexistent.cfg"]) == 2
-
-    def test_exit_code_config_file_not_utf8(self, tmp_path, capsys, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("evaluator reached")
-
-        for name in ("evaluate_cycle", "evaluate_grid"):
-            monkeypatch.setattr(energetics, name, unreachable)
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_bytes(b"t1 = 5\xff\n")
-        assert main(["dynamics", "--config", str(cfg_file)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "configuration error: cannot read config file: 'utf-8' codec can't decode")
 
     def test_exit_code_unwritable_output(self, tmp_path, capsys, monkeypatch):
         # rejected while the config is read, before any stroke is solved

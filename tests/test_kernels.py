@@ -142,10 +142,12 @@ class TestTrigamma:
 
     def test_poles_rejected(self):
         # and every real part that is not a finite positive number: upward
-        # from -1e9 the recurrence would take about 1e9 steps
-        for bad in (0.0, -1.0, -7.0, -0.5, -1e9 - 0.5, np.nan):
+        # from -1e9 the recurrence would take about 1e9 steps, and far below
+        # 1 / SCALE**2 its z**2 underflows to 0
+        for bad in (0.0, -1.0, -7.0, -0.5, -1e9 - 0.5, np.nan, 1e-200, 5e-324):
             with pytest.raises(ValueError):
                 trigamma(bad)
+        assert np.isfinite(trigamma(SCALE**-2))  # the least T / cutoff d1 passes
 
     def test_scalar_and_array_shapes(self):
         assert isinstance(trigamma(1.5 + 0.5j), complex)

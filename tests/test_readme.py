@@ -1,6 +1,7 @@
 """The README's Python example runs as written, its example config
-lists every key, every module and dotted name it gives exists, and it
-states the input range the checks apply."""
+lists every key, every module and dotted name it gives exists, it
+states the input range the checks apply, and it counts the acceptance
+criteria that exist."""
 
 import importlib
 import pkgutil
@@ -70,3 +71,20 @@ def test_input_range_stated_as_printed():
     assert f"[{1 / SCALE!r}, {SCALE!r}]" in text
     for edge in ("1.49e-154", "1.16e77", "1.34e154", "5.64e102", "7.5e-155"):
         assert edge not in text
+
+
+def test_acceptance_criteria_counted_as_in_the_suite():
+    # the count and the numbers of the acceptance module's criteria, as
+    # its test names give them: "all 16 pass: criteria 1 to 15 and 17"
+    source = (README.parent / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    numbers = [int(n) for n in re.findall(r"^def test_criterion_(\d+)_", source, re.M)]
+    runs = []
+    for n in sorted(numbers):
+        if runs and runs[-1][1] == n - 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    parts = [str(a) if a == b else f"{a} to {b}" for a, b in runs]
+    listed = " and ".join(filter(None, (", ".join(parts[:-1]), parts[-1])))
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"all {len(numbers)} pass: criteria {listed}." in text

@@ -330,6 +330,18 @@ class TestBranchPair:
         combo = stroke_balance(0.3, pair).rho00
         assert np.allclose(combo, closed_form(0.3, pair), rtol=0.0, atol=1e-15)
 
+    def test_interaction_energy_remembers_the_start(self):
+        # E_I = -C(t) pairs rho00(s) with the kernel at lag s, so it is set
+        # near s = 0 by the start: long after both branches reach the same
+        # state, their C(t) still differ by 16.472 lam (see the README)
+        for h in (None, 0.005):
+            for t in (300.0, 1000.0):
+                ends = evolve_branch_pair(HOT, 1.0, t, h).ends
+                slope = (ends.corr_0 - ends.corr_1) / HOT.lam
+                assert slope == pytest.approx(16.472, rel=0.0, abs=1e-3)
+            assert ends.r1 + np.exp(ends.cum_a) == pytest.approx(ends.r1, rel=0.0,
+                                                                 abs=1e-12)
+
 
 class TestFamilyEnds:
     """One solve over a long grid gives every stroke on a prefix of it."""
