@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -274,7 +275,7 @@ def _load_config(args) -> RunConfig:
     raw = {}
     if args.config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 raw.update(parse_config(fh.read()))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -288,25 +289,17 @@ def _load_config(args) -> RunConfig:
             raw[key] = getattr(args, key)
     cfg = build_config(raw)
     if cfg.out is not None:  # before any computation, and without opening the file
-        import os  # loaded with the interpreter, so this costs no import time
         if os.path.isdir(cfg.out):
             raise ConfigError(f"cannot write output: {cfg.out!r} is a directory")
-        if os.path.exists(cfg.out):  # a file, FIFO or device is written in place
-            if not os.access(cfg.out, os.W_OK):
-                raise ConfigError(f"cannot write output: {cfg.out!r} is not writable")
-        else:
-            folder = os.path.dirname(cfg.out) or "."
-            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-                raise ConfigError(f"cannot write output: {folder!r} is not a writable "
-                                  "directory")
-            try:  # -1 where the folder's file system sets no limit
-                name_max = os.pathconf(folder, "PC_NAME_MAX")
-            except (AttributeError, OSError, ValueError):  # no limit reported here
-                name_max = -1
-            name = os.fsencode(os.path.basename(cfg.out))
-            if 0 <= name_max < len(name):
-                raise ConfigError(f"cannot write output: a file name of {len(name)} "
-                                  f"bytes exceeds {name_max}")
+        try:  # a file, FIFO or device is written in place, a new file in its folder
+            os.stat(cfg.out)
+            target = cfg.out
+        except FileNotFoundError:
+            target = os.path.dirname(cfg.out) or "."
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
+        if not os.access(target, os.W_OK):
+            raise ConfigError(f"cannot write output: {target!r} is not writable")
     return cfg
 
 

@@ -7,8 +7,11 @@ grid, each truncated at M quanta, and the full Hamiltonian
 
 conserves the parity of qubit excitation plus total bath quanta.  It is
 diagonalized in its two parity blocks, each of dimension
-dim_b = (M + 1)^N, one block at a time.  Expectation values of the three
-energy pieces under exact unitary evolution then provide reference
+dim_b = (M + 1)^N, one block at a time.  The bath starts in the Gibbs
+state exp(-H_B / T) of the occupation table's energies, renormalized
+without its states below ``WEIGHT_CUTOFF``: the cut bounds the cost and
+leaves the rest unbiased.  Expectation values of the three energy
+pieces under exact unitary evolution then provide reference
 trajectories for dE_S, dE_B and E_I with conservation holding to
 linear-algebra precision.  The working memory is about 5 dim_b^2
 doubles, plus the eigensolver's workspace and a few MB of phases
@@ -146,24 +149,6 @@ class OracleResult:
         return self.d_system + self.d_bath + self.interaction
 
 
-def _thermal_weights(bath: DiscretizedBath) -> np.ndarray:
-    """Product Gibbs weights over the truncated Fock grid.
-
-    States below ``WEIGHT_CUTOFF`` are dropped and the remainder is
-    renormalized, bounding the cost of low-weight corners without
-    biasing the retained mixture.  The bath ground state always stays:
-    its weight is at least 1 / bath_dimension, far above the cutoff.
-    """
-    levels = np.arange(bath.fock_cutoff + 1, dtype=float)
-    w = np.array([1.0])
-    for eps in bath.frequencies:
-        wk = np.exp(-eps * levels / bath.temperature)
-        wk /= wk.sum()
-        w = np.kron(w, wk)
-    w[w < WEIGHT_CUTOFF] = 0.0
-    return w / w.sum()
-
-
 def _couple(bath: DiscretizedBath, x: np.ndarray) -> np.ndarray:
     """sum_k g_k (b_k + b_k^+) applied to x, whose rows are bath states.
 
@@ -207,16 +192,19 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
 
     m, n_modes, dim_b = bath.fock_cutoff, bath.n_modes, bath.bath_dimension
     # row s: the quanta in each mode of bath state s, mode 0 most
-    # significant as in a Kronecker product over the modes
+    # significant, the order ``_couple`` reads them in
     occupation = np.indices((m + 1,) * n_modes).reshape(n_modes, dim_b).T
     h_bath = occupation @ bath.frequencies
-    w_bath = _thermal_weights(bath)
+    # the ground state, of weight at least 1 / dim_b, always stays
+    w_bath = np.exp(-h_bath / bath.temperature)
+    w_bath /= w_bath.sum()
+    w_bath[w_bath < WEIGHT_CUTOFF] = 0.0
+    w_bath /= w_bath.sum()
 
     n_t = len(times)
     chunk = max(1, _PHASE_ELEMENTS // dim_b)  # samples per pass over the phases
     # rows: E_I (0 at t = 0: factorized start), qubit excitation, h_bath, top levels
     values = np.zeros((3 + n_modes, n_t))
-    at_zero = np.zeros(2)  # qubit excitation and h_bath, at t = 0
 
     def block(parity):
         excited = (occupation.sum(axis=1) + parity) % 2  # qubit level per state
@@ -253,16 +241,16 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
         accumulate(0, _couple(bath, vectors).T @ vectors)
         for j, diag in enumerate([excited, h_bath, *(occupation.T == m)], start=1):
             accumulate(j, in_eigenbasis(diag))
-        at_zero[:] += w @ excited, w @ h_bath
 
     for parity in (0, 1):
         block(parity)
 
     return OracleResult(
         times=times,
-        # h_sys = omega (|1><1| - 1/2), and the trace is conserved
-        d_system=omega * (values[1] - at_zero[0]),
-        d_bath=values[2] - at_zero[1],
+        # h_sys = omega (|1><1| - 1/2), and the trace is conserved; at t = 0
+        # the qubit is excited with probability 1 - p, the bath thermal
+        d_system=omega * (values[1] - (1.0 - p)),
+        d_bath=values[2] - w_bath @ h_bath,
         interaction=values[0],
         top_level_population=values[3:].max(axis=0),
     )

@@ -20,10 +20,10 @@ Everything is evaluated on the lattice 0, h, 2h, ... with cumulative
 composite Simpson rules, so a full stroke costs O(N) after O(N) kernel
 evaluations.  A stroke of duration t runs to its last lattice point
 m h <= t and closes the remaining partial step t - m h with one
-three-point step (see ``lattice``).  The excited population is
-1 - rho00 by construction.  The counting-field correction integral C(t)
-of the energy bookkeeping (see ``energetics``) is accumulated in the
-same pass.
+three-point step; it ends on m h when within 1e-12 t of it (see
+``lattice``).  The excited population is 1 - rho00 by construction.
+The counting-field correction integral C(t) of the energy bookkeeping
+(see ``energetics``) is accumulated in the same pass.
 
 ``evolve_branch_pair`` returns one stroke's ``StrokeDynamics`` and
 ``family_ends`` the ends of many: durations on one lattice are read
@@ -77,8 +77,8 @@ def lattice(t_end: float, h: float | None = None):
 
     Returns ``(h, m, delta)``: the stroke runs m whole steps of h and
     then a partial step delta = t_end - m h, 0 <= delta < h.  An end
-    within ``_LATTICE_TOL * t_end`` of a lattice point ends on it
-    (delta = 0, and the last grid point is t_end itself).  A stroke
+    within ``_LATTICE_TOL * t_end`` of a lattice point m h ends on it
+    (delta = 0), even where m h misses t_end by an ulp.  A stroke
     shorter than two steps runs two steps of t_end / 2; one of more than
     ``MAX_STEPS`` steps raises ``ValueError``, as do a t_end or a given h
     outside [1 / SCALE, SCALE] (``kernels.SCALE``).
@@ -113,9 +113,7 @@ def lattice(t_end: float, h: float | None = None):
 def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
     """The samples of the solve of one stroke of duration t_end (see
     ``_plan``): the lattice points 0, h, ..., m h of ``lattice(t_end,
-    h)``, then t_end.  Where h divides t_end (delta = 0) t_end replaces
-    m h, so the grid is ``np.linspace(0, t_end, m + 1)`` when
-    t_end / m == h, as at every default step below t_end = 20."""
+    h)``, then t_end where the partial step delta > 0."""
     return _solve_plans([t_end], h)[0][1]
 
 
@@ -279,19 +277,16 @@ def _solve_plans(durations, h: float | None):
     Durations at one step (every t >= 20 at the default step, every
     duration under a user ``h``) share one solve on that step's lattice,
     of which each one's own ``time_grid`` is a prefix followed by at
-    most its end.  An end that rounds onto a lattice point without
-    equalling it keeps its own solve.  Returns one
-    ``(columns, times, integrate, kept, at_end)`` per solve (see
-    ``_plan``) for the strokes at ``columns`` of ``durations``.
+    most its end.  Returns one ``(columns, times, integrate, kept,
+    at_end)`` per solve (see ``_plan``) for the strokes at ``columns``
+    of ``durations``.
     """
     groups = {}
-    for j, t in enumerate(durations):
-        t = float(t)
+    for j, t in enumerate(map(float, durations)):
         step, m, delta = lattice(t, h)
-        key = (step,) if delta or m * step == t else (step, t)
-        groups.setdefault(key, []).append((j, t, m, delta))
-    return [_plan(key[0], *map(np.array, zip(*strokes)))
-            for key, strokes in groups.items()]
+        groups.setdefault(step, []).append((j, t, m, delta))
+    return [_plan(step, *map(np.array, zip(*strokes)))
+            for step, strokes in groups.items()]
 
 
 def _plan(h, columns, ends, steps, deltas):
@@ -319,8 +314,6 @@ def _plan(h, columns, ends, steps, deltas):
     closing = (steps % 2 == 1) & (steps < n - 1)
     odd = steps[closing]
     lattice_times = np.arange(n) * h
-    # a stroke that ends on the lattice ends at its own t
-    lattice_times[steps[~partial]] = ends[~partial]
     times = np.concatenate((lattice_times, lattice_times[odd], ends[partial]))
     at_k = steps.copy()
     at_k[closing] = n + np.arange(len(odd))

@@ -408,23 +408,29 @@ class TestSweep:
                 assert errors[i, j] == label
 
     # 1.15 / 0.05 and 20.15 / 0.01 round to whole step counts m, but m h
-    # is not the float t: such a stroke keeps its own grid
+    # is not the float t: such a stroke ends on m h in its step's one
+    # solve, one per side, and Markov's closed form ends there too
     @pytest.mark.parametrize("step, t1_values, t2_values", [
         (0.05, [0.3, 1.2, 1.3, 1.65, 2.0], [1.15, 2.3]),
         (None, [20.15, 20.2, 20.49, 21.0], [20.08, 20.5]),
     ], ids=["user-step", "default-step"])
     def test_grid_matches_per_point_where_an_end_rounds_onto_the_lattice(
-            self, step, t1_values, t2_values):
+            self, monkeypatch, step, t1_values, t2_values):
         # at omega_h = 3 the ends at 0.3, 1.2 and 1.65 read off the shared
         # 0.05 lattice differ from their own solves in the last bits
         engine = replace(build_config({}).engine, omega_h=3.0)
-        [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, "tcl2", step)
-        grids = astuple(ledger)
-        for i, t1 in enumerate(t1_values):
-            for j, t2 in enumerate(t2_values):
-                ref, label = point_ledger(replace(engine, t1=t1, t2=t2), "tcl2", step)
-                assert [float(w[i, j]).hex() for w in grids] == [w.hex() for w in ref]
-                assert errors[i, j] == label == ""
+        counts = self.counting(monkeypatch)
+        grids = {backend: evaluate_grid(engine, t1_values, t2_values, backend, step)
+                 for backend in ("tcl2", "markov")}
+        assert counts["solves"] == 2
+        for backend, [(_, ledger, errors)] in grids.items():
+            for i, t1 in enumerate(t1_values):
+                for j, t2 in enumerate(t2_values):
+                    point = replace(engine, t1=t1, t2=t2)
+                    ref, label = point_ledger(point, backend, step)
+                    got = [float(w[i, j]).hex() for w in astuple(ledger)]
+                    assert got == [w.hex() for w in ref]
+                    assert errors[i, j] == label == ""
 
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
     @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), 1e-6])
@@ -465,8 +471,8 @@ class TestSweep:
         assert failed_t1 == {45.25, 60.0}
 
     @staticmethod
-    def solve_counts(monkeypatch, workload):
-        """``tcl2._solve`` calls and ``d1`` samplings of one bench sweep."""
+    def counting(monkeypatch):
+        """The counts of ``tcl2._solve`` calls and ``d1`` samplings from now on."""
         counts = Counter()
 
         def counting(name, fn):
@@ -477,6 +483,11 @@ class TestSweep:
 
         monkeypatch.setattr(tcl2, "_solve", counting("solves", tcl2._solve))
         monkeypatch.setattr(tcl2, "d1", counting("d1", tcl2.d1))
+        return counts
+
+    def solve_counts(self, monkeypatch, workload):
+        """``tcl2._solve`` calls and ``d1`` samplings of one bench sweep."""
+        counts = self.counting(monkeypatch)
         settings = BENCH_WORKLOADS["make"](workload, 0).settings
         run_sweep(build_config({k: str(v) for k, v in settings.items()}))
         return counts
@@ -674,12 +685,14 @@ class TestMain:
         assert b"\r" not in data  # LF endings only
 
     def test_config_file_loading(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("t1 = 1\nbackend = markov\n")
-        out = tmp_path / "dyn.csv"
-        rc = main(["dynamics", "--config", str(cfg_file), "--out", str(out)])
-        assert rc == 0
-        assert column(out.read_text(), "theta").min() >= -1e-12
+        # a UTF-8 byte-order mark before the first key is not part of it
+        for bom in (b"", b"\xef\xbb\xbf"):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_bytes(bom + b"t1 = 1\nbackend = markov\n")
+            out = tmp_path / "dyn.csv"
+            rc = main(["dynamics", "--config", str(cfg_file), "--out", str(out)])
+            assert rc == 0
+            assert column(out.read_text(), "theta").min() >= -1e-12
 
     def test_flag_overrides_config(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
