@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -204,14 +204,11 @@ def _cells(values):
         yield from ("%.12g\n" * len(part) % tuple(part)).split("\n")[:-1]
 
 
-def _csv(header: str, blocks) -> str:
-    """CSV text of blocks of cell columns, LF line endings: each block is
-    read row by row, up to its shortest column, and dropped once joined."""
-    rows = [header]
-    for columns in blocks:
-        rows.extend(map(",".join, zip(*columns)))
-    rows.append("")  # the last line's ending, without a copy of the text
-    return "\n".join(rows)
+def _csv(header: str, columns) -> str:
+    """CSV text of cell columns, LF line endings, read row by row up to
+    the shortest column; the trailing "" ends the last line without a
+    copy of the text."""
+    return "\n".join([header, *map(",".join, zip(*columns)), ""])
 
 
 def run_dynamics(cfg: RunConfig) -> str:
@@ -221,32 +218,35 @@ def run_dynamics(cfg: RunConfig) -> str:
     bal = energetics.stroke_balance(p_h, hot)
     t_eff = energetics.effective_temperature_profile(bal.rho00, hot.omega)
     theta = energetics.energy_flow(p_h, hot)[1]
-    return _csv("t,rho00,rho11,T_eff,dES,dEB,EI,theta", [map(_cells, (
-        hot.times, bal.rho00, 1.0 - bal.rho00, t_eff, bal.dES, bal.dEB, bal.E_I, theta))])
+    return _csv("t,rho00,rho11,T_eff,dES,dEB,EI,theta", map(_cells, (
+        hot.times, bal.rho00, 1.0 - bal.rho00, t_eff, bal.dES, bal.dEB, bal.E_I, theta)))
 
 
 def run_sweep(cfg: RunConfig) -> str:
-    """(t1, t2) grid of the cycle ledger, t1-major row order.
+    """(pair, t1, t2) grid of the cycle ledger, omega-pair-major row order.
 
-    The grid comes from ``energetics.evaluate_grid``, in this process.
-    Per-point numerical failures land in the trailing ``error`` column
-    and the sweep continues.
+    The grid comes from ``energetics.evaluate_grid``, in this process;
+    each column reads its arrays in C order.  Per-point numerical
+    failures land in the trailing ``error`` column and the sweep continues.
     """
     t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
     t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
-    blocks = energetics.evaluate_grid(cfg.engine, t1_values, t2_values, cfg.backend,
-                                      cfg.step, cfg.omega_pairs)
-    # cells that repeat down a block are formatted once and repeated
+    engines, ledger, errors = energetics.evaluate_grid(
+        cfg.engine, t1_values, t2_values, cfg.backend, cfg.step, cfg.omega_pairs)
+    rows = t1_values.size * t2_values.size  # of each pair
+
+    def per_pair(name):  # each pair's cell, formatted once, on each of its rows
+        cells = _cells([getattr(engine, name) for engine in engines])
+        return chain.from_iterable(map(repeat, cells, repeat(rows)))
+    # the duration cells of one pair, formatted once and read again for each pair
     t1_cells = [c for c in _cells(t1_values) for _ in t2_values]
     t2_cells = list(_cells(t2_values)) * len(t1_values)
     lead = "omega_h,omega_c," if cfg.omega_pairs is not None else ""
-    return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error", (
-        [*map(repeat, _cells([engine.omega_h, engine.omega_c] if lead else [])),
-         t1_cells, t2_cells,
-         *map(_cells, (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
-         *map(repeat, _cells([engine.eta_otto, engine.eta_carnot])),
-         errors.ravel().tolist()]
-        for engine, ledger, errors in blocks))
+    return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error", [
+        *map(per_pair, ("omega_h", "omega_c") if lead else ()),
+        *(chain.from_iterable(repeat(c, len(engines))) for c in (t1_cells, t2_cells)),
+        *map(_cells, (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
+        *map(per_pair, ("eta_otto", "eta_carnot")), errors.ravel().tolist()])
 
 
 def run_oracle(cfg: RunConfig) -> str:
@@ -266,9 +266,10 @@ def run_oracle(cfg: RunConfig) -> str:
         raise PositivityViolation(f"limit-cycle P_h = {p_h!r} left [0, 1]", worst=p_h)
     ref = exact_evolve(min(max(p_h, 0.0), 1.0), cfg.engine.omega_h, cfg.bath, times)
 
-    return _csv("t,dES_tcl2,dES_exact,dEB_tcl2,dEB_exact,EI_tcl2,EI_exact,truncation",
-                [map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,
-                              bal.E_I[idx], ref.interaction, ref.truncation_flagged))])
+    b = cfg.backend  # the solver columns are named after the backend that made them
+    return _csv(f"t,dES_{b},dES_exact,dEB_{b},dEB_exact,EI_{b},EI_exact,truncation",
+                map(_cells, (times, bal.dES[idx], ref.d_system, bal.dEB[idx], ref.d_bath,
+                             bal.E_I[idx], ref.interaction, ref.truncation_flagged)))
 
 
 def _load_config(args) -> RunConfig:

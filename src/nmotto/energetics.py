@@ -33,11 +33,11 @@ the balances keep their digits at weak coupling.  The fixed point of
 the composed hot and cold maps is the limit cycle; it and the whole
 ``EnergyLedger`` follow from the stroke end values in one function,
 ``_close_cycle``, which both evaluators call: ``evaluate_cycle`` for
-one engine and ``evaluate_grid`` over a duration grid, bit for bit
-alike.  ``BACKENDS`` picks the module, ``tcl2`` or ``markov``, that
-returns a stroke's ``StrokeDynamics`` or many strokes' ``StrokeEnds``.
-``energy_flow`` assembles theta = d(dE_B)/dt from the analytic
-integrands, never by numerical differencing.
+one engine and ``evaluate_grid`` over a (pair, t1, t2) grid at once,
+bit for bit alike.  ``BACKENDS`` picks the module, ``tcl2`` or
+``markov``, that returns a stroke's ``StrokeDynamics`` or many strokes'
+``StrokeEnds``.  ``energy_flow`` assembles theta = d(dE_B)/dt from the
+analytic integrands, never by numerical differencing.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def effective_temperature_profile(rho00: np.ndarray, omega: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Per-cycle energy balance at the limit cycle, formed by
-    ``_close_cycle``: floats for one engine, arrays over a grid.  The
+    """Per-cycle energy balance at the limit cycle, formed by ``_close_cycle``:
+    floats for one engine, (pair, t1, t2) arrays over a grid.  The
     efficiencies are the engine's own, ``eta_otto`` and ``eta_carnot``."""
 
     W_ad1: float
@@ -179,15 +179,15 @@ class CycleEvaluation:
 _FROZEN_P = 0.5
 
 
-def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
+def _close_cycle(lam: float, omega_h, omega_c, hot: StrokeEnds, cold: StrokeEnds):
     """Limit cycle and its ``EnergyLedger`` from the stroke ends, elementwise.
 
-    The ends are floats or arrays that broadcast against each other,
-    such as a column of hot-stroke ends against a row of cold-stroke
-    ends; every ledger field broadcasts the same way.  Returns (p0,
-    degenerate, P_h, P_c, ledger); P_h, P_c and ledger carry no meaning
-    where ``degenerate`` is set or a stroke end is nan.  Zero coupling
-    takes the frozen symmetric mixture and is never degenerate.
+    Splittings and ends are floats or arrays that broadcast together,
+    such as (pair, t1, t2) arrays: splittings per pair, hot ends down
+    axis 1, cold ends along axis 2; every ledger field broadcasts alike.
+    Returns (p0, degenerate, P_h, P_c, ledger); P_h, P_c and ledger carry
+    no meaning where ``degenerate`` is set or a stroke end is nan.  Zero
+    coupling (lam = 0) takes the frozen symmetric mixture: never degenerate.
 
     * the cycle contracts by p0 = exp(A_h + A_c), and 1 - p0, read as
       -expm1(A_h + A_c), keeps its digits at weak coupling; |p0| within
@@ -211,11 +211,11 @@ def _close_cycle(engine: EngineParams, hot: StrokeEnds, cold: StrokeEnds):
         # P_h = r1_c + exp(A_c) (r1_h + exp(A_h) P_h), and P_c the mirror image
         p_h = (cold.r1 + np.exp(cold.cum_a) * hot.r1) / one_minus_p0
         p_c = (hot.r1 + np.exp(hot.cum_a) * cold.r1) / one_minus_p0
-        if engine.lam == 0.0:
+        if lam == 0.0:
             degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
-        bal_h = _balance(p_h, engine.omega_h, hot)
-        bal_c = _balance(p_c, engine.omega_c, cold)
-        gap = engine.omega_h - engine.omega_c
+        bal_h = _balance(p_h, omega_h, hot)
+        bal_c = _balance(p_c, omega_c, cold)
+        gap = omega_h - omega_c
         w_ad1, w_ad2 = gap * (1.0 - bal_h.rho00), gap * (1.0 - bal_c.rho00)
         w_1 = bal_h.dES + bal_c.dES
         ledger = EnergyLedger(
@@ -236,7 +236,8 @@ def evaluate_cycle(
     solver = _solver(backend)
     hot = solver.evolve_branch_pair(engine.hot_reservoir, engine.omega_h, engine.t1, h)
     cold = solver.evolve_branch_pair(engine.cold_reservoir, engine.omega_c, engine.t2, h)
-    p0, degenerate, p_h, p_c, ledger = _close_cycle(engine, hot.ends, cold.ends)
+    p0, degenerate, p_h, p_c, ledger = _close_cycle(
+        engine.lam, engine.omega_h, engine.omega_c, hot.ends, cold.ends)
     if degenerate:
         raise DegenerateCycle(
             f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
@@ -248,40 +249,36 @@ def evaluate_cycle(
 
 def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tcl2",
                   h: float | None = None, omega_pairs=None):
-    """Cycle ledger over a (t1, t2) grid, one block per omega pair.
+    """Cycle ledger over a (pair, t1, t2) grid, axis 0 the omega pairs.
 
     The hot strokes (one per t1) and the cold strokes (one per t2) are
     solved once per side for every omega pair by ``family_ends``.
     The limit cycle and ledger of every grid point then follow from the
-    stroke ends by broadcasting, bit for bit as ``evaluate_cycle`` point
+    stroke ends in one broadcast, bit for bit as ``evaluate_cycle`` point
     by point.  ``omega_pairs`` lists (omega_h, omega_c) splittings, None
-    meaning the engine's own.  Returns one (engine, ledger, errors) per
-    pair: engine carries the pair's splittings, ledger an
-    ``EnergyLedger`` whose every field is an array of shape
-    (len(t1_values), len(t2_values)), nan at failed points, and errors
-    the failure labels ("" where the point succeeded).  A step or
-    duration that ``tcl2.lattice`` rejects raises ``ValueError`` from
-    the backend, as it does in ``evaluate_cycle``.
+    meaning the engine's own.  Returns (engines, ledger, errors): the
+    engine of each pair, with its splittings, an ``EnergyLedger`` whose
+    every field is an array of shape (len(pairs), len(t1_values),
+    len(t2_values)), nan at failed points, and the failure labels in
+    that shape ("" where the point succeeded).  A step or duration that
+    ``tcl2.lattice`` rejects raises ``ValueError`` from the backend, as
+    it does in ``evaluate_cycle``.
     """
     solver = _solver(backend)
     pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
     engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
-    hot_ends = solver.family_ends(engine.hot_reservoir, [e.omega_h for e in engines],
-                                  t1_values, h)
-    cold_ends = solver.family_ends(engine.cold_reservoir, [e.omega_c for e in engines],
-                                   t2_values, h)
-
-    blocks = []
-    for k, eng in enumerate(engines):
-        # hot ends down a column, cold ends along a row: they broadcast
-        hot = StrokeEnds._make(end[k, :, None] for end in hot_ends)
-        cold = StrokeEnds._make(end[k, None, :] for end in cold_ends)
-        _, degenerate, _, _, ledger = _close_cycle(eng, hot, cold)
-        errors = np.full(degenerate.shape, "", dtype=object)
-        errors[degenerate] = DegenerateCycle.__name__
-        errors[np.isnan(hot.r1) | np.isnan(cold.r1)] = PositivityViolation.__name__
-        failed_points = errors != ""
-        ledger = EnergyLedger(*(np.where(failed_points, np.nan, v)
-                                for v in vars(ledger).values()))
-        blocks.append((eng, ledger, errors))
-    return blocks
+    omega_h, omega_c = [e.omega_h for e in engines], [e.omega_c for e in engines]
+    hot_ends = solver.family_ends(engine.hot_reservoir, omega_h, t1_values, h)
+    cold_ends = solver.family_ends(engine.cold_reservoir, omega_c, t2_values, h)
+    # pairs down axis 0, hot ends down axis 1, cold ends along axis 2
+    hot = StrokeEnds._make(end[:, :, None] for end in hot_ends)
+    cold = StrokeEnds._make(end[:, None, :] for end in cold_ends)
+    _, degenerate, _, _, ledger = _close_cycle(
+        engine.lam, *np.reshape([omega_h, omega_c], (2, -1, 1, 1)), hot, cold)
+    errors = np.full(degenerate.shape, "", dtype=object)
+    errors[degenerate] = DegenerateCycle.__name__
+    errors[np.isnan(hot.r1) | np.isnan(cold.r1)] = PositivityViolation.__name__
+    failed_points = errors != ""
+    ledger = EnergyLedger(*(np.where(failed_points, np.nan, v)
+                            for v in vars(ledger).values()))
+    return engines, ledger, errors

@@ -70,20 +70,18 @@ def markov_eval():
 
 
 def _ledger_grids(t1_values, t2_values, backend, omega_pairs=None, engine=ENGINE):
-    """The ``EnergyLedger`` of grids, one per omega pair.  Every point
-    must succeed, as the per-point ``evaluate_cycle`` would raise
-    otherwise."""
-    blocks = evaluate_grid(engine, t1_values, t2_values, backend,
-                           omega_pairs=omega_pairs)
-    for _, _, errors in blocks:
-        assert np.all(errors == ""), set(errors.flat)
-    return [ledger for _, ledger, _ in blocks]
+    """The ``EnergyLedger`` of a (pair, t1, t2) grid.  Every point must
+    succeed, as the per-point ``evaluate_cycle`` would raise otherwise."""
+    _, ledger, errors = evaluate_grid(engine, t1_values, t2_values, backend,
+                                      omega_pairs=omega_pairs)
+    assert np.all(errors == ""), set(errors.flat)
+    return ledger
 
 
 def _work_grids(backend):
     """(W_I, W_II) over the T_GRID x T_GRID duration grid."""
-    ledger = _ledger_grids(T_GRID, T_GRID, backend)[0]
-    return ledger.W_I, ledger.W_II
+    ledger = _ledger_grids(T_GRID, T_GRID, backend)
+    return ledger.W_I[0], ledger.W_II[0]
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +152,7 @@ def test_criterion_03_effective_temperature_overshoot(tcl2_eval, markov_eval):
 def test_criterion_04_interaction_energy_sign():
     t1_values = np.arange(1.0, 5.5, 0.5)
     # E_I_h over one column at t2 = 60
-    e_nm, e_m = (_ledger_grids(t1_values, [ENGINE.t2], backend)[0].E_I_h
+    e_nm, e_m = (_ledger_grids(t1_values, [ENGINE.t2], backend).E_I_h
                  for backend in ("tcl2", "markov"))
     e_m = np.abs(e_m)
     ok = bool(np.all(e_nm < 0.0)) and bool(np.all(e_m < 1e-10))
@@ -222,7 +220,8 @@ def _full_thermalization_w1(engine):
     r_c = stationary_rho00(engine.omega_c, engine.T_c)
     hot = StrokeEnds(r_h, -np.inf, 0.0, 0.0)
     cold = StrokeEnds(r_c, -np.inf, 0.0, 0.0)
-    _, degenerate, _, _, ledger = _close_cycle(engine, hot, cold)
+    _, degenerate, _, _, ledger = _close_cycle(
+        engine.lam, engine.omega_h, engine.omega_c, hot, cold)
     assert not degenerate
     return ledger.W_I
 
@@ -257,10 +256,10 @@ AT_CARNOT = [(0.9, 0.18), (1.0, 0.2), (1.25, 0.25)]      # eta_O = eta_C
 def test_criterion_10_splitting_dependence():
     grid, below, above, equal = SPLIT_GRID, BELOW_CARNOT, ABOVE_CARNOT, AT_CARNOT
 
-    ok_below = all(ledger.W_I.max() > 0.0
-                   for ledger in _ledger_grids(grid, grid, "tcl2", below))
-    ok_above = all(ledger.W_II.max() < 0.0
-                   for ledger in _ledger_grids(grid, grid, "tcl2", above))
+    # each pair's maximum over its durations, axis 0 the pairs
+    w_1 = _ledger_grids(grid, grid, "tcl2", below).W_I.max(axis=(1, 2))
+    w_2 = _ledger_grids(grid, grid, "tcl2", above).W_II.max(axis=(1, 2))
+    ok_below, ok_above = bool(np.all(w_1 > 0.0)), bool(np.all(w_2 < 0.0))
     ok_equal = all(
         abs(_full_thermalization_w1(replace(ENGINE, omega_h=wh, omega_c=wc))) <= 1e-10
         for wh, wc in equal
@@ -345,15 +344,16 @@ def _entropy_productions(ledger):
 def test_criterion_15_second_law_with_interaction_energy():
     # the operating pair on the 60x60 grid, then criterion 10's nine pairs
     unequal = BELOW_CARNOT + ABOVE_CARNOT
-    sigmas = {backend: [_entropy_productions(ledger) for ledger in
-                        _ledger_grids(T_GRID, T_GRID, backend)
-                        + _ledger_grids(SPLIT_GRID, SPLIT_GRID, backend,
-                                        unequal + AT_CARNOT)]
+    sigmas = {backend: [_entropy_productions(ledger) for ledger in (
+        _ledger_grids(T_GRID, T_GRID, backend),
+        _ledger_grids(SPLIT_GRID, SPLIT_GRID, backend, unequal + AT_CARNOT))]
               for backend in ("tcl2", "markov")}
     # Markov Sigma_II vanishes where eta_O = eta_C, up to roundoff
-    min_2 = min(s_2.min() for pairs in sigmas.values() for _, s_2 in pairs)
+    min_2 = min(s_2.min() for grids in sigmas.values() for _, s_2 in grids)
     ok_2 = min_2 >= -1e-15
-    tcl2_min_1 = [s_1.min() for s_1, _ in sigmas["tcl2"][:1 + len(unequal)]]
+    # each pair's minimum over its durations: the operating pair, then the unequal ones
+    (operating_1, _), (split_1, _) = sigmas["tcl2"]
+    tcl2_min_1 = [operating_1.min(), *split_1[:len(unequal)].min(axis=(1, 2))]
     ok_1 = max(tcl2_min_1) < 0.0
     ok_markov = all(np.array_equal(s_1, s_2) for s_1, s_2 in sigmas["markov"])
     _criterion(15, "second law with interaction energy: Sigma_II >= 0 under "
@@ -371,7 +371,7 @@ def test_criterion_17_second_law_split_at_weak_coupling():
     # (t1, t2) = (3, 60) and 0.1305
     lams = (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
     scaled = [[sigma / lam for sigma in _entropy_productions(
-        _ledger_grids(T_GRID, T_GRID, "tcl2", engine=replace(ENGINE, lam=lam))[0])]
+        _ledger_grids(T_GRID, T_GRID, "tcl2", engine=replace(ENGINE, lam=lam)))]
               for lam in lams]
     min_1 = [s_1.min() for s_1, _ in scaled]
     min_2 = [s_2.min() for _, s_2 in scaled]

@@ -73,6 +73,23 @@ def point_ledger(engine, backend, step):
     return astuple(ledger), ""
 
 
+def grid_labels(engine, t1_values, t2_values, backend, step, omega_pairs=None):
+    """``evaluate_grid`` against ``point_ledger`` at every (pair, t1, t2)
+    point, each field bit for bit by its hex; returns the set of labels."""
+    engines, ledger, errors = evaluate_grid(engine, t1_values, t2_values, backend, step,
+                                            omega_pairs)
+    pairs = omega_pairs or [(engine.omega_h, engine.omega_c)]
+    assert engines == [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
+    shape = (len(pairs), len(t1_values), len(t2_values))
+    assert errors.shape == shape and all(np.shape(w) == shape for w in astuple(ledger))
+    for (k, i, j), label in np.ndenumerate(errors):
+        point = replace(engines[k], t1=float(t1_values[i]), t2=float(t2_values[j]))
+        ref, want = point_ledger(point, backend, step)
+        got = [float(w[k, i, j]).hex() for w in astuple(ledger)]
+        assert got == [w.hex() for w in ref] and label == want, (k, i, j)
+    return set(errors.flat)
+
+
 # the input range as the checks print it, and the coupling's
 RANGE, LAM = f"[{1 / SCALE!r}, {SCALE!r}]", f"[0.0, {SCALE!r}]"
 
@@ -357,20 +374,8 @@ class TestSweep:
         cfg = build_config({**self.SMALL, **extra})
         t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
         t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
-        labels = set()
-        blocks = evaluate_grid(cfg.engine, t1_values, t2_values, cfg.backend,
-                               cfg.step, cfg.omega_pairs)
-        for engine, ledger, errors in blocks:
-            grids = astuple(ledger)
-            for i, t1 in enumerate(t1_values):
-                for j, t2 in enumerate(t2_values):
-                    point = replace(engine, t1=float(t1), t2=float(t2))
-                    ref, label = point_ledger(point, cfg.backend, cfg.step)
-                    got = [float(w[i, j]).hex() for w in grids]
-                    assert got == [w.hex() for w in ref], (t1, t2)
-                    assert errors[i, j] == label, (t1, t2)
-                    labels.add(label)
-        assert labels == outcomes
+        assert grid_labels(cfg.engine, t1_values, t2_values, cfg.backend, cfg.step,
+                           cfg.omega_pairs) == outcomes
 
     # family members (integers >= 20 and odd-step hundredths such as
     # 45.25 on the 0.01 grid), own grids below 20, and off-grid floats
@@ -384,28 +389,24 @@ class TestSweep:
     # hot baths up to T_h = 40 at couplings up to 0.3 reach strong
     # coupling, where a hot stroke at omega_h in [1.5, 3] leaves [0, 1]
     # within a few time units (at omega_h = 1 none shorter than 40 does);
-    # the example's hot stroke fails at t1 = 30 and not at t1 = 2.  Under a
+    # in the example the hot stroke of the pair (2, 0.18) fails at t1 = 30
+    # and not at t1 = 2, and the pair (1, 0.18) passes at both.  Under a
     # user step every duration joins one solve, where odd-step closings,
     # partial ends and positivity failures meet
     @settings(max_examples=30, deadline=None)
     @example(backend="tcl2", t1_values=[2.0, 30.0], t2_values=[20.0], T_h=40.0, lam=0.3,
-             omega_h=2.0, step=None)
+             omega_pairs=[(2.0, 0.18), (1.0, 0.18)], step=None)
     @given(backend=st.sampled_from(["tcl2", "markov"]),
            t1_values=st.lists(DURATIONS, min_size=1, max_size=3),
            t2_values=st.lists(DURATIONS, min_size=1, max_size=2),
            T_h=st.floats(5.0, 40.0), lam=st.floats(0.005, 0.3),
-           omega_h=st.floats(0.5, 3.0), step=st.sampled_from([None, 1 / 8, 0.05, 0.03]))
-    def test_grid_matches_per_point_on_any_durations(self, backend, t1_values,
-                                                     t2_values, T_h, lam, omega_h, step):
-        engine = replace(build_config({}).engine, T_h=T_h, lam=lam, omega_h=omega_h)
-        [(_, ledger, errors)] = evaluate_grid(engine, t1_values, t2_values, backend, step)
-        grids = astuple(ledger)
-        for i, t1 in enumerate(t1_values):
-            for j, t2 in enumerate(t2_values):
-                point = replace(engine, t1=t1, t2=t2)
-                ref, label = point_ledger(point, backend, step)
-                assert [float(w[i, j]).hex() for w in grids] == [w.hex() for w in ref]
-                assert errors[i, j] == label
+           omega_pairs=st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(0.05, 0.5)),
+                                min_size=1, max_size=3),
+           step=st.sampled_from([None, 1 / 8, 0.05, 0.03]))
+    def test_grid_matches_per_point_on_any_durations(self, backend, t1_values, t2_values,
+                                                     T_h, lam, omega_pairs, step):
+        engine = replace(build_config({}).engine, T_h=T_h, lam=lam)
+        grid_labels(engine, t1_values, t2_values, backend, step, omega_pairs)
 
     # 1.15 / 0.05 and 20.15 / 0.01 round to whole step counts m, but m h
     # is not the float t: such a stroke ends on m h in its step's one
@@ -420,17 +421,10 @@ class TestSweep:
         # 0.05 lattice differ from their own solves in the last bits
         engine = replace(build_config({}).engine, omega_h=3.0)
         counts = self.counting(monkeypatch)
-        grids = {backend: evaluate_grid(engine, t1_values, t2_values, backend, step)
-                 for backend in ("tcl2", "markov")}
+        evaluate_grid(engine, t1_values, t2_values, "tcl2", step)
         assert counts["solves"] == 2
-        for backend, [(_, ledger, errors)] in grids.items():
-            for i, t1 in enumerate(t1_values):
-                for j, t2 in enumerate(t2_values):
-                    point = replace(engine, t1=t1, t2=t2)
-                    ref, label = point_ledger(point, backend, step)
-                    got = [float(w[i, j]).hex() for w in astuple(ledger)]
-                    assert got == [w.hex() for w in ref]
-                    assert errors[i, j] == label == ""
+        for backend in ("tcl2", "markov"):
+            assert grid_labels(engine, t1_values, t2_values, backend, step) == {""}
 
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
     @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), 1e-6])
@@ -460,9 +454,7 @@ class TestSweep:
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
     def test_empty_side_gives_an_empty_grid(self, backend):
         engine = build_config({}).engine
-        [(_, ledger, errors)] = evaluate_grid(engine, [], [5.0], backend)
-        assert errors.shape == (0, 1)
-        assert all(np.shape(v) == (0, 1) for v in astuple(ledger))
+        assert grid_labels(engine, [], [5.0], backend, None) == set()
 
     def test_edge_failure_spares_shorter_strokes_of_its_solve(self):
         cfg = build_config({**self.SMALL, **self.EDGE_FAILURE})
@@ -503,16 +495,20 @@ class TestSweep:
         assert self.solve_counts(monkeypatch, "sweep-map") == {"solves": 80, "d1": 80}
 
     def test_edge_values_formatted_literally(self, monkeypatch):
-        # nan, +-inf, -0.0 and tiny cells through the one cell format
+        # nan, +-inf, -0.0 and tiny cells through the one cell format, in
+        # (pair, t1, t2) order: two pairs of their own splittings and eta_O
         cells = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, -1e-300,
                  0.1 + 0.2, -123456.7890123456]
-        ledger = EnergyLedger(*(np.roll(cells, k).reshape(2, 4) for k in range(N_FIELDS)))
-        errors = np.array([["", "PositivityViolation", "", ""],
-                           ["DegenerateCycle", "", "", ""]], dtype=object)
-        cfg = build_config({"t1_count": "2", "t2_count": "4", "omega_pairs": "1:0.18"})
-        engine = replace(cfg.engine, omega_h=1.0, omega_c=0.18)
+        ledger = EnergyLedger(*(np.roll(cells, k).reshape(2, 1, 4)
+                                for k in range(N_FIELDS)))
+        errors = np.array([[["", "PositivityViolation", "", ""]],
+                           [["DegenerateCycle", "", "", ""]]], dtype=object)
+        cfg = build_config({"t1_count": "1", "t2_count": "4",
+                            "omega_pairs": "1:0.18,0.9:0.2"})
+        engines = [replace(cfg.engine, omega_h=hi, omega_c=lo)
+                   for hi, lo in cfg.omega_pairs]
         monkeypatch.setattr(energetics, "evaluate_grid",
-                            lambda *args: [(engine, ledger, errors)])
+                            lambda *args: (engines, ledger, errors))
         assert run_sweep(cfg) == (
             "omega_h,omega_c,t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error\n"
             "1,0.18,1,1,nan,-123456.789012,0.3,-1e-300,0.82,0.8,\n"
@@ -520,10 +516,10 @@ class TestSweep:
             "PositivityViolation\n"
             "1,0.18,1,40.3333333333,-inf,inf,nan,-123456.789012,0.82,0.8,\n"
             "1,0.18,1,60,0,-inf,inf,nan,0.82,0.8,\n"
-            "1,0.18,60,1,0,0,-inf,inf,0.82,0.8,DegenerateCycle\n"
-            "1,0.18,60,20.6666666667,-1e-300,0,0,-inf,0.82,0.8,\n"
-            "1,0.18,60,40.3333333333,0.3,-1e-300,0,0,0.82,0.8,\n"
-            "1,0.18,60,60,-123456.789012,0.3,-1e-300,0,0.82,0.8,\n")
+            "0.9,0.2,1,1,0,0,-inf,inf,0.777777777778,0.8,DegenerateCycle\n"
+            "0.9,0.2,1,20.6666666667,-1e-300,0,0,-inf,0.777777777778,0.8,\n"
+            "0.9,0.2,1,40.3333333333,0.3,-1e-300,0,0,0.777777777778,0.8,\n"
+            "0.9,0.2,1,60,-123456.789012,0.3,-1e-300,0,0.777777777778,0.8,\n")
         # the other commands share the format: at zero coupling the
         # populations are degenerate (T_eff = inf) and E_I = -C is -0.0
         _, rows = read_rows(run_dynamics(build_config({"lambda": "0", "t1": "2"})))
@@ -623,15 +619,17 @@ class TestOracleCommand:
     CFG = {"t1": "2", "oracle_modes": "2", "oracle_fock": "2",
            "oracle_samples": "5", "oracle_omega_max": "1.0"}
 
-    def test_columns_and_zero_row(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["tcl2", "markov"])
+    def test_columns_and_zero_row(self, tmp_path, backend):
+        # the solver columns are named after the backend that made them
         out = tmp_path / "oracle.csv"
-        rc = main(["oracle", "--out", str(out)] +
+        rc = main(["oracle", "--out", str(out), "--backend", backend] +
                   sum((["--set", f"{k}={v}"] for k, v in self.CFG.items()), []))
         assert rc == 0
         text = out.read_text()
         header, rows = read_rows(text)
-        assert header == ["t", "dES_tcl2", "dES_exact", "dEB_tcl2", "dEB_exact",
-                          "EI_tcl2", "EI_exact", "truncation"]
+        assert header == ["t", f"dES_{backend}", "dES_exact", f"dEB_{backend}",
+                          "dEB_exact", f"EI_{backend}", "EI_exact", "truncation"]
         first = [abs(float(v)) for v in rows[0][:7]]
         assert max(first) < 1e-12  # t = 0 row carries only roundoff
 

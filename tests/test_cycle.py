@@ -14,9 +14,9 @@ from nmotto.energetics import DEGENERACY_TOL, StrokeEnds, _close_cycle
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
 
-# the fixed point reads only the stroke ends; any nonzero coupling
-# leaves the frozen zero-coupling mixture out of it
-ENGINE = EngineParams(1.0, 0.18, 5.0, 1.0, 0.01, 0.4, 5.0, 60.0)
+# (lam, omega_h, omega_c): the fixed point reads only the stroke ends;
+# any nonzero coupling leaves the frozen zero-coupling mixture out of it
+CYCLE = (0.01, 1.0, 0.18)
 
 
 def ends(r0, r1):
@@ -42,7 +42,7 @@ def composed(hot, cold, p):
 
 def closed_form(hot, cold):
     """(P_h, P_c, p0) of the limit cycle of a non-degenerate map pair."""
-    p0, degenerate, p_h, p_c, _ = _close_cycle(ENGINE, hot, cold)
+    p0, degenerate, p_h, p_c, _ = _close_cycle(*CYCLE, hot, cold)
     assert not degenerate
     return p_h, p_c, p0
 
@@ -62,7 +62,7 @@ def iterate_cycle(hot, cold, p_start, n):
 
 class TestLimitCycle:
     def test_identity_maps_degenerate(self, ref_engine):
-        p0, degenerate, _, _, _ = _close_cycle(ENGINE, ends(1.0, 0.0), ends(1.0, 0.0))
+        p0, degenerate, _, _, _ = _close_cycle(*CYCLE, ends(1.0, 0.0), ends(1.0, 0.0))
         assert p0 == 1.0 and degenerate
         # a coupling too weak to move the populations within the strokes
         with pytest.raises(DegenerateCycle) as info:
@@ -90,7 +90,7 @@ class TestLimitCycle:
         # one row per draw: hot r1 <= r0, then cold r1 <= r0
         hot_r1, hot_r0, cold_r1, cold_r0 = np.sort(
             rng.uniform(0.0, 1.0, (500, 2, 2)), axis=2).reshape(500, 4).T
-        _, degenerate, p_h, p_c, _ = _close_cycle(ENGINE, ends(hot_r0, hot_r1),
+        _, degenerate, p_h, p_c, _ = _close_cycle(*CYCLE, ends(hot_r0, hot_r1),
                                                   ends(cold_r0, cold_r1))
         for p in (p_h[~degenerate], p_c[~degenerate]):
             assert np.all((0.0 <= p) & (p <= 1.0))

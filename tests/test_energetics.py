@@ -46,12 +46,12 @@ class TestConservation:
         # the system returns to its start each cycle, so the work taken
         # out is what the two reservoirs lose: W_II = -(dE_B,h + dE_B,c)
         durations = np.linspace(1.0, 60.0, 60)
-        blocks = evaluate_grid(ref_engine, durations, durations, backend,
-                               omega_pairs=[(1.0, 0.18), (1.0, 0.25), (0.9, 0.2)])
-        for _, ledger, errors in blocks:
-            assert np.all(errors == "")
-            residual = ledger.W_II + ledger.dEB_h + ledger.dEB_c
-            assert np.max(np.abs(residual)) <= 1e-14
+        pairs = [(1.0, 0.18), (1.0, 0.25), (0.9, 0.2)]
+        _, ledger, errors = evaluate_grid(ref_engine, durations, durations, backend,
+                                          omega_pairs=pairs)
+        assert np.all(errors == "")
+        residual = ledger.W_II + ledger.dEB_h + ledger.dEB_c
+        assert np.max(np.abs(residual)) <= 1e-14
 
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
     @pytest.mark.parametrize("which", ["hot", "cold"])
@@ -101,11 +101,10 @@ class TestWorks:
     def test_net_work_algebra(self):
         # fully thermalizing contacts leave excited populations 0.4 after
         # the hot and 0.3 after the cold one; E_I = -C(t_end) charges the
-        # detachment
-        eng = EngineParams(2.0, 1.0, 5.0, 1.0, 0.01, 0.4, 5.0, 5.0)
+        # detachment; lam = 0.01, omega_h = 2 and omega_c = 1
         hot = StrokeEnds(r1=0.6, cum_a=-np.inf, corr_0=0.03, corr_1=0.03)
         cold = StrokeEnds(r1=0.7, cum_a=-np.inf, corr_0=0.02, corr_1=0.02)
-        p0, degenerate, p_h, p_c, ledger = _close_cycle(eng, hot, cold)
+        p0, degenerate, p_h, p_c, ledger = _close_cycle(0.01, 2.0, 1.0, hot, cold)
         assert p0 == 0.0 and not degenerate
         assert (p_h, p_c) == pytest.approx((0.7, 0.6))
         assert (ledger.W_ad1, ledger.W_ad2) == pytest.approx((0.4, 0.3))
