@@ -315,28 +315,24 @@ def _emit(text: str, out: str | None):
             raise ConfigError(f"cannot write output: {exc}") from exc
 
 
+_COMMANDS = {"dynamics": run_dynamics, "sweep": run_sweep, "oracle": run_oracle}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmotto",
         description="Finite-time quantum Otto engine: stroke dynamics, "
                     "duration sweeps, and exact few-mode reference runs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("dynamics", "hot-stroke observables at the limit cycle"),
-        ("sweep", "cycle ledger over a (t1, t2) grid"),
-        ("oracle", "solver vs exact few-mode reference"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one configuration key (repeatable)")
-        p.add_argument("--backend", help=f"one of {_BACKENDS}")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("command", choices=_COMMANDS, help="dynamics: hot-stroke "
+                        "observables at the limit cycle; sweep: cycle ledger over a "
+                        "(t1, t2) grid; oracle: solver vs exact few-mode reference")
+    parser.add_argument("--config", help="flat key=value configuration file")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one configuration key (repeatable)")
+    parser.add_argument("--backend", help=f"one of {_BACKENDS}")
+    parser.add_argument("--out", help="output CSV path (default: stdout)")
     return parser
-
-
-_COMMANDS = {"dynamics": run_dynamics, "sweep": run_sweep, "oracle": run_oracle}
 
 
 def main(argv=None) -> int:

@@ -701,6 +701,31 @@ class TestMain:
         assert rc == 0
         assert column(out.read_text(), "theta").min() < 0.0  # tcl2 backflow
 
+    def test_unknown_command_names_the_three(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        assert ("invalid choice: 'bogus' (choose from 'dynamics', 'sweep', 'oracle')"
+                in capsys.readouterr().err)
+
+    def test_options_before_the_command(self, capsys):
+        outputs = []
+        for argv in (["dynamics", "--set", "t1=1"], ["--set", "t1=1", "dynamics"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].startswith("t,rho00")
+        assert outputs[1] == outputs[0]
+
+    def test_help_describes_each_command_once(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        squeezed = "".join(capsys.readouterr().out.split())  # whatever the wrapping
+        for description in ("dynamics: hot-stroke observables at the limit cycle",
+                            "sweep: cycle ledger over a (t1, t2) grid",
+                            "oracle: solver vs exact few-mode reference"):
+            assert squeezed.count("".join(description.split())) == 1
+
     # a value of the input range: a corner, or log-uniform between them
     IN_RANGE = st.one_of(st.sampled_from([1 / SCALE, 1.0, SCALE]),
                          st.floats(-100.0, 100.0).map(lambda e: 2.0**e))
