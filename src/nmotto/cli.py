@@ -61,9 +61,8 @@ class RunConfig:
         if points > MAX_SWEEP_POINTS:
             raise ValueError(f"a sweep of {points} points exceeds {MAX_SWEEP_POINTS}")
         # longest first: a step too fine for every duration is named at the longest
-        for t in sorted((self.engine.t1, self.engine.t2, self.t1_min, self.t1_max,
-                         self.t2_min, self.t2_max), reverse=True):
-            lattice(t, self.step)
+        lattice(sorted((self.engine.t1, self.engine.t2, self.t1_min, self.t1_max,
+                        self.t2_min, self.t2_max), reverse=True), self.step)
         for name in ("t1", "t2"):
             if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
                 raise ValueError(f"need {name}_min <= {name}_max")
@@ -205,10 +204,10 @@ def _cells(values):
 
 
 def _csv(header: str, columns) -> str:
-    """CSV text of cell columns, LF line endings, read row by row up to
-    the shortest column; the trailing "" ends the last line without a
-    copy of the text."""
-    return "\n".join([header, *map(",".join, zip(*columns)), ""])
+    """CSV text of cell columns of one length, LF line endings, read row
+    by row; the trailing "" ends the last line without a copy of the
+    text.  A column of another length raises ``ValueError``."""
+    return "\n".join([header, *map(",".join, zip(*columns, strict=True)), ""])
 
 
 def run_dynamics(cfg: RunConfig) -> str:

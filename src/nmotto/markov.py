@@ -90,12 +90,9 @@ def evolve_branch_pair(
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
     """``StrokeEnds`` (r1, A = -Gamma t, 0, 0) of (len(omegas), len(durations))
     arrays, as ``tcl2.family_ends``, and rejecting the same durations and ``h``: the
-    closed form needs no grid, but each stroke still passes ``tcl2.lattice`` and
-    ends where its ``time_grid`` does, on m h where the end is a lattice point."""
-    ends = np.empty(len(durations))
-    for j, t in enumerate(map(float, durations)):
-        step, m, delta = lattice(t, h)
-        ends[j] = t if delta else m * step
+    closed form needs no grid, but each stroke still ends where ``tcl2.lattice``
+    says, as its ``time_grid`` does."""
+    ends = lattice(durations, h)[2]
     out = StrokeEnds._make(np.zeros((4, len(omegas), len(durations))))
     for i, omega in enumerate(omegas):
         out.r1[i] = branch_pair(reservoir, omega, ends)[1]

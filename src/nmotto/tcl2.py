@@ -18,12 +18,12 @@ and the exact solution
 
 Everything is evaluated on the lattice 0, h, 2h, ... with cumulative
 composite Simpson rules, so a full stroke costs O(N) after O(N) kernel
-evaluations.  A stroke of duration t runs to its last lattice point
-m h <= t and closes the remaining partial step t - m h with one
-three-point step; it ends on m h when within 1e-12 t of it (see
-``lattice``).  The excited population is 1 - rho00 by construction.
-The counting-field correction integral C(t) of the energy bookkeeping
-(see ``energetics``) is accumulated in the same pass.
+evaluations.  A stroke runs to its last lattice point m h and closes
+the remaining partial step to its end, which ``lattice`` sets, with
+one three-point step.  The excited population is 1 - rho00 by
+construction.  The counting-field correction integral C(t) of the
+energy bookkeeping (see ``energetics``) is accumulated in the same
+pass.
 
 ``evolve_branch_pair`` returns one stroke's ``StrokeDynamics`` and
 ``family_ends`` the ends of many: durations on one lattice are read
@@ -72,16 +72,20 @@ MAX_STEPS = 10**6
 _LATTICE_TOL = 1e-12
 
 
-def lattice(t_end: float, h: float | None = None):
-    """The grid rule of a stroke of duration t_end at step h.
+def lattice(t_end, h: float | None = None):
+    """The grid rule of the strokes of durations t_end at step h, and the
+    one judge of where each stroke ends.
 
-    Returns ``(h, m, delta)``: the stroke runs m whole steps of h and
-    then a partial step delta = t_end - m h, 0 <= delta < h.  An end
-    within ``_LATTICE_TOL * t_end`` of a lattice point m h ends on it
-    (delta = 0), even where m h misses t_end by an ulp.  A stroke
-    shorter than two steps runs two steps of t_end / 2; one of more than
-    ``MAX_STEPS`` steps raises ``ValueError``, as do a t_end or a given h
-    outside [1 / SCALE, SCALE] (``kernels.SCALE``).
+    ``t_end`` is a duration or a sequence of them.  Returns arrays ``(h,
+    m, end)`` like ``t_end``: a stroke runs m whole steps of h, then
+    closes a partial step end - m h, 0 <= end - m h < h, on its end
+    sample.  The end is t_end, except that an end within ``_LATTICE_TOL
+    * t_end`` of a lattice point m h ends on it (end = m h, no partial
+    step), even where m h misses t_end by an ulp.  A stroke shorter than
+    two steps runs two steps of t_end / 2 and ends on t_end.  Raises
+    ``ValueError`` for a t_end or a given h outside [1 / SCALE, SCALE]
+    (``kernels.SCALE``), naming the first such duration, and then for
+    the first stroke of more than ``MAX_STEPS`` steps.
 
     The default step, min(0.01, t_end / 2000), resolves the kernel decay
     and the level oscillation at weak coupling: halving it moves the
@@ -89,31 +93,29 @@ def lattice(t_end: float, h: float | None = None):
     T = 30, lam = 0.2 it moves the rho00 ends by up to 1e-5 and the C(t)
     ends by up to 1e-3, so pass a smaller ``h`` there when that matters.
     """
+    t_end = np.asarray(t_end, dtype=float)
     check_range("stroke duration", t_end)
-    if h is None:
-        h = min(0.01, t_end / 2000.0)
-    else:
+    if h is not None:
         check_range("grid step", h)
-    if not t_end / h <= MAX_STEPS:
-        raise ValueError(f"a stroke of duration {t_end:g} at step {h:g} "
+    h = np.minimum(0.01, t_end / 2000.0) if h is None else np.full_like(t_end, h)
+    too_long = np.flatnonzero(~(t_end / h <= MAX_STEPS))
+    if too_long.size:
+        t, step = t_end.flat[too_long[0]], h.flat[too_long[0]]
+        raise ValueError(f"a stroke of duration {t:g} at step {step:g} "
                          f"needs more than {MAX_STEPS} steps")
     tol = _LATTICE_TOL * t_end
-    m = round(t_end / h)
-    delta = t_end - m * h
-    if delta < -tol:
-        m -= 1
-        delta = t_end - m * h
-    if abs(delta) <= tol:
-        delta = 0.0
-    if m < 2:
-        h, m, delta = t_end / 2, 2, 0.0
-    return h, m, delta
+    m = np.rint(t_end / h)
+    m -= t_end - m * h < -tol
+    on_lattice = np.abs(t_end - m * h) <= tol
+    short = m < 2
+    h, m = np.where(short, t_end / 2, h), np.where(short, 2, m).astype(int)
+    return h, m, np.where(on_lattice, m * h, t_end)
 
 
 def time_grid(t_end: float, h: float | None = None) -> np.ndarray:
     """The samples of the solve of one stroke of duration t_end (see
     ``_plan``): the lattice points 0, h, ..., m h of ``lattice(t_end,
-    h)``, then t_end where the partial step delta > 0."""
+    h)``, then its end where that lies past m h."""
     return _solve_plans([t_end], h)[0][1]
 
 
@@ -276,34 +278,32 @@ def evolve_branch_pair(
 def _solve_plans(durations, h: float | None):
     """The solves that yield the strokes of the given durations.
 
-    Durations at one step (every t >= 20 at the default step, every
-    duration under a user ``h``) share one solve on that step's lattice,
-    of which each one's own ``time_grid`` is a prefix followed by at
-    most its end.  Returns one ``(columns, times, integrate, kept,
-    at_end)`` per solve (see ``_plan``) for the strokes at ``columns``
-    of ``durations``.
+    Durations at one step of ``lattice`` (every t >= 20 at the default
+    step, every duration under a user ``h``) share one solve on that
+    step's lattice, of which each one's own ``time_grid`` is a prefix
+    followed by at most its end.  Returns one ``(columns, times,
+    integrate, kept, at_end)`` per solve (see ``_plan``) for the strokes
+    at ``columns`` of ``durations``.
     """
-    groups = {}
-    for j, t in enumerate(map(float, durations)):
-        step, m, delta = lattice(t, h)
-        groups.setdefault(step, []).append((j, t, m, delta))
-    return [_plan(step, *map(np.array, zip(*strokes)))
-            for step, strokes in groups.items()]
+    steps, counts, ends = lattice(durations, h)
+    return [_plan(step, columns, ends[columns], counts[columns])
+            for step in dict.fromkeys(steps.tolist())
+            for columns in [np.flatnonzero(steps == step)]]
 
 
-def _plan(h, columns, ends, steps, deltas):
+def _plan(h, columns, ends, steps):
     """The sample layout of one solve at step h of the strokes ending at
-    ``ends`` after ``steps`` whole steps and partial steps ``deltas``.
+    ``ends`` (see ``lattice``) after ``steps`` whole steps.
 
-    The stroke with step count k and partial step delta owns the
-    lattice samples before k, its own sample at k and, where delta > 0,
-    its end sample at k h + delta.  Its sample at k is the lattice's,
-    except for odd k inside the lattice: its own solve closes its last
-    whole step over the parabola through k - 2 .. k, where the lattice
-    used k - 1 .. k + 1, so that sample is appended after the lattice.
-    The end samples follow, each closed from its stroke's samples at
-    k - 1 and k by ``_closing_weights``.  Every nested integral is
-    closed in the same pass.
+    The stroke with step count k owns the lattice samples before k, its
+    own sample at k and, where its end lies past k h, its end sample.
+    Its sample at k is the lattice's, except for odd k inside the
+    lattice: its own solve closes its last whole step over the parabola
+    through k - 2 .. k, where the lattice used k - 1 .. k + 1, so that
+    sample is appended after the lattice.  The end samples follow, each
+    closed from its stroke's samples at k - 1 and k by
+    ``_closing_weights``.  Every nested integral is closed in the same
+    pass.
 
     Returns ``(columns, times, integrate, kept, at_end)``: ``times``
     are the samples in that layout, ``integrate(y)`` the running
@@ -311,6 +311,7 @@ def _plan(h, columns, ends, steps, deltas):
     strokes kept both branches, sampled at ``times``, inside [0, 1], and
     ``at_end`` where each stroke's end sits in the layout.
     """
+    deltas = ends - steps * h
     n = int(steps.max()) + 1
     partial = deltas > 0
     closing = (steps % 2 == 1) & (steps < n - 1)

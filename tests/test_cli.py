@@ -173,6 +173,8 @@ REFUSED = {
     **outside("sweep t1_count=2 t2_count=2 t1_min", "stroke duration", "1e-310"),
     **outside("dynamics t1_min", "stroke duration", "nan"),
     **outside("dynamics t1_max", "stroke duration", "inf"),
+    # named before a stroke too long for the step, whatever their order
+    **outside("sweep step=1e-9 t1_min", "stroke duration", "0"),
     **outside("sweep t1_max", "stroke duration", "inf"),
     **outside("oracle t2=2.5e-200 t1_min=2.5e-200 t1_max=2.5e-200 t2_min=2.5e-200 "
               "t2_max=2.5e-200 step=1e-200 t1", "t1", "2.5e-200"),
@@ -325,6 +327,13 @@ class TestDynamics:
         cell = rows[3][1]  # rho00 away from t=0
         assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 12
         assert float(cell) == pytest.approx(0.5446, abs=1e-3)
+
+    def test_a_column_of_another_length_raises(self):
+        # a mis-sized column must not drop or cut rows silently
+        assert cli._csv("a,b", [["1", "2"], ["3", "4"]]) == "a,b\n1,3\n2,4\n"
+        for other in (["3"], ["3", "4", "5"]):
+            with pytest.raises(ValueError, match="zip"):
+                cli._csv("a,b", [["1", "2"], other])
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Time-convolutionless stroke solver: coefficients, solution, regime."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from scipy.integrate import quad
 from nmotto import (
     PositivityViolation,
     ReservoirSpec,
+    energy_flow,
+    evaluate_cycle,
     evolve_branch_pair,
     markov,
     stroke_balance,
@@ -44,6 +47,18 @@ def closed_form(p, pair):
     dx = pair.times[1] - pair.times[0]
     inner = cumulative_simpson(pair.b_vals * np.exp(-pair.cum_a), dx)
     return np.exp(pair.cum_a) * (p - inner)
+
+
+def lattice_one(t, h):
+    """``lattice``'s rule for one duration, in Python floats: m whole steps,
+    one fewer where m h overshoots t by more than 1e-12 t, and the end on
+    m h within 1e-12 t of it."""
+    h = min(0.01, t / 2000.0) if h is None else h
+    m = round(t / h)
+    if t - m * h < -1e-12 * t:
+        m -= 1
+    end = m * h if abs(t - m * h) <= 1e-12 * t else t
+    return (t / 2, 2, t) if m < 2 else (h, m, end)
 
 
 def quad_coefficient(kind, t, reservoir, omega):
@@ -80,7 +95,7 @@ class TestGrid:
                                        3.9747899159663866])
     def test_default_grid_is_linspace_below_20(self, t_end):
         # h = t_end / 2000 divides t_end: no partial step, the grid ends on 2000 h
-        assert lattice(t_end)[1:] == (2000, 0.0)
+        assert lattice(t_end)[1:] == (2000, 2000 * (t_end / 2000))
         assert np.array_equal(time_grid(t_end), np.arange(2001) * (t_end / 2000))
 
     def test_partial_step_ends_the_grid(self):
@@ -88,20 +103,20 @@ class TestGrid:
         assert len(t) == 2002 and t[-1] == 20.005
         assert np.array_equal(t[:-1], np.arange(2001) * 0.01)
         assert lattice(20.005)[:2] == (0.01, 2000)
-        assert lattice(20.005)[2] == pytest.approx(0.005, rel=1e-9)
+        assert lattice(20.005)[2] - 2000 * 0.01 == pytest.approx(0.005, rel=1e-9)
 
     @pytest.mark.parametrize("t_end", [20.15, 64.07, 100.07, 159.42])
     def test_end_a_rounding_off_the_lattice_ends_on_it(self, t_end):
         # m * 0.01 misses these decimals by about one ulp of t_end
         m = round(t_end * 100)
         assert m * 0.01 != t_end
-        assert lattice(t_end) == (0.01, m, 0.0)
+        assert lattice(t_end) == (0.01, m, m * 0.01)
         assert time_grid(t_end)[-1] == m * 0.01 and len(time_grid(t_end)) == m + 1
 
     @pytest.mark.parametrize("t_end", [0.1, 0.2, 0.3, 0.5, 0.59])
     def test_shorter_than_two_steps_runs_two(self, t_end):
         # a user step longer than half the stroke: two steps of t_end / 2
-        assert lattice(t_end, 0.3) == (t_end / 2, 2, 0.0)
+        assert lattice(t_end, 0.3) == (t_end / 2, 2, t_end)
         assert np.array_equal(time_grid(t_end, 0.3), np.linspace(0.0, t_end, 3))
         pair = evolve_branch_pair(HOT, 1.0, t_end, 0.3)
         assert np.array_equal(pair.times, np.linspace(0.0, t_end, 3))
@@ -136,6 +151,21 @@ class TestGrid:
                                (1.0, above, "grid step")):
             with pytest.raises(ValueError, match=rf"{name} must lie in \["):
                 lattice(t_end, h)
+
+    @pytest.mark.parametrize("h", [None, 1 / 8, 0.05])
+    def test_grid_ends_where_lattice_says(self, h):
+        # random durations, decimals of which m * 0.01 misses some by an ulp,
+        # a sweep's linspace values (2000 * (t / 2000) misses some by an ulp),
+        # the rounding ends named above and strokes shorter than two steps of 1/8
+        rng = np.random.default_rng(7)
+        durations = np.concatenate((rng.uniform(0.2, 60.0, 30),
+                                    np.round(rng.uniform(20.0, 60.0, 30), 2),
+                                    np.linspace(1.0, 60.0, 120)[::6],
+                                    [20.15, 64.07, 3.9747899159663866, 20.915966386554622,
+                                     0.1, 0.2]))
+        for t, side in zip(durations.tolist(), zip(*lattice(durations, h)), strict=True):
+            assert side == lattice(t, h) == lattice_one(t, h)
+            assert time_grid(t, h)[-1] == side[2]
 
 
 class TestCumulativeSimpson:
@@ -345,6 +375,32 @@ class TestBranchPair:
                                                                  abs=1e-12)
 
 
+class TestBackflowWitnesses:
+    def test_energy_backflow_is_not_information_backflow(self, ref_engine):
+        # the trace distance of the starts |0> and |1> is exp(A(t)), which
+        # grows only where a(t) > 0 (BLP information backflow); energy
+        # backflow is theta = d(dE_B)/dt < 0 (see the README)
+        lam = HOT.lam
+        a = evolve_branch_pair(HOT, 1.0, 60.0).a_vals / lam
+        assert a[0] == a.max() == 0.0 and a.min() == pytest.approx(-14.98, abs=5e-3)
+        assert a[-1] == pytest.approx(-5.167, abs=5e-4)
+        assert -markov.relaxation_rate(1.0, HOT) / lam == pytest.approx(-5.175, abs=5e-4)
+        ev = evaluate_cycle(replace(ref_engine, t1=5.0, t2=36.0))
+        back = np.flatnonzero(energy_flow(ev.P_h, ev.hot)[1] < 0)
+        assert np.array_equal(back, np.arange(back[0], back[-1] + 1))
+        assert ev.hot.times[[back[0], back[-1]]] == pytest.approx([1.877, 3.560], abs=1e-3)
+        window = ev.hot.a_vals[back] / lam
+        assert [window.min(), window.max()] == pytest.approx([-14.48, -4.79], abs=5e-3)
+        for temperature, omega in ((1.0, 0.18), (30.0, 1.0)):
+            res = ReservoirSpec(temperature=temperature, lam=lam, cutoff=0.4)
+            assert evolve_branch_pair(res, omega, 60.0).a_vals.max() <= 0.0
+        # at omega = 2 the starts do grow apart, in three stretches
+        fast = evolve_branch_pair(HOT, 2.0, 60.0)
+        grows = fast.times[fast.a_vals > 0]
+        assert [grows[0], grows[-1]] == pytest.approx([1.72, 9.04], abs=5e-3)
+        assert fast.a_vals.max() / lam == pytest.approx(3.62, abs=5e-3)
+
+
 class TestFamilyEnds:
     """One solve over a long grid gives every stroke on a prefix of it."""
 
@@ -393,6 +449,15 @@ class TestFamilyEnds:
                 assert [float(v).hex() for v in got] == [v.hex() for v in pair.ends], k
         assert (failures > 0) == (reservoir is not HOT)
 
+    @pytest.mark.parametrize("backend", [tcl2, markov])
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1e-200])
+    def test_range_fault_named_before_a_too_long_stroke(self, backend, bad):
+        # 60 at step 1e-5 needs 6e6 steps; the side's out-of-range duration
+        # is reported whichever of the two comes first
+        for durations in ([60.0, bad], [bad, 60.0]):
+            with pytest.raises(ValueError, match=rf"stroke duration .* got {bad!r}"):
+                backend.family_ends(COLD, [0.18], durations, 1e-5)
+
     def test_own_closing_sample_outside_marks_only_its_stroke(self, monkeypatch):
         # the odd-step stroke 3 h + h/2 closes its last whole step on a
         # sample of its own, appended at index len(lattice) = 9 of the
@@ -429,7 +494,8 @@ class TestFamilyEnds:
     ], ids=["step-1/8", "step-0.05", "default-step", "mixed"])
     def test_partial_steps_match_own_solves_bit_for_bit(self, monkeypatch, h, ends,
                                                         groups):
-        assert {k % 2 for _, k, d in (lattice(t, h) for t in ends) if d} == {0, 1}
+        steps, counts, stroke_ends = lattice(ends, h)
+        assert set(counts[stroke_ends > counts * steps] % 2) == {0, 1}
         omegas = [1.0, 0.18]
         solves = self.counting_solves(monkeypatch)
         got = np.array(family_ends(HOT, omegas, ends, h))
@@ -437,8 +503,7 @@ class TestFamilyEnds:
         for i, omega in enumerate(omegas):
             for j, t in enumerate(ends):
                 pair = evolve_branch_pair(HOT, omega, t, h)
-                step, m, delta = lattice(t, h)
-                assert pair.times[-1] == (t if delta else m * step)
+                assert pair.times[-1] == lattice(t, h)[2]
                 want = [pair.rho00_1[-1], pair.cum_a[-1], pair.corr_0[-1], pair.corr_1[-1]]
                 assert [float(v).hex() for v in got[:, i, j]] == [v.hex() for v in want], t
 
@@ -453,7 +518,8 @@ class TestFamilyEnds:
             return np.array([stroke_balance(1.0, pair).rho00[-1], pair.rho00_1[-1],
                              pair.corr_0[-1], pair.corr_1[-1]])
 
-        assert lattice(t_end)[2] > 0
+        step, m, end = lattice(t_end)
+        assert end > m * step
         closed = ends(None)
         whole_steps = ends(t_end / np.ceil(t_end / 0.01))
         halved = ends(0.005)
