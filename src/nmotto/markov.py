@@ -34,32 +34,31 @@ __all__ = [
 ]
 
 
-def bose_n(omega: float, temperature: float) -> float:
-    """Bose occupation n = 1 / (exp(omega / T) - 1); diverges as omega/T -> 0."""
-    if not omega > 0 or not temperature > 0:
+def bose_n(omega: float | np.ndarray, temperature: float):
+    """Bose occupation n = 1 / (exp(omega / T) - 1), a float or an array like
+    omega; diverges as omega/T -> 0."""
+    if not np.all(np.asarray(omega) > 0) or not temperature > 0:
         raise ValueError("bose_n needs omega > 0 and temperature > 0")
     with np.errstate(over="ignore"):  # past omega/T ~ 709.8, n = 1/inf = 0
         return 1.0 / np.expm1(omega / temperature)
 
 
-def stationary_rho00(omega: float, temperature: float) -> float:
-    """Ground population of the Gibbs state at splitting omega: (1+n)/(1+2n)."""
+def stationary_rho00(omega: float | np.ndarray, temperature: float):
+    """Gibbs ground population (1+n)/(1+2n), a float or an array like omega."""
     n = bose_n(omega, temperature)
     return (1.0 + n) / (1.0 + 2.0 * n)
 
 
-def relaxation_rate(omega: float, reservoir: ReservoirSpec) -> float:
-    """Decay rate 2 pi J(omega) (1 + 2 n(omega))."""
+def relaxation_rate(omega: float | np.ndarray, reservoir: ReservoirSpec):
+    """Decay rate 2 pi J(omega) (1 + 2 n(omega)), a float or an array like omega."""
     n = bose_n(omega, reservoir.temperature)
     return 2.0 * np.pi * ohmic_j(omega, reservoir) * (1.0 + 2.0 * n)
 
 
-def branch_pair(reservoir: ReservoirSpec, omega: float, t):
-    """Both pure-start branches of one stroke at time(s) t >= 0.
-
-    Returns (rho00 from |0>, rho00 from |1>), arrays or floats like t.
-    Each population relaxes monotonically to rho_inf.
-    """
+def branch_pair(reservoir: ReservoirSpec, omega: float | np.ndarray, t):
+    """Both pure-start branches (rho00 from |0>, rho00 from |1>) at splitting(s)
+    omega and time(s) t >= 0, floats or arrays that broadcast: a (k, 1) column of
+    omegas against n times gives (k, n).  Each relaxes monotonically to rho_inf."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
@@ -89,15 +88,14 @@ def evolve_branch_pair(
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
     """``StrokeEnds`` (r1, A = -Gamma t, 0, 0) of (len(omegas), len(durations))
-    arrays, as ``tcl2.family_ends``, and rejecting the same durations and ``h``: the
-    closed form needs no grid, but each stroke still ends where ``tcl2.lattice``
-    says, as its ``time_grid`` does."""
+    arrays, as ``tcl2.family_ends``, rejecting the same durations and ``h``: one
+    broadcast of the column of omegas against the row of ends, each stroke ending
+    where ``tcl2.lattice`` says, as its ``time_grid`` does."""
     ends = lattice(durations, h)[2]
-    out = StrokeEnds._make(np.zeros((4, len(omegas), len(durations))))
-    for i, omega in enumerate(omegas):
-        out.r1[i] = branch_pair(reservoir, omega, ends)[1]
-        out.cum_a[i] = -relaxation_rate(omega, reservoir) * ends
-    return out
+    omega = np.asarray(omegas, dtype=float)[:, None]
+    r1 = branch_pair(reservoir, omega, ends)[1]
+    zero = np.zeros_like(r1)  # no interaction storage
+    return StrokeEnds(r1, -relaxation_rate(omega, reservoir) * ends, zero, zero)
 
 
 def positive_work_condition(params: EngineParams) -> bool:

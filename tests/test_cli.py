@@ -401,10 +401,15 @@ class TestSweep:
     # in the example the hot stroke of the pair (2, 0.18) fails at t1 = 30
     # and not at t1 = 2, and the pair (1, 0.18) passes at both.  Under a
     # user step every duration joins one solve, where odd-step closings,
-    # partial ends and positivity failures meet
+    # partial ends and positivity failures meet.  Markov's 41 pairs have
+    # omega_c / omega_h from 0.1 to 0.29, across T_c / T_h = 0.2, and
+    # one pair with omega_h == omega_c
     @settings(max_examples=30, deadline=None)
     @example(backend="tcl2", t1_values=[2.0, 30.0], t2_values=[20.0], T_h=40.0, lam=0.3,
              omega_pairs=[(2.0, 0.18), (1.0, 0.18)], step=None)
+    @example(backend="markov", t1_values=[2.0, 30.0], t2_values=[20.0], T_h=5.0, lam=0.01,
+             omega_pairs=[(w, w * (0.1 + k / 100)) for w in (1.0, 2.5) for k in range(20)]
+             + [(1.0, 1.0)], step=None)
     @given(backend=st.sampled_from(["tcl2", "markov"]),
            t1_values=st.lists(DURATIONS, min_size=1, max_size=3),
            t2_values=st.lists(DURATIONS, min_size=1, max_size=2),

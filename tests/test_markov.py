@@ -78,6 +78,33 @@ class TestRelaxation:
             branch_pair(COLD, 0.18, [0.0, -1.0])
 
 
+def bits(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestSplittingArrays:
+    # 800 / T = 800 > 709.8: exp overflows there, so n = 0 and J = 0
+    OMEGAS = (0.05, 0.18, 1.0, 2.5, 800.0)
+
+    def test_column_matches_scalar_calls_bit_for_bit(self):
+        column, t = np.array(self.OMEGAS)[:, None], np.array([0.0, 0.3, 5.0, 60.0])
+        for call in (lambda w: bose_n(w, COLD.temperature),
+                     lambda w: stationary_rho00(w, COLD.temperature),
+                     lambda w: relaxation_rate(w, COLD)):
+            assert bits(call(column)) == bits([call(w) for w in self.OMEGAS])
+        for got, want in zip(branch_pair(COLD, column, t),
+                             zip(*(branch_pair(COLD, w, t) for w in self.OMEGAS))):
+            assert got.shape == (len(self.OMEGAS), len(t))
+            assert bits(got) == bits(want)
+        assert bose_n(column, COLD.temperature)[-1, 0] == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_column_with_one_bad_splitting_refused(self, bad):
+        with pytest.raises(ValueError) as err:
+            bose_n(np.array([[0.18], [bad], [1.0]]), COLD.temperature)
+        assert str(err.value) == "bose_n needs omega > 0 and temperature > 0"
+
+
 class TestStrokeCalls:
     @pytest.mark.parametrize("t, h", [
         (float("nan"), None), (0.0, None), (float("inf"), None),
