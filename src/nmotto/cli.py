@@ -67,8 +67,14 @@ class RunConfig:
             if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
                 raise ValueError(f"need {name}_min <= {name}_max")
         self.bath  # discretize_bath checks the oracle keys
-        for hi, lo in self.omega_pairs or ():
-            replace(self.engine, omega_h=hi, omega_c=lo)
+        self.swept_engine  # EngineParams checks every omega pair
+
+    @property
+    def swept_engine(self) -> EngineParams:
+        """The engine with the omega pairs' splittings as arrays; none means its own."""
+        pairs = self.omega_pairs or ((self.engine.omega_h, self.engine.omega_c),)
+        his, los = np.transpose(pairs)
+        return replace(self.engine, omega_h=his, omega_c=los)
 
     @property
     def bath(self) -> DiscretizedBath:
@@ -222,30 +228,28 @@ def run_dynamics(cfg: RunConfig) -> str:
 
 
 def run_sweep(cfg: RunConfig) -> str:
-    """(pair, t1, t2) grid of the cycle ledger, omega-pair-major row order.
-
-    The grid comes from ``energetics.evaluate_grid``, in this process;
-    each column reads its arrays in C order.  Per-point numerical
-    failures land in the trailing ``error`` column and the sweep continues.
-    """
+    """(pair, t1, t2) grid of the swept engine's ledger from ``evaluate_grid``,
+    omega-pair-major, each column in C order; per-point numerical failures
+    land in the trailing ``error`` column and the sweep continues."""
     t1_values = np.linspace(cfg.t1_min, cfg.t1_max, cfg.t1_count)
     t2_values = np.linspace(cfg.t2_min, cfg.t2_max, cfg.t2_count)
-    engines, ledger, errors = energetics.evaluate_grid(
-        cfg.engine, t1_values, t2_values, cfg.backend, cfg.step, cfg.omega_pairs)
-    rows = t1_values.size * t2_values.size  # of each pair
+    engine = cfg.swept_engine
+    ledger, errors = energetics.evaluate_grid(engine, t1_values, t2_values, cfg.backend,
+                                              cfg.step)
+    pairs, rows = engine.omega_h.size, t1_values.size * t2_values.size  # rows per pair
 
-    def per_pair(name):  # each pair's cell, formatted once, on each of its rows
-        cells = _cells([getattr(engine, name) for engine in engines])
+    def per_pair(values):  # each pair's cell, formatted once, on each of its rows
+        cells = _cells(np.broadcast_to(values, pairs))
         return chain.from_iterable(map(repeat, cells, repeat(rows)))
     # the duration cells of one pair, formatted once and read again for each pair
     t1_cells = [c for c in _cells(t1_values) for _ in t2_values]
     t2_cells = list(_cells(t2_values)) * len(t1_values)
     lead = "omega_h,omega_c," if cfg.omega_pairs is not None else ""
     return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error", [
-        *map(per_pair, ("omega_h", "omega_c") if lead else ()),
-        *(chain.from_iterable(repeat(c, len(engines))) for c in (t1_cells, t2_cells)),
+        *map(per_pair, (engine.omega_h, engine.omega_c) if lead else ()),
+        *(chain.from_iterable(repeat(c, pairs)) for c in (t1_cells, t2_cells)),
         *map(_cells, (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
-        *map(per_pair, ("eta_otto", "eta_carnot")), errors.ravel().tolist()])
+        *map(per_pair, (engine.eta_otto, engine.eta_carnot)), errors.ravel().tolist()])
 
 
 def run_oracle(cfg: RunConfig) -> str:

@@ -42,7 +42,7 @@ analytic integrands, never by numerical differencing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -231,8 +231,10 @@ def evaluate_cycle(
     """Solve both strokes, find the limit cycle, and close the books.
 
     Raises ``PositivityViolation`` or ``DegenerateCycle`` from the
-    underlying layers.
+    underlying layers, and ``ValueError`` for an engine of many omega pairs.
     """
+    if np.ndim(engine.omega_h):
+        raise ValueError("evaluate_cycle takes one omega pair; evaluate_grid takes many")
     solver = _solver(backend)
     hot = solver.evolve_branch_pair(engine.hot_reservoir, engine.omega_h, engine.t1, h)
     cold = solver.evolve_branch_pair(engine.cold_reservoir, engine.omega_c, engine.t2, h)
@@ -248,26 +250,19 @@ def evaluate_cycle(
 
 
 def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tcl2",
-                  h: float | None = None, omega_pairs=None):
-    """Cycle ledger over a (pair, t1, t2) grid, axis 0 the omega pairs.
+                  h: float | None = None):
+    """Cycle ledger over a (pair, t1, t2) grid, axis 0 the omega pairs: the
+    engine's splittings, a float, or an array with one element per pair.
 
-    The hot strokes (one per t1) and the cold strokes (one per t2) are
-    solved once per side for every omega pair by ``family_ends``.
-    The limit cycle and ledger of every grid point then follow from the
-    stroke ends in one broadcast, bit for bit as ``evaluate_cycle`` point
-    by point.  ``omega_pairs`` lists (omega_h, omega_c) splittings, None
-    meaning the engine's own.  Returns (engines, ledger, errors): the
-    engine of each pair, with its splittings, an ``EnergyLedger`` whose
-    every field is an array of shape (len(pairs), len(t1_values),
-    len(t2_values)), nan at failed points, and the failure labels in
-    that shape ("" where the point succeeded).  A step or duration that
-    ``tcl2.lattice`` rejects raises ``ValueError`` from the backend, as
-    it does in ``evaluate_cycle``.
+    Each side's strokes are solved once for all pairs by ``family_ends``,
+    and every point's limit cycle and ledger follow from the stroke ends in
+    one broadcast, bit for bit as ``evaluate_cycle`` point by point.  Returns
+    (ledger, errors): an ``EnergyLedger`` of (pair, t1, t2) arrays, nan where
+    a point failed, and the failure labels ("" where none).  A step or
+    duration that ``tcl2.lattice`` rejects raises ``ValueError``, as for a point.
     """
     solver = _solver(backend)
-    pairs = omega_pairs or ((engine.omega_h, engine.omega_c),)
-    engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
-    omega_h, omega_c = [e.omega_h for e in engines], [e.omega_c for e in engines]
+    omega_h, omega_c = np.atleast_1d(engine.omega_h, engine.omega_c)
     hot_ends = solver.family_ends(engine.hot_reservoir, omega_h, t1_values, h)
     cold_ends = solver.family_ends(engine.cold_reservoir, omega_c, t2_values, h)
     # pairs down axis 0, hot ends down axis 1, cold ends along axis 2
@@ -281,4 +276,4 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     failed_points = errors != ""
     ledger = EnergyLedger(*(np.where(failed_points, np.nan, v)
                             for v in vars(ledger).values()))
-    return engines, ledger, errors
+    return ledger, errors

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .kernels import ReservoirSpec, check_range
 
 __all__ = ["EngineParams"]
@@ -13,17 +15,17 @@ __all__ = ["EngineParams"]
 class EngineParams:
     """All physical and protocol constants of one engine configuration.
 
-    omega_h / omega_c are the level splittings during contact with the
-    hot / cold reservoir, T_h / T_c the reservoir temperatures, lam and
-    cutoff the shared Ohmic coupling parameters, t1 / t2 the contact
-    durations.  Degenerate settings (omega_h == omega_c, T_h == T_c,
-    lam == 0) are representable so that boundary cases can be analyzed;
-    a working engine has omega_h > omega_c > 0 and T_h > T_c > 0.  Each
-    value lies in [1 / SCALE, SCALE] (``kernels.SCALE``), lam in [0, SCALE].
+    omega_h / omega_c are the splittings in contact with the hot / cold
+    reservoir, each a float, or an array with one element per pair;
+    T_h / T_c the temperatures, lam and cutoff the shared Ohmic coupling,
+    t1 / t2 the contact durations.  Degenerate settings are representable
+    (omega_h == omega_c, T_h == T_c, lam == 0); a working engine has
+    omega_h > omega_c > 0 and T_h > T_c > 0.  Each value lies in
+    [1 / SCALE, SCALE] (``kernels.SCALE``), lam in [0, SCALE].
     """
 
-    omega_h: float
-    omega_c: float
+    omega_h: float | np.ndarray
+    omega_c: float | np.ndarray
     T_h: float
     T_c: float
     lam: float
@@ -35,9 +37,13 @@ class EngineParams:
         for name in ("omega_h", "omega_c", "t1", "t2"):
             check_range(name, getattr(self, name))
         self.hot_reservoir, self.cold_reservoir  # ReservoirSpec checks lam, cutoff, T
-        if not (self.omega_h >= self.omega_c > 0):
+        if np.shape(self.omega_h) != np.shape(self.omega_c):
+            raise ValueError("omega_h and omega_c need one shape")
+        his, los = np.atleast_1d(self.omega_h, self.omega_c)
+        bad = np.flatnonzero(his < los)  # the pairs out of order; each is in range
+        if bad.size:
             raise ValueError("need omega_h >= omega_c > 0, got "
-                             f"omega_h = {self.omega_h}, omega_c = {self.omega_c}")
+                             f"omega_h = {his[bad[0]]}, omega_c = {los[bad[0]]}")
         if not (self.T_h >= self.T_c > 0):
             raise ValueError("need T_h >= T_c > 0")
 
@@ -50,12 +56,11 @@ class EngineParams:
         return ReservoirSpec(self.T_c, self.lam, self.cutoff)
 
     @property
-    def eta_otto(self) -> float:
-        """Otto efficiency 1 - omega_c / omega_h (backend independent)."""
+    def eta_otto(self) -> float | np.ndarray:
+        """Otto efficiency 1 - omega_c / omega_h (backend independent), per pair."""
         return 1.0 - self.omega_c / self.omega_h
 
     @property
     def eta_carnot(self) -> float:
         """Carnot efficiency 1 - T_c / T_h."""
         return 1.0 - self.T_c / self.T_h
-

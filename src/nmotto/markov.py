@@ -88,9 +88,9 @@ def evolve_branch_pair(
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
     """``StrokeEnds`` (r1, A = -Gamma t, 0, 0) of (len(omegas), len(durations))
-    arrays, as ``tcl2.family_ends``, rejecting the same durations and ``h``: one
-    broadcast of the column of omegas against the row of ends, each stroke ending
-    where ``tcl2.lattice`` says, as its ``time_grid`` does."""
+    arrays, ``omegas`` an array with one element per pair, as ``tcl2.family_ends``,
+    rejecting the same durations and ``h``: one broadcast of the column of omegas
+    against the row of ends, each where ``tcl2.lattice`` says, as in ``time_grid``."""
     ends = lattice(durations, h)[2]
     omega = np.asarray(omegas, dtype=float)[:, None]
     r1 = branch_pair(reservoir, omega, ends)[1]
@@ -98,11 +98,11 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
     return StrokeEnds(r1, -relaxation_rate(omega, reservoir) * ends, zero, zero)
 
 
-def positive_work_condition(params: EngineParams) -> bool:
-    """True iff omega_c / omega_h > T_c / T_h (strictly).
+def positive_work_condition(params: EngineParams) -> bool | np.ndarray:
+    """True iff omega_c / omega_h > T_c / T_h (strictly), for splittings that
+    are a float, or an array with one element per pair (then a bool per pair).
 
-    Under Markovian dynamics this is equivalent to positive net work
-    extraction, and to the Otto efficiency staying below Carnot.  The
-    boundary case of equality yields zero work, hence False.
+    Under Markovian dynamics this is equivalent to positive net work extraction,
+    and to the Otto efficiency staying below Carnot; equality yields zero work.
     """
     return params.omega_c / params.omega_h > params.T_c / params.T_h

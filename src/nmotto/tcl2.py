@@ -349,7 +349,8 @@ def _plan(h, columns, ends, steps):
 
 
 def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = None):
-    """End values of the strokes of the given durations, for every omega.
+    """End values of the strokes of the given durations, for each omega of
+    ``omegas``, an array with one element per pair.
 
     Returns ``StrokeEnds`` whose fields are arrays of shape
     (len(omegas), len(durations)), nan where either branch left [0, 1].
@@ -357,8 +358,7 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
     durations[j], h).ends`` bit for bit: each solve of ``_solve_plans``
     runs once per omega, and the samples a stroke does not share with
     the lattice (an odd-step closing, an end past the lattice) ride
-    along after it.  The kernels are evaluated once per solve for all
-    omegas.
+    along after it.  The kernels are sampled once per solve for all omegas.
     """
     out = StrokeEnds._make(np.empty((4, len(omegas), len(durations))))
     for columns, times, integrate, kept, at_end in _solve_plans(durations, h):

@@ -72,8 +72,10 @@ def markov_eval():
 def _ledger_grids(t1_values, t2_values, backend, omega_pairs=None, engine=ENGINE):
     """The ``EnergyLedger`` of a (pair, t1, t2) grid.  Every point must
     succeed, as the per-point ``evaluate_cycle`` would raise otherwise."""
-    _, ledger, errors = evaluate_grid(engine, t1_values, t2_values, backend,
-                                      omega_pairs=omega_pairs)
+    if omega_pairs is not None:
+        his, los = np.transpose(omega_pairs)
+        engine = replace(engine, omega_h=his, omega_c=los)
+    ledger, errors = evaluate_grid(engine, t1_values, t2_values, backend)
     assert np.all(errors == ""), set(errors.flat)
     return ledger
 

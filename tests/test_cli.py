@@ -74,12 +74,14 @@ def point_ledger(engine, backend, step):
 
 
 def grid_labels(engine, t1_values, t2_values, backend, step, omega_pairs=None):
-    """``evaluate_grid`` against ``point_ledger`` at every (pair, t1, t2)
-    point, each field bit for bit by its hex; returns the set of labels."""
-    engines, ledger, errors = evaluate_grid(engine, t1_values, t2_values, backend, step,
-                                            omega_pairs)
+    """``evaluate_grid`` of the engine, its splittings swept over ``omega_pairs``
+    where given, against ``point_ledger`` at every (pair, t1, t2) point, each
+    field bit for bit by its hex; returns the set of labels."""
     pairs = omega_pairs or [(engine.omega_h, engine.omega_c)]
-    assert engines == [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
+    his, los = np.transpose(pairs)
+    swept = engine if omega_pairs is None else replace(engine, omega_h=his, omega_c=los)
+    ledger, errors = evaluate_grid(swept, t1_values, t2_values, backend, step)
+    engines = [replace(engine, omega_h=hi, omega_c=lo) for hi, lo in pairs]
     shape = (len(pairs), len(t1_values), len(t2_values))
     assert errors.shape == shape and all(np.shape(w) == shape for w in astuple(ledger))
     for (k, i, j), label in np.ndenumerate(errors):
@@ -519,10 +521,7 @@ class TestSweep:
                            [["DegenerateCycle", "", "", ""]]], dtype=object)
         cfg = build_config({"t1_count": "1", "t2_count": "4",
                             "omega_pairs": "1:0.18,0.9:0.2"})
-        engines = [replace(cfg.engine, omega_h=hi, omega_c=lo)
-                   for hi, lo in cfg.omega_pairs]
-        monkeypatch.setattr(energetics, "evaluate_grid",
-                            lambda *args: (engines, ledger, errors))
+        monkeypatch.setattr(energetics, "evaluate_grid", lambda *args: (ledger, errors))
         assert run_sweep(cfg) == (
             "omega_h,omega_c,t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error\n"
             "1,0.18,1,1,nan,-123456.789012,0.3,-1e-300,0.82,0.8,\n"
@@ -558,6 +557,25 @@ class TestSweep:
         assert header[:2] == ["omega_h", "omega_c"]
         assert len(rows) == 2 * 2 * 2
         assert {r[0] for r in rows} == {"1", "0.9"}
+
+    def test_pairs_are_one_engine(self, monkeypatch, tmp_path):
+        # a sweep builds the same few EngineParams however many pairs it has
+        builds = Counter()
+        post_init = nmotto.EngineParams.__post_init__
+
+        def counting(engine):
+            builds["engines"] += 1
+            post_init(engine)
+        monkeypatch.setattr(nmotto.EngineParams, "__post_init__", counting)
+
+        def sweep_builds(pairs):
+            builds.clear()
+            spec = ",".join(f"{1 + k / 1000!r}:0.18" for k in range(pairs))
+            assert main(["sweep", "--backend=markov", f"--out={tmp_path / 'sweep.csv'}",
+                         *set_args("t1_count=1", "t2_count=1", f"omega_pairs={spec}")]) == 0
+            assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + pairs
+            return builds["engines"]
+        assert sweep_builds(200) == sweep_builds(2) == sweep_builds(1) < 10
 
     def test_zero_coupling_rows(self):
         cfg = build_config({**self.SMALL, "lambda": "0"})

@@ -46,9 +46,9 @@ class TestConservation:
         # the system returns to its start each cycle, so the work taken
         # out is what the two reservoirs lose: W_II = -(dE_B,h + dE_B,c)
         durations = np.linspace(1.0, 60.0, 60)
-        pairs = [(1.0, 0.18), (1.0, 0.25), (0.9, 0.2)]
-        _, ledger, errors = evaluate_grid(ref_engine, durations, durations, backend,
-                                          omega_pairs=pairs)
+        swept = replace(ref_engine, omega_h=np.array([1.0, 1.0, 0.9]),
+                        omega_c=np.array([0.18, 0.25, 0.2]))
+        ledger, errors = evaluate_grid(swept, durations, durations, backend)
         assert np.all(errors == "")
         residual = ledger.W_II + ledger.dEB_h + ledger.dEB_c
         assert np.max(np.abs(residual)) <= 1e-14
@@ -76,6 +76,37 @@ class TestConservation:
         assert bal.dES[0] == 0.0
         assert bal.E_I[0] == 0.0
         assert bal.dEB[0] == 0.0
+
+
+class TestSweptEngine:
+    """An engine whose splittings are arrays, one element per omega pair."""
+
+    def test_first_pair_out_of_order_named(self, ref_engine):
+        with pytest.raises(ValueError) as exc:
+            replace(ref_engine, omega_h=np.array([1.0, 0.1, 0.2, 2.0]),
+                    omega_c=np.array([0.18, 0.5, 0.3, 0.5]))
+        assert str(exc.value) == ("need omega_h >= omega_c > 0, "
+                                  "got omega_h = 0.1, omega_c = 0.5")
+
+    @pytest.mark.parametrize("omega_h, omega_c", [
+        (np.array([1.0, 0.9]), np.array([0.18, 0.2, 0.3])),
+        (np.array([1.0, 0.9]), np.array([0.18])),
+        (np.array([1.0, 0.9]), 0.18),
+        (1.0, np.array([0.18])),
+    ], ids=["2-3", "2-1", "2-float", "float-1"])
+    def test_splittings_of_two_shapes_refused(self, ref_engine, omega_h, omega_c):
+        with pytest.raises(ValueError, match="omega_h and omega_c need one shape"):
+            replace(ref_engine, omega_h=omega_h, omega_c=omega_c)
+
+    @pytest.mark.parametrize("backend", ["tcl2", "markov"])
+    @pytest.mark.parametrize("pairs", [1, 2001])
+    def test_evaluate_cycle_refuses_many_pairs(self, ref_engine, backend, pairs):
+        # 2001 pairs are as many as the samples of both strokes at t = 5,
+        # where the splittings would broadcast against the times
+        swept = replace(ref_engine, omega_h=np.linspace(1.0, 2.0, pairs),
+                        omega_c=np.full(pairs, 0.18), t2=5.0)
+        with pytest.raises(ValueError, match="evaluate_grid"):
+            evaluate_cycle(swept, backend)
 
 
 class TestWorks:
