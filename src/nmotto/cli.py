@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -37,7 +38,8 @@ MAX_SWEEP_POINTS = 10**6
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved run; a rule across its keys raises ``ValueError``."""
+    """One fully resolved run; a rule across its keys raises ``ValueError``.
+    The swept engine and the oracle bath that its checks build are kept."""
 
     engine: EngineParams = EngineParams(omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
                                         lam=0.01, cutoff=0.4, t1=5.0, t2=60.0)
@@ -66,17 +68,16 @@ class RunConfig:
         for name in ("t1", "t2"):
             if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
                 raise ValueError(f"need {name}_min <= {name}_max")
-        self.bath  # discretize_bath checks the oracle keys
-        self.swept_engine  # EngineParams checks every omega pair
+        self.bath, self.swept_engine  # discretize_bath and EngineParams check them here
 
-    @property
+    @cached_property
     def swept_engine(self) -> EngineParams:
         """The engine with the omega pairs' splittings as arrays; none means its own."""
         pairs = self.omega_pairs or ((self.engine.omega_h, self.engine.omega_c),)
         his, los = np.transpose(pairs)
         return replace(self.engine, omega_h=his, omega_c=los)
 
-    @property
+    @cached_property
     def bath(self) -> DiscretizedBath:
         """The few-mode stand-in for the hot reservoir of the exact run."""
         return discretize_bath(self.engine.hot_reservoir, self.oracle_modes,

@@ -139,7 +139,7 @@ def effective_temperature_profile(rho00: np.ndarray, omega: float) -> np.ndarray
     return np.where(np.abs(rho00 - rho11) < TEMPERATURE_DEGENERACY_TOL, np.inf, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyLedger:
     """Per-cycle energy balance at the limit cycle, formed by ``_close_cycle``:
     floats for one engine, (pair, t1, t2) arrays over a grid.  The
@@ -185,8 +185,8 @@ def _close_cycle(lam: float, omega_h, omega_c, hot: StrokeEnds, cold: StrokeEnds
     Splittings and ends are floats or arrays that broadcast together,
     such as (pair, t1, t2) arrays: splittings per pair, hot ends down
     axis 1, cold ends along axis 2; every ledger field broadcasts alike.
-    Returns (p0, degenerate, P_h, P_c, ledger); P_h, P_c and ledger carry
-    no meaning where ``degenerate`` is set or a stroke end is nan.  Zero
+    Returns (p0, degenerate, P_h, P_c, ledger); P_h, P_c and every ledger
+    field are nan where ``degenerate`` is set or a stroke end is nan.  Zero
     coupling (lam = 0) takes the frozen symmetric mixture: never degenerate.
 
     * the cycle contracts by p0 = exp(A_h + A_c), and 1 - p0, read as
@@ -203,16 +203,18 @@ def _close_cycle(lam: float, omega_h, omega_c, hot: StrokeEnds, cold: StrokeEnds
       W_II = W_I + E_I_h + E_I_c includes the cost of detaching against
       the end-of-stroke interaction energies.
     """
-    # failed and degenerate points carry nan or inf here
+    # failed points carry nan here
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         one_minus_p0 = -np.expm1(hot.cum_a + cold.cum_a)
         p0 = 1.0 - one_minus_p0
         degenerate = abs(p0) >= 1.0 - DEGENERACY_TOL
+        one_minus_p0 = np.where(degenerate, np.nan, one_minus_p0)  # no unique fixed point
         # P_h = r1_c + exp(A_c) (r1_h + exp(A_h) P_h), and P_c the mirror image
         p_h = (cold.r1 + np.exp(cold.cum_a) * hot.r1) / one_minus_p0
         p_c = (hot.r1 + np.exp(hot.cum_a) * cold.r1) / one_minus_p0
         if lam == 0.0:
-            degenerate, p_h, p_c = np.zeros_like(degenerate), _FROZEN_P, _FROZEN_P
+            degenerate = np.zeros_like(degenerate)
+            p_h, p_c = np.full_like(p_h, _FROZEN_P), np.full_like(p_c, _FROZEN_P)
         bal_h = _balance(p_h, omega_h, hot)
         bal_c = _balance(p_c, omega_c, cold)
         gap = omega_h - omega_c
@@ -257,9 +259,9 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     Each side's strokes are solved once for all pairs by ``family_ends``,
     and every point's limit cycle and ledger follow from the stroke ends in
     one broadcast, bit for bit as ``evaluate_cycle`` point by point.  Returns
-    (ledger, errors): an ``EnergyLedger`` of (pair, t1, t2) arrays, nan where
-    a point failed, and the failure labels ("" where none).  A step or
-    duration that ``tcl2.lattice`` rejects raises ``ValueError``, as for a point.
+    (ledger, errors): ``_close_cycle``'s ``EnergyLedger`` of (pair, t1, t2)
+    arrays, nan where a point failed, and the failure labels ("" where none).
+    ``tcl2.lattice`` refuses a step or duration with ``ValueError``, as for a point.
     """
     solver = _solver(backend)
     omega_h, omega_c = np.atleast_1d(engine.omega_h, engine.omega_c)
@@ -273,7 +275,4 @@ def evaluate_grid(engine: EngineParams, t1_values, t2_values, backend: str = "tc
     errors = np.full(degenerate.shape, "", dtype=object)
     errors[degenerate] = DegenerateCycle.__name__
     errors[np.isnan(hot.r1) | np.isnan(cold.r1)] = PositivityViolation.__name__
-    failed_points = errors != ""
-    ledger = EnergyLedger(*(np.where(failed_points, np.nan, v)
-                            for v in vars(ledger).values()))
     return ledger, errors

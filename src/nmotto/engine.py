@@ -16,7 +16,8 @@ class EngineParams:
     """All physical and protocol constants of one engine configuration.
 
     omega_h / omega_c are the splittings in contact with the hot / cold
-    reservoir, each a float, or an array with one element per pair;
+    reservoir, each a float, or an array with one element per pair, of
+    which the engine keeps its own read-only copy (engines compare by value);
     T_h / T_c the temperatures, lam and cutoff the shared Ohmic coupling,
     t1 / t2 the contact durations.  Degenerate settings are representable
     (omega_h == omega_c, T_h == T_c, lam == 0); a working engine has
@@ -35,7 +36,10 @@ class EngineParams:
 
     def __post_init__(self):
         for name in ("omega_h", "omega_c", "t1", "t2"):
-            check_range(name, getattr(self, name))
+            if np.ndim(value := np.array(getattr(self, name))):  # kept as a read-only copy
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+            check_range(name, value)
         self.hot_reservoir, self.cold_reservoir  # ReservoirSpec checks lam, cutoff, T
         if np.shape(self.omega_h) != np.shape(self.omega_c):
             raise ValueError("omega_h and omega_c need one shape")
@@ -46,6 +50,15 @@ class EngineParams:
                              f"omega_h = {his[bad[0]]}, omega_c = {los[bad[0]]}")
         if not (self.T_h >= self.T_c > 0):
             raise ValueError("need T_h >= T_c > 0")
+
+    def _key(self):  # every field by value, array splittings too
+        return tuple((np.shape(v), *np.ravel(v).tolist()) for v in vars(self).values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def hot_reservoir(self) -> ReservoirSpec:

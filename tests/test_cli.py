@@ -30,6 +30,7 @@ from nmotto.cli import (
 )
 from nmotto.errors import ConfigError, DegenerateCycle, PositivityViolation
 from nmotto.kernels import SCALE
+from nmotto.oracle import discretize_bath
 
 REF_SETS = [
     "t1=5", "t2=60", "omega_h=1.0", "omega_c=0.18", "T_h=5.0", "T_c=1.0",
@@ -559,7 +560,8 @@ class TestSweep:
         assert {r[0] for r in rows} == {"1", "0.9"}
 
     def test_pairs_are_one_engine(self, monkeypatch, tmp_path):
-        # a sweep builds the same few EngineParams however many pairs it has
+        # a sweep builds two EngineParams however many pairs it has: the
+        # configured engine and the swept one, which the config keeps
         builds = Counter()
         post_init = nmotto.EngineParams.__post_init__
 
@@ -575,7 +577,7 @@ class TestSweep:
                          *set_args("t1_count=1", "t2_count=1", f"omega_pairs={spec}")]) == 0
             assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + pairs
             return builds["engines"]
-        assert sweep_builds(200) == sweep_builds(2) == sweep_builds(1) < 10
+        assert sweep_builds(200) == sweep_builds(2) == sweep_builds(1) == 2
 
     def test_zero_coupling_rows(self):
         cfg = build_config({**self.SMALL, "lambda": "0"})
@@ -664,6 +666,18 @@ class TestOracleCommand:
                           "dEB_exact", f"EI_{backend}", "EI_exact", "truncation"]
         first = [abs(float(v)) for v in rows[0][:7]]
         assert max(first) < 1e-12  # t = 0 row carries only roundoff
+
+    def test_bath_built_once(self, monkeypatch, tmp_path):
+        # the bath that the config's check built is the one the exact run reads
+        builds = Counter()
+
+        def counting(*args):
+            builds["baths"] += 1
+            return discretize_bath(*args)
+        monkeypatch.setattr(cli, "discretize_bath", counting)
+        assert main(["oracle", f"--out={tmp_path / 'oracle.csv'}",
+                     *set_args(*(f"{k}={v}" for k, v in self.CFG.items()))]) == 0
+        assert builds["baths"] == 1
 
     @pytest.mark.parametrize("p_h", [-1e-8, 1.1])
     def test_cycle_outside_the_unit_interval_is_a_numerical_failure(

@@ -69,6 +69,25 @@ class TestLimitCycle:
             evaluate_cycle(replace(ref_engine, lam=1e-16), "markov")
         assert abs(info.value.p0) >= 1.0 - DEGENERACY_TOL
 
+    def test_degenerate_cycle_is_nan(self):
+        # p0 = 1 - 5e-13 with r1 != 0: the closed form alone would give P_h = 0.6
+        hot = StrokeEnds(3e-13, np.log1p(-5e-13), 1e-3, 2e-3)
+        cold = StrokeEnds(0.0, 0.0, 0.0, 0.0)
+        p0, degenerate, p_h, p_c, ledger = _close_cycle(*CYCLE, hot, cold)
+        assert degenerate and p0 == 1.0 + np.expm1(np.log1p(-5e-13))
+        assert np.isnan([p_h, p_c, *vars(ledger).values()]).all()
+
+    def test_zero_coupling_fills_the_grid(self):
+        # frozen strokes over a (2, 1) x (1, 3) grid: the mixture at every point
+        frozen = StrokeEnds(0.0, 0.0, 0.0, 0.0)
+        hot = StrokeEnds(*np.zeros((4, 2, 1)))
+        cold = StrokeEnds(*np.zeros((4, 1, 3)))
+        for h, c, shape in ((hot, cold, (2, 3)), (frozen, frozen, ())):
+            _, degenerate, p_h, p_c, ledger = _close_cycle(0.0, 1.0, 0.18, h, c)
+            assert not degenerate.any() and np.shape(p_h) == np.shape(p_c) == shape
+            assert np.all(p_h == 0.5) and np.all(p_c == 0.5)
+            assert all(np.shape(v) == shape for v in vars(ledger).values())
+
     def test_full_thermalization(self):
         # both strokes forget their start: p0 = 0 and each pre-contact
         # probability is the other reservoir's Gibbs population

@@ -98,6 +98,31 @@ class TestSweptEngine:
         with pytest.raises(ValueError, match="omega_h and omega_c need one shape"):
             replace(ref_engine, omega_h=omega_h, omega_c=omega_c)
 
+    def test_equal_engines_compare_equal_and_hash_alike(self, ref_engine):
+        def swept(his, los):
+            return replace(ref_engine, omega_h=np.array(his), omega_c=np.array(los))
+        one, other = swept([1.0, 0.9], [0.18, 0.2]), swept([1.0, 0.9], [0.18, 0.2])
+        assert one == other and hash(one) == hash(other)
+        assert one != swept([1.0, 0.9], [0.18, 0.3]) and one != ref_engine
+        assert swept([1.0], [0.18]) != ref_engine  # one pair is not the float engine
+        copy = replace(ref_engine)
+        assert ref_engine == copy and hash(ref_engine) == hash(copy)
+
+    def test_engine_keeps_its_own_splittings(self, ref_engine):
+        his = np.array([1.0, 0.9])
+        swept = replace(ref_engine, omega_h=his, omega_c=np.array([0.18, 0.2]))
+        his[0] = 0.1  # the caller's array, after the ordering check passed
+        assert swept.omega_h.tolist() == [1.0, 0.9]
+        assert swept.eta_otto[0] == ref_engine.eta_otto
+        with pytest.raises(ValueError, match="read-only"):
+            swept.omega_c[0] = 2.0
+
+    def test_grid_ledgers_compare_by_identity(self, ref_engine):
+        durations = np.array([4.0, 5.0])
+        one, other = (evaluate_grid(ref_engine, durations, durations, "markov")[0]
+                      for _ in range(2))
+        assert one == one and one != other and hash(one) != hash(other)
+
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
     @pytest.mark.parametrize("pairs", [1, 2001])
     def test_evaluate_cycle_refuses_many_pairs(self, ref_engine, backend, pairs):
