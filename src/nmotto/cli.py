@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 
 import numpy as np
 
@@ -245,11 +245,16 @@ def run_sweep(cfg: RunConfig) -> str:
     # the duration cells of one pair, formatted once and read again for each pair
     t1_cells = [c for c in _cells(t1_values) for _ in t2_values]
     t2_cells = list(_cells(t2_values)) * len(t1_values)
+    # a W_II equal to W_I (every Markov sweep) takes W_I's cells, formatted
+    # once: _csv reads the two columns in step, so tee holds one cell
+    works = (tee(_cells(ledger.W_I))
+             if np.array_equal(ledger.W_I, ledger.W_II, equal_nan=True)
+             else map(_cells, (ledger.W_I, ledger.W_II)))
     lead = "omega_h,omega_c," if cfg.omega_pairs is not None else ""
     return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error", [
         *map(per_pair, (engine.omega_h, engine.omega_c) if lead else ()),
         *(chain.from_iterable(repeat(c, pairs)) for c in (t1_cells, t2_cells)),
-        *map(_cells, (ledger.W_ad1, ledger.W_ad2, ledger.W_I, ledger.W_II)),
+        *map(_cells, (ledger.W_ad1, ledger.W_ad2)), *works,
         *map(per_pair, (engine.eta_otto, engine.eta_carnot)), errors.ravel().tolist()])
 
 

@@ -539,6 +539,52 @@ class TestSweep:
         _, rows = read_rows(run_dynamics(build_config({"lambda": "0", "t1": "2"})))
         assert rows[-1] == ["2", "0.5", "0.5", "inf", "0", "0", "0", "0"]
 
+    @staticmethod
+    def count_grid_cells(monkeypatch, size):
+        """Counts the ``cli._cells`` calls on arrays of ``size`` elements."""
+        calls = Counter()
+        cells = cli._cells
+
+        def counting(values):
+            calls["grid"] += np.size(values) == size
+            return cells(values)
+        monkeypatch.setattr(cli, "_cells", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend, formatted", [("markov", 3), ("tcl2", 4)])
+    def test_w_ii_equal_to_w_i_is_formatted_once(self, monkeypatch, backend, formatted):
+        # W_ad1, W_ad2 and W_I, plus W_II where it differs from W_I (TCL2)
+        calls = self.count_grid_cells(monkeypatch, 3 * 2)
+        text = run_sweep(build_config({**self.SMALL, "backend": backend}))
+        assert calls["grid"] == formatted
+        assert np.array_equal(column(text, "W_I"), column(text, "W_II")) is (
+            backend == "markov")
+
+    def stub_work_columns(self, monkeypatch, w_i, w_ii):
+        """``run_sweep`` on a 2x2 grid whose ``W_I`` and ``W_II`` are given:
+        the two columns' cells and the ``_cells`` calls on grid arrays."""
+        ledger = EnergyLedger(*(np.array(w, dtype=float).reshape(1, 2, 2) for w in (
+            [1.0] * 4, [2.0] * 4, w_i, w_ii, *[[0.0] * 4] * (N_FIELDS - 4))))
+        errors = np.full((1, 2, 2), "", dtype=object)
+        monkeypatch.setattr(energetics, "evaluate_grid", lambda *args: (ledger, errors))
+        calls = self.count_grid_cells(monkeypatch, 4)
+        _, rows = read_rows(run_sweep(build_config({"t1_count": "2", "t2_count": "2"})))
+        return [r[4] for r in rows], [r[5] for r in rows], calls["grid"]
+
+    def test_w_ii_equal_up_to_signed_zero_and_nan_reuses_w_i_cells(self, monkeypatch):
+        nan = float("nan")
+        w_i, w_ii, formatted = self.stub_work_columns(
+            monkeypatch, [-0.0, nan, 0.1 + 0.2, -1e-300], [0.0, nan, 0.1 + 0.2, -1e-300])
+        assert w_i == w_ii == ["0", "nan", "0.3", "-1e-300"]
+        assert formatted == 3
+
+    def test_w_ii_differing_in_one_element_prints_its_own_cell(self, monkeypatch):
+        w_i, w_ii, formatted = self.stub_work_columns(
+            monkeypatch, [-0.0, 0.25, 0.1 + 0.2, -1e-300], [-0.0, 0.25, 0.7, -1e-300])
+        assert w_i == ["0", "0.25", "0.3", "-1e-300"]
+        assert w_ii == ["0", "0.25", "0.7", "-1e-300"]
+        assert formatted == 4
+
     def test_per_point_failures_recorded(self):
         cfg = build_config({
             "omega_h": "4", "omega_c": "0.5", "T_h": "50", "T_c": "1",
