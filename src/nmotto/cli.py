@@ -3,9 +3,10 @@
 Configuration is a flat key=value text file plus ``--set key=value``
 overrides; the eight engine scalars and the run keys need no nesting,
 and the format diffs cleanly.  All output is CSV with an LF line
-ending, a header row, and 12-significant-digit values, byte-identical
-across runs for identical configuration.  Every command runs in one
-process.
+ending, a header row, and 12-significant-digit values.  The bytes
+repeat for one configuration on one machine and numpy build; across
+numpy's CPU dispatch levels the cells agree to 1e-10 (at most 1.0e-13
+absolute on sweeps).  Every command runs in one process.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (positivity violation or degenerate cycle).

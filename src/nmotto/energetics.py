@@ -54,7 +54,6 @@ from .tcl2 import StrokeDynamics, StrokeEnds
 
 __all__ = [
     "BACKENDS",
-    "DEGENERACY_TOL",
     "StrokeDynamics",
     "StrokeEnds",
     "StrokeBalance",
@@ -67,7 +66,6 @@ __all__ = [
     "evaluate_grid",
 ]
 
-DEGENERACY_TOL = 1e-12
 TEMPERATURE_DEGENERACY_TOL = 1e-12
 
 def _mixed(p, branch_0, branch_1):
@@ -185,13 +183,15 @@ def _close_cycle(lam: float, omega_h, omega_c, hot: StrokeEnds, cold: StrokeEnds
     Splittings and ends are floats or arrays that broadcast together,
     such as (pair, t1, t2) arrays: splittings per pair, hot ends down
     axis 1, cold ends along axis 2; every ledger field broadcasts alike.
-    Returns (p0, degenerate, P_h, P_c, ledger); P_h, P_c and every ledger
-    field are nan where ``degenerate`` is set or a stroke end is nan.  Zero
-    coupling (lam = 0) takes the frozen symmetric mixture: never degenerate.
+    Returns (1 - p0, degenerate, P_h, P_c, ledger); P_h, P_c and every
+    ledger field are nan where ``degenerate`` is set or a stroke end is
+    nan.  Zero coupling (lam = 0) takes the frozen symmetric mixture:
+    never degenerate.
 
     * the cycle contracts by p0 = exp(A_h + A_c), and 1 - p0, read as
-      -expm1(A_h + A_c), keeps its digits at weak coupling; |p0| within
-      ``DEGENERACY_TOL`` of 1 is degenerate (no unique fixed point);
+      -expm1(A_h + A_c), keeps its digits at weak coupling; a map that
+      does not contract (1 - p0 <= 0, or nan where a stroke end is nan)
+      is degenerate: no unique fixed point;
     * the populations are frozen while the splitting moves between
       omega_h and omega_c, so each adiabatic work is the gap times the
       excited population left by the preceding contact: expansion work
@@ -206,12 +206,11 @@ def _close_cycle(lam: float, omega_h, omega_c, hot: StrokeEnds, cold: StrokeEnds
     # failed points carry nan here
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         one_minus_p0 = -np.expm1(hot.cum_a + cold.cum_a)
-        p0 = 1.0 - one_minus_p0
-        degenerate = abs(p0) >= 1.0 - DEGENERACY_TOL
-        one_minus_p0 = np.where(degenerate, np.nan, one_minus_p0)  # no unique fixed point
+        degenerate = ~(one_minus_p0 > 0.0)
+        divisor = np.where(degenerate, np.nan, one_minus_p0)  # no unique fixed point
         # P_h = r1_c + exp(A_c) (r1_h + exp(A_h) P_h), and P_c the mirror image
-        p_h = (cold.r1 + np.exp(cold.cum_a) * hot.r1) / one_minus_p0
-        p_c = (hot.r1 + np.exp(hot.cum_a) * cold.r1) / one_minus_p0
+        p_h = (cold.r1 + np.exp(cold.cum_a) * hot.r1) / divisor
+        p_c = (hot.r1 + np.exp(hot.cum_a) * cold.r1) / divisor
         if lam == 0.0:
             degenerate = np.zeros_like(degenerate)
             p_h, p_c = np.full_like(p_h, _FROZEN_P), np.full_like(p_c, _FROZEN_P)
@@ -224,7 +223,7 @@ def _close_cycle(lam: float, omega_h, omega_c, hot: StrokeEnds, cold: StrokeEnds
             W_ad1=w_ad1, W_ad2=w_ad2, W_I=w_1, W_II=w_1 + bal_h.E_I + bal_c.E_I,
             E_I_h=bal_h.E_I, E_I_c=bal_c.E_I, dES_h=bal_h.dES, dES_c=bal_c.dES,
             dEB_h=bal_h.dEB, dEB_c=bal_c.dEB)
-    return p0, degenerate, p_h, p_c, ledger
+    return one_minus_p0, degenerate, p_h, p_c, ledger
 
 
 def evaluate_cycle(
@@ -240,14 +239,13 @@ def evaluate_cycle(
     solver = _solver(backend)
     hot = solver.evolve_branch_pair(engine.hot_reservoir, engine.omega_h, engine.t1, h)
     cold = solver.evolve_branch_pair(engine.cold_reservoir, engine.omega_c, engine.t2, h)
-    p0, degenerate, p_h, p_c, ledger = _close_cycle(
+    one_minus_p0, degenerate, p_h, p_c, ledger = _close_cycle(
         engine.lam, engine.omega_h, engine.omega_c, hot.ends, cold.ends)
     if degenerate:
-        raise DegenerateCycle(
-            f"cycle map is (nearly) the identity, |p0| = {abs(p0):.17g}", p0=p0
-        )
+        raise DegenerateCycle(f"cycle map does not contract, 1 - p0 = {one_minus_p0:.17g}",
+                              one_minus_p0=float(one_minus_p0))
     ledger = EnergyLedger(*(float(v) for v in vars(ledger).values()))
-    return CycleEvaluation(P_h=float(p_h), P_c=float(p_c), p0=float(p0),
+    return CycleEvaluation(P_h=float(p_h), P_c=float(p_c), p0=float(1.0 - one_minus_p0),
                            ledger=ledger, hot=hot, cold=cold)
 
 

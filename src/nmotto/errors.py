@@ -16,16 +16,17 @@ class PositivityViolation(RuntimeError):
 
 
 class DegenerateCycle(RuntimeError):
-    """The two stroke maps compose to (nearly) the identity.
+    """The two stroke maps compose to a map that does not contract:
+    ``one_minus_p0`` = 1 - p0 = -expm1(A_h + A_c) is not positive.
 
-    The stroboscopic map then has no unique fixed point and the limit
-    cycle is undefined, for instance when the coupling is too weak to
-    move the populations (zero coupling takes the frozen mixture instead).
+    The stroboscopic map then has no unique attracting fixed point and
+    the limit cycle is undefined, for instance when both decay rates
+    underflow to zero (zero coupling takes the frozen mixture instead).
     """
 
-    def __init__(self, message, p0=None):
+    def __init__(self, message, one_minus_p0=None):
         super().__init__(message)
-        self.p0 = p0
+        self.one_minus_p0 = one_minus_p0
 
 
 class ConfigError(ValueError):

@@ -366,8 +366,9 @@ class TestSweep:
         ({"backend": "markov", "omega_pairs": "1.0:0.18,0.9:0.2"}, {""}),
         ({"lambda": "0"}, {""}),
         ({**POSITIVITY, "t1_max": "10", "t1_count": "2"}, {"", "PositivityViolation"}),
-        ({"backend": "markov", "lambda": "1e-16", "t1_max": "3", "t2_max": "3"},
-         {"DegenerateCycle"}),
+        # exp(-omega / cutoff) underflows: both decay rates are 0, p0 == 1
+        ({"backend": "markov", "omega_pairs": "1000:800", "cutoff": "1", "t1_max": "3",
+          "t2_max": "3"}, {"DegenerateCycle"}),
         # 20 and up share one solve; below 20 each stroke has its own grid
         ({"t1_min": "14", "t1_max": "26", "t1_count": "7",
           "t2_min": "18", "t2_max": "22", "t2_count": "3"}, {""}),

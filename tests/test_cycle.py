@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nmotto import DegenerateCycle, EngineParams, evaluate_cycle
-from nmotto.energetics import DEGENERACY_TOL, StrokeEnds, _close_cycle
+from nmotto.energetics import StrokeEnds, _close_cycle
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
 
@@ -41,10 +41,10 @@ def composed(hot, cold, p):
 
 
 def closed_form(hot, cold):
-    """(P_h, P_c, p0) of the limit cycle of a non-degenerate map pair."""
-    p0, degenerate, p_h, p_c, _ = _close_cycle(*CYCLE, hot, cold)
+    """(P_h, P_c, p0) of the limit cycle of a contracting map pair."""
+    one_minus_p0, degenerate, p_h, p_c, _ = _close_cycle(*CYCLE, hot, cold)
     assert not degenerate
-    return p_h, p_c, p0
+    return p_h, p_c, 1.0 - one_minus_p0
 
 
 def iterate_cycle(hot, cold, p_start, n):
@@ -62,20 +62,31 @@ def iterate_cycle(hot, cold, p_start, n):
 
 class TestLimitCycle:
     def test_identity_maps_degenerate(self, ref_engine):
-        p0, degenerate, _, _, _ = _close_cycle(*CYCLE, ends(1.0, 0.0), ends(1.0, 0.0))
-        assert p0 == 1.0 and degenerate
-        # a coupling too weak to move the populations within the strokes
-        with pytest.raises(DegenerateCycle) as info:
-            evaluate_cycle(replace(ref_engine, lam=1e-16), "markov")
-        assert abs(info.value.p0) >= 1.0 - DEGENERACY_TOL
+        one_minus_p0, degenerate, _, _, _ = _close_cycle(*CYCLE, ends(1.0, 0.0),
+                                                         ends(1.0, 0.0))
+        assert one_minus_p0 == 0.0 and degenerate
+        # exp(-omega / cutoff) underflows at omega = 800 and 1000, and with
+        # it both Markov decay rates: the strokes freeze the populations
+        frozen = replace(ref_engine, omega_h=1000.0, omega_c=800.0, cutoff=1.0)
+        with pytest.raises(DegenerateCycle, match="does not contract") as info:
+            evaluate_cycle(frozen, "markov")
+        assert info.value.one_minus_p0 == 0.0
 
     def test_degenerate_cycle_is_nan(self):
-        # p0 = 1 - 5e-13 with r1 != 0: the closed form alone would give P_h = 0.6
-        hot = StrokeEnds(3e-13, np.log1p(-5e-13), 1e-3, 2e-3)
+        # A_h + A_c >= 0 with r1 != 0: the closed form alone would give an
+        # infinite P_h, or a negative one
         cold = StrokeEnds(0.0, 0.0, 0.0, 0.0)
-        p0, degenerate, p_h, p_c, ledger = _close_cycle(*CYCLE, hot, cold)
-        assert degenerate and p0 == 1.0 + np.expm1(np.log1p(-5e-13))
-        assert np.isnan([p_h, p_c, *vars(ledger).values()]).all()
+        for cum_a in (0.0, 5e-13):
+            hot = StrokeEnds(3e-13, cum_a, 1e-3, 2e-3)
+            one_minus_p0, degenerate, p_h, p_c, ledger = _close_cycle(*CYCLE, hot, cold)
+            assert degenerate and one_minus_p0 == -np.expm1(cum_a)
+            assert np.isnan([p_h, p_c, *vars(ledger).values()]).all()
+
+    def test_slow_contraction_closes(self):
+        # p0 = 1 - 5e-13 still contracts, to the fixed point P_h = 0.6
+        hot = StrokeEnds(3e-13, np.log1p(-5e-13), 1e-3, 2e-3)
+        p_h, p_c, _ = closed_form(hot, StrokeEnds(0.0, 0.0, 0.0, 0.0))
+        assert p_h == pytest.approx(0.6, rel=1e-12) and p_c == pytest.approx(0.6, rel=1e-12)
 
     def test_zero_coupling_fills_the_grid(self):
         # frozen strokes over a (2, 1) x (1, 3) grid: the mixture at every point
@@ -245,6 +256,18 @@ class TestWeakCoupling:
             assert abs(led.W_I / lam - lim_i) <= 10 * lam
             assert abs(led.W_II / lam - lim_ii) <= 2 * lam
 
+    @pytest.mark.parametrize("t1, t2", [(1.0, 1.0), (1.0, 5.0), (3.0, 36.0), (60.0, 60.0)])
+    def test_tcl2_ledger_at_vanishing_coupling(self, ref_engine, t1, t2):
+        # at lam = 1e-20 p0 rounds to 1, yet 1 - p0 = -expm1(A_h + A_c)
+        # keeps its digits: W / lam stays as close to its first-order limit
+        # as at lam = 1e-12, the solver's step floor (from 1.3e-15 at (1, 1),
+        # which is rounding, hence the 1e-14, to 2.7e-10 at (60, 60))
+        eng = replace(ref_engine, t1=t1, t2=t2)
+        floor, tiny = (evaluate_cycle(replace(eng, lam=lam)).ledger for lam in (1e-12, 1e-20))
+        for field, want in zip(("W_I", "W_II"), first_order_ledger(eng)):
+            off_floor = abs(getattr(floor, field) / 1e-12 - want)
+            assert abs(getattr(tiny, field) / 1e-20 - want) <= 2 * off_floor + 1e-14, field
+
     @pytest.mark.parametrize("T_h", [5.0, 2.0])
     @pytest.mark.parametrize("t1, t2", [(1.0, 5.0), (3.0, 36.0), (5.0, 60.0), (20.0, 20.0)])
     def test_tcl2_ledger_against_the_first_order_ledger(self, ref_engine, T_h, t1, t2):
@@ -268,18 +291,14 @@ class TestWeakCoupling:
 
     @settings(max_examples=60, deadline=None)
     @given(backend=st.sampled_from(["tcl2", "markov"]),
-           log_lam=st.floats(-12.0, np.log10(0.02)), T_h=st.floats(1.0, 5.0),
+           log_lam=st.floats(-20.0, np.log10(0.02)), T_h=st.floats(1.0, 5.0),
            temp_ratio=st.floats(0.05, 1.0), freq_ratio=st.floats(0.05, 1.0),
            t1=st.floats(0.5, 60.0), t2=st.floats(0.5, 60.0))
     def test_closure_properties(self, backend, log_lam, T_h, temp_ratio, freq_ratio,
                                 t1, t2):
         eng = EngineParams(1.0, freq_ratio, T_h, T_h * temp_ratio, 10.0 ** log_lam,
                            0.4, t1, t2)
-        try:
-            ev = evaluate_cycle(eng, backend)
-        except DegenerateCycle as exc:
-            assert abs(exc.p0) >= 1.0 - DEGENERACY_TOL
-            return
+        ev = evaluate_cycle(eng, backend)
         hot, cold, led = ev.hot.ends, ev.cold.ends, ev.ledger
         assert abs(composed(hot, cold, ev.P_h) - ev.P_h) <= 1e-12
         # the first law forms W_I, equal to the adiabatic works' balance

@@ -10,9 +10,11 @@ from scipy.integrate import cumulative_simpson
 from nmotto import (
     EngineParams,
     bose_n,
+    energetics,
     energy_flow,
     evaluate_cycle,
     evaluate_grid,
+    markov,
     stroke_balance,
 )
 from nmotto.energetics import StrokeEnds, _close_cycle, effective_temperature_profile
@@ -123,6 +125,30 @@ class TestSweptEngine:
                       for _ in range(2))
         assert one == one and one != other and hash(one) != hash(other)
 
+    def test_positivity_label_overrides_degenerate(self, ref_engine, monkeypatch):
+        # hot ends at three durations against one cold end: a contracting
+        # pair, a failed (nan) hot end, which the degenerate mask also
+        # covers, and a pair with A_h + A_c = 0.3 that does not contract
+        hot = StrokeEnds(np.array([[0.1, np.nan, 0.1]]), np.array([[-1.0, np.nan, 0.5]]),
+                         np.zeros((1, 3)), np.zeros((1, 3)))
+        cold = StrokeEnds(*np.array([0.2, -0.2, 0.0, 0.0]).reshape(4, 1, 1))
+        sides = iter([hot, cold])
+        monkeypatch.setattr(markov, "family_ends", lambda *args: next(sides))
+        closings = []
+        close = energetics._close_cycle
+
+        def spy(*args):
+            closings.append(close(*args))
+            return closings[-1]
+
+        monkeypatch.setattr(energetics, "_close_cycle", spy)
+        ledger, errors = evaluate_grid(ref_engine, [1.0, 2.0, 3.0], [4.0], "markov")
+        [(_, degenerate, p_h, p_c, _)] = closings
+        assert errors[0, :, 0].tolist() == ["", "PositivityViolation", "DegenerateCycle"]
+        assert degenerate[0, :, 0].tolist() == [False, True, True]
+        values = np.array([p_h, p_c, *vars(ledger).values()])[:, 0, :, 0]
+        assert np.isfinite(values[:, 0]).all() and np.isnan(values[:, 1:]).all()
+
     @pytest.mark.parametrize("backend", ["tcl2", "markov"])
     @pytest.mark.parametrize("pairs", [1, 2001])
     def test_evaluate_cycle_refuses_many_pairs(self, ref_engine, backend, pairs):
@@ -160,8 +186,8 @@ class TestWorks:
         # detachment; lam = 0.01, omega_h = 2 and omega_c = 1
         hot = StrokeEnds(r1=0.6, cum_a=-np.inf, corr_0=0.03, corr_1=0.03)
         cold = StrokeEnds(r1=0.7, cum_a=-np.inf, corr_0=0.02, corr_1=0.02)
-        p0, degenerate, p_h, p_c, ledger = _close_cycle(0.01, 2.0, 1.0, hot, cold)
-        assert p0 == 0.0 and not degenerate
+        one_minus_p0, degenerate, p_h, p_c, ledger = _close_cycle(0.01, 2.0, 1.0, hot, cold)
+        assert one_minus_p0 == 1.0 and not degenerate
         assert (p_h, p_c) == pytest.approx((0.7, 0.6))
         assert (ledger.W_ad1, ledger.W_ad2) == pytest.approx((0.4, 0.3))
         assert (ledger.E_I_h, ledger.E_I_c) == pytest.approx((-0.03, -0.02))
