@@ -21,7 +21,7 @@ from .energetics import (
 )
 from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
-from .kernels import ReservoirSpec, d1, d2, ohmic_j, trigamma
+from .kernels import ReservoirSpec, d1, d2, ohmic_j
 from .markov import bose_n, positive_work_condition, relaxation_rate, stationary_rho00
 from .oracle import DiscretizedBath, OracleResult, discretize_bath, exact_evolve
 from .tcl2 import evolve_branch_pair
@@ -53,5 +53,4 @@ __all__ = [
     "relaxation_rate",
     "stationary_rho00",
     "stroke_balance",
-    "trigamma",
 ]

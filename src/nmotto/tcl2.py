@@ -92,6 +92,9 @@ def lattice(t_end, h: float | None = None):
     stroke ends by about 1e-11 at the paper's operating point.  At
     T = 30, lam = 0.2 it moves the rho00 ends by up to 1e-5 and the C(t)
     ends by up to 1e-3, so pass a smaller ``h`` there when that matters.
+    It misses the kernel peak, 1 / cutoff wide, at cutoff >~ 50: at cutoff
+    56.23, T = 0.01, omega = 0.01 a 60-long stroke ends at A = +254 lam, not
+    -34.9 lam, so pass ``h`` <= 0.02 / cutoff there.
     """
     t_end = np.asarray(t_end, dtype=float)
     check_range("stroke duration", t_end)

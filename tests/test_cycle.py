@@ -1,4 +1,5 @@
-"""Limit-cycle algebra of ``_close_cycle``: fixed point, iteration, degeneracy."""
+"""Limit-cycle algebra of ``_close_cycle``: fixed point, iteration, degeneracy,
+and the first-order references at vanishing coupling."""
 
 from dataclasses import replace
 
@@ -9,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nmotto import DegenerateCycle, EngineParams, evaluate_cycle
+from nmotto import (
+    DegenerateCycle,
+    EngineParams,
+    ReservoirSpec,
+    evaluate_cycle,
+    evolve_branch_pair,
+    stroke_balance,
+)
 from nmotto.energetics import StrokeEnds, _close_cycle
 from nmotto.kernels import d1, d2
 from nmotto.markov import branch_pair, stationary_rho00
@@ -196,6 +204,67 @@ def first_order_ledger(engine):
     w_i = -(unit.omega_h - unit.omega_c) * (a_h * p + b_h)
     e_i = -(k_h + (2 * p - 1) * s_h) - (k_c + (2 * p - 1) * s_c)
     return w_i, w_i + e_i, e_i
+
+
+def two_point_measurement(reservoir, omega, p, t):
+    """(dE_S, dE_B, E_I) / lam as lam -> 0 of a stroke of duration t from
+    ground population p, from the two-point measurement's definition:
+    second-order transition probabilities of the Hamiltonian, with no
+    kernel, counting field or time lattice.  A boson of energy nu is
+    absorbed from |0> (k = nu - omega) or emitted while exciting (k = nu +
+    omega), and the mirror processes from |1>, each weighted by
+    F(k) = (1 - cos kt) / k^2 = 2 sin^2(kt/2) / k^2.  Composite
+    Gauss-Legendre, 400 panels of 40 nodes on [0, 45 cutoff]."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(0.0, 45.0 * reservoir.cutoff, 401)
+    half = np.diff(edges)[:, None] / 2
+    nu = (edges[:-1, None] + half * (1 + x)).ravel()
+    weight = (half * w).ravel()
+    two_j = 2 * nu * np.exp(-nu / reservoir.cutoff)
+    n = 1 / np.expm1(nu / reservoir.temperature)
+    f_rot, f_counter = (2 * np.sin(k * t / 2) ** 2 / k**2 for k in (nu - omega, nu + omega))
+    d_eb = weight @ (two_j * nu * (p * (-n * f_rot + (n + 1) * f_counter)
+                                   + (1 - p) * ((n + 1) * f_rot - n * f_counter)))
+    d_es = omega * (weight @ (two_j * (p * (n * f_rot + (n + 1) * f_counter)
+                                       - (1 - p) * ((n + 1) * f_rot + n * f_counter))))
+    return d_es, d_eb, -(d_es + d_eb)
+
+
+class TestTwoPointMeasurement:
+    """The counting-field balances of ``stroke_balance`` against the
+    two-point measurement from first principles: they agree to first order
+    in lam, each deviation shrinking with lam."""
+
+    DURATIONS = (0.5, 2.0, 3.5, 60.0)
+
+    def deviations(self, reservoir, omega, p, lam):
+        """Relative deviation of (dE_S, dE_B, E_I) per duration at lam."""
+        coupled = replace(reservoir, lam=lam)
+        out = []
+        for t in self.DURATIONS:
+            bal = stroke_balance(p, evolve_branch_pair(coupled, omega, t))
+            got = np.array([bal.dES[-1], bal.dEB[-1], bal.E_I[-1]]) / lam
+            want = np.array(two_point_measurement(reservoir, omega, p, t))
+            out.append(np.abs(got - want) / np.abs(want))
+        return np.array(out)
+
+    @pytest.mark.parametrize("p", [1.0, 0.0])
+    @pytest.mark.parametrize("reservoir, omega", [
+        (ReservoirSpec(5.0, 1.0, 0.4), 1.0), (ReservoirSpec(1.0, 1.0, 0.4), 0.18),
+    ], ids=["hot", "cold"])
+    def test_balances_agree_to_first_order(self, reservoir, omega, p):
+        # deviations reach 2.6e-4 at lam = 1e-6 (cold, t = 60) and scale
+        # with lam: the 1e-9 ones are a thousandth of them
+        weak, weaker = (self.deviations(reservoir, omega, p, lam) for lam in (1e-6, 1e-9))
+        assert np.all(weak <= 300 * 1e-6) and np.all(weaker <= 300 * 1e-9)
+        ratio = weaker / weak
+        assert np.all((3e-4 <= ratio) & (ratio <= 3e-3)), ratio
+
+    def test_interaction_energy_is_negative_from_the_ground_state(self):
+        # the paper's "finite and negative" E_I follows from the definition
+        hot = ReservoirSpec(5.0, 1.0, 0.4)
+        e_i = [two_point_measurement(hot, 1.0, 1.0, t)[2] for t in self.DURATIONS]
+        assert e_i == pytest.approx([-0.990, -9.137, -11.226, -8.774], abs=1e-3)
 
 
 class TestWeakCoupling:

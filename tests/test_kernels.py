@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nmotto import EngineParams, ReservoirSpec, d1, d2, ohmic_j, trigamma
+from nmotto import EngineParams, ReservoirSpec, d1, d2, ohmic_j
 from nmotto.kernels import SCALE
 
 REF_SPEC = ReservoirSpec(temperature=5.0, lam=0.01, cutoff=0.4)
@@ -67,8 +67,10 @@ class TestOhmicJ:
         assert j[-1] < 1e-12
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            ohmic_j(-0.1, REF_SPEC)
+        # and every omega outside [0, SCALE], nan among them
+        for bad in (-0.1, math.nan, math.inf, 2.0**101, [1.0, -math.inf]):
+            with pytest.raises(ValueError, match="omega must lie in"):
+                ohmic_j(bad, REF_SPEC)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -107,30 +109,35 @@ class TestFiniteParameters:
             replace(base, **{field: value})
 
 
-class TestTrigamma:
-    def test_known_values(self):
-        assert trigamma(1.0) == pytest.approx(np.pi**2 / 6.0, rel=1e-14)
-        assert trigamma(0.5) == pytest.approx(np.pi**2 / 2.0, rel=1e-14)
-        assert trigamma(2.0) == pytest.approx(np.pi**2 / 6.0 - 1.0, rel=1e-12)
+def psi1_on_line(tau, a):
+    """Re psi'(z) on d1's line z = a (1 + i tau) at T = a, cutoff = 1, read
+    back from d1 with the algebraic term taken exactly."""
+    d1_over_2lam = d1(tau, ReservoirSpec(temperature=a, lam=0.5, cutoff=1.0))
+    alg = (mpmath.mpf(tau) ** 2 - 1) / (1 + mpmath.mpf(tau) ** 2) ** 2
+    return (d1_over_2lam - alg) / (2 * mpmath.mpf(a) ** 2)
 
-    def test_recurrence(self):
-        rng = np.random.default_rng(11)
-        z = rng.uniform(0.05, 20.0, 200) + 1j * rng.uniform(-50.0, 50.0, 200)
-        lhs = trigamma(z)
-        rhs = trigamma(z + 1.0) + 1.0 / z**2
-        assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-12
+
+class TestTrigamma:
+    """The trigamma sum of ``d1`` on the one line it samples, z = a (1 + i x)
+    with a = T / cutoff and x = cutoff tau."""
+
+    def test_known_values(self):
+        # at tau = 0, z = a: psi'(1/2) = pi^2/2, psi'(1) = pi^2/6, psi'(2) = pi^2/6 - 1
+        for a, want, rel in ((0.5, np.pi**2 / 2.0, 1e-14), (1.0, np.pi**2 / 6.0, 1e-14),
+                             (2.0, np.pi**2 / 6.0 - 1.0, 1e-12)):
+            assert float(psi1_on_line(0.0, a)) == pytest.approx(want, rel=rel)
+        assert isinstance(d1(0.0, REF_SPEC), float)
 
     def test_against_mpmath(self):
+        # real parts a across the shift count's range and both sides of the
+        # asymptotic edge, imaginary parts y = a x up to 1e4
         rng = np.random.default_rng(12)
-        re = rng.uniform(1e-3, 50.0, 150)
-        im = np.concatenate([
-            rng.uniform(-1e4, 1e4, 75), rng.uniform(-5.0, 5.0, 75),
-        ])
-        z = re + 1j * im
-        ours = trigamma(z)
-        for zi, oi in zip(z, ours):
-            ref = complex(mpmath.polygamma(1, mpmath.mpc(zi)))
-            assert abs(oi - ref) <= 1e-12 * abs(ref)
+        for a in np.concatenate([rng.uniform(1e-3, 75.0, 40), [1e-3, 9.999, 10.0, 75.0]]):
+            for y in np.concatenate([[0.0], rng.uniform(0.0, 1e4, 3), rng.uniform(0.0, 5.0, 3)]):
+                tau = y / a
+                ours = psi1_on_line(tau, a)
+                ref = mpmath.re(mpmath.polygamma(1, mpmath.mpc(a, a * tau)))
+                assert abs(ours - ref) <= 1e-12 * abs(ref), (a, y)
 
     @pytest.mark.parametrize("temperature", [1.0, 5.0, 30.0])
     def test_shared_real_part_shifts_as_each_element_alone(self, temperature):
@@ -139,20 +146,6 @@ class TestTrigamma:
         spec = ReservoirSpec(temperature=temperature, lam=0.01, cutoff=0.4)
         tau = np.linspace(0.0, 60.0, 601)
         assert np.array_equal(d1(tau, spec), [d1(t, spec) for t in tau])
-
-    def test_poles_rejected(self):
-        # and every real part that is not a finite positive number: upward
-        # from -1e9 the recurrence would take about 1e9 steps, and far below
-        # 1 / SCALE**2 its z**2 underflows to 0
-        for bad in (0.0, -1.0, -7.0, -0.5, -1e9 - 0.5, np.nan, 1e-200, 5e-324):
-            with pytest.raises(ValueError):
-                trigamma(bad)
-        assert np.isfinite(trigamma(SCALE**-2))  # the least T / cutoff d1 passes
-
-    def test_scalar_and_array_shapes(self):
-        assert isinstance(trigamma(1.5 + 0.5j), complex)
-        out = trigamma(np.full((3, 2), 2.0 + 1.0j))
-        assert out.shape == (3, 2)
 
 
 class TestNoiseKernel:
@@ -174,9 +167,14 @@ class TestNoiseKernel:
             assert abs(c - q) <= 1e-6 * abs(q) + 1e-12
 
     def test_negative_tau_rejected(self):
+        # and every tau outside [0, SCALE], nan among them
         for kernel in (d1, d2):
-            with pytest.raises(ValueError, match="tau must be nonnegative"):
-                kernel(-1.0, REF_SPEC)
+            for bad in (-1.0, math.nan, math.inf, -math.inf, 2.0**101, [0.0, math.nan]):
+                with pytest.raises(ValueError, match="tau must lie in"):
+                    kernel(bad, REF_SPEC)
+            # the edges pass, at both ends of the real part a = T / cutoff
+            for spec in (ReservoirSpec(1 / SCALE, 1.0, SCALE), ReservoirSpec(SCALE, 1.0, 1 / SCALE)):
+                assert np.all(np.isfinite(kernel([0.0, 1.0, SCALE], spec)))
 
 
 class TestDissipationKernel:

@@ -536,3 +536,24 @@ def test_strong_damping_is_not_a_positivity_failure():
     stroke = evolve_branch_pair(ReservoirSpec(30.0, 0.2, 0.4), 0.615815, 60.0)
     for rho in (stroke.rho00_1 + np.exp(stroke.cum_a), stroke.rho00_1):
         assert np.all((rho >= -POSITIVITY_TOL) & (rho <= 1.0 + POSITIVITY_TOL))
+
+
+# a reservoir whose kernel peak, 1 / cutoff wide, the default step 0.01 misses
+WIDE_BAND = ReservoirSpec(temperature=0.01, lam=1e-12, cutoff=56.23)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the default step 0.01 is wider than the 1/cutoff-wide kernel peak at "
+    "cutoff >= 50, so A(60) reads +254.23 lam where a resolving step gives "
+    "-34.936 lam; ROADMAP item 9"))
+def test_default_step_resolves_a_wide_band_kernel():
+    assert evolve_branch_pair(WIDE_BAND, 0.01, 60.0).cum_a[-1] < 0
+
+
+@pytest.mark.parametrize("h", [0.001, 0.0005])
+def test_step_within_the_kernel_peak_contracts(h):
+    # a step of at most 0.02 / cutoff resolves the peak: the stroke contracts
+    # and the branch from |1> stays above 0
+    stroke = evolve_branch_pair(WIDE_BAND, 0.01, 60.0, h)
+    assert stroke.cum_a[-1] / WIDE_BAND.lam == pytest.approx(-34.936, rel=1e-4)
+    assert stroke.rho00_1[-1] > 0
