@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EngineParams
-from .kernels import ReservoirSpec, ohmic_j
+from .kernels import ReservoirSpec, check_range, ohmic_j
 from .tcl2 import StrokeDynamics, StrokeEnds, lattice, time_grid
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
 def bose_n(omega: float | np.ndarray, temperature: float):
     """Bose occupation n = 1 / (exp(omega / T) - 1), a float or an array like
     omega; diverges as omega/T -> 0."""
-    if not np.all(np.asarray(omega) > 0) or not temperature > 0:
-        raise ValueError("bose_n needs omega > 0 and temperature > 0")
+    check_range("omega", omega)
+    check_range("temperature", temperature)
     with np.errstate(over="ignore"):  # past omega/T ~ 709.8, n = 1/inf = 0
         return 1.0 / np.expm1(omega / temperature)
 
@@ -60,8 +60,7 @@ def branch_pair(reservoir: ReservoirSpec, omega: float | np.ndarray, t):
     omega and time(s) t >= 0, floats or arrays that broadcast: a (k, 1) column of
     omegas against n times gives (k, n).  Each relaxes monotonically to rho_inf."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+    check_range("t", t, low=0.0)
     rho_inf = stationary_rho00(omega, reservoir.temperature)
     gamma = relaxation_rate(omega, reservoir)
     rho0 = rho_inf + (1.0 - rho_inf) * np.exp(-gamma * t)

@@ -182,8 +182,7 @@ def exact_evolve(p: float, omega: float, bath: DiscretizedBath, times) -> Oracle
     over the blocks.  Truncation is reported only by the result's
     ``truncation_flagged``; no warning is emitted.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("ground probability p must lie in [0, 1]")
+    check_range("ground probability p", p, low=0.0, high=1.0)
     check_range("level splitting", omega)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:

@@ -271,6 +271,7 @@ def evolve_branch_pair(
     so no generality is lost.
     """
     [(_, times, integrate, kept, _)] = _solve_plans([t_end], h)
+    check_range("omega", omega)
     rho0, stroke = _solve(times, d1(times, reservoir), d2(times, reservoir), omega,
                           integrate)
     if not kept(rho0, stroke.rho00_1)[0]:
@@ -363,8 +364,10 @@ def family_ends(reservoir: ReservoirSpec, omegas, durations, h: float | None = N
     the lattice (an odd-step closing, an end past the lattice) ride
     along after it.  The kernels are sampled once per solve for all omegas.
     """
+    plans = _solve_plans(durations, h)  # the durations first, as under markov
+    check_range("omega", omegas)
     out = StrokeEnds._make(np.empty((4, len(omegas), len(durations))))
-    for columns, times, integrate, kept, at_end in _solve_plans(durations, h):
+    for columns, times, integrate, kept, at_end in plans:
         d1_vals, d2_vals = d1(times, reservoir), d2(times, reservoir)
         for i, omega in enumerate(omegas):
             rho0, stroke = _solve(times, d1_vals, d2_vals, omega, integrate)

@@ -43,6 +43,7 @@ from nmotto import (
 )
 from nmotto.energetics import StrokeEnds, _close_cycle, effective_temperature_profile
 from nmotto.kernels import d1, d2
+from test_cycle import two_point_ledger, two_point_measurement
 from test_kernels import REF_SPEC, d1_by_quadrature, d2_by_quadrature
 
 ENGINE = EngineParams(
@@ -382,3 +383,39 @@ def test_criterion_17_second_law_split_at_weak_coupling():
                    "60x60 TCL2 grid at every lam in 1e-2 .. 1e-20", ok,
                f"min Sigma_I/lam in [{min(min_1):.4e}, {max(min_1):.4e}], "
                f"min Sigma_II/lam {min(min_2):.4f}")
+
+
+def test_criterion_19_findings_survive_vanishing_coupling(tcl2_sweep):
+    # lam -> 0 by the two-point measurement alone: no kernel, no TCL2
+    # solve, the cycle closed on its own first-order contact map
+    p, _, w_2, sigma_1, sigma_2 = two_point_ledger(ENGINE, T_GRID, T_GRID)
+    ok_sigma = sigma_2.min() > 0.0 and sigma_1.min() < 0.0
+    # W_II / lam along t1 at t2 = 36: -0.9087, -1.0229, -0.9962, -0.9551,
+    # -0.9624 at t1 = 1 to 5
+    at_36 = w_2[:, T_GRID == 36.0][:, 0]
+    mid = at_36[1:-1]
+    peaks = T_GRID[1:-1][(at_36[:-2] < mid) & (mid > at_36[2:])].tolist()
+    ok_peak = [t for t in peaks if t <= 5.0] == [4.0]
+    # the hot stroke of the (5, 36) cycle from its own P_h
+    p_h = p[T_GRID == 5.0, T_GRID == 36.0][0]
+    times = np.linspace(0.0, 5.0, 101)
+    back = np.flatnonzero(two_point_measurement(
+        ENGINE.hot_reservoir, ENGINE.omega_h, p_h, times)[3] < 0.0)
+    window = times[back[[0, -1]]] if back.size else np.array([np.nan, np.nan])
+    ok_window = (back.size > 0 and np.all(np.diff(back) == 1)
+                 and 1.8 <= window[0] and window[1] <= 3.8)
+    weak = _ledger_grids(T_GRID, T_GRID, "tcl2", engine=replace(ENGINE, lam=1e-6))
+    off_weak = np.abs(weak.W_II[0] / 1e-6 - w_2).max()
+    # lam = 0.01 is not first order at long strokes: lam Gamma t is 3 to 5 at t = 60
+    off_paper = np.abs(tcl2_sweep[1] / ENGINE.lam - w_2).max()
+    _criterion(19, "as lam -> 0 by the two-point measurement: Sigma_II > 0 "
+                   "everywhere and Sigma_I < 0 somewhere on the 60x60 grid, "
+                   "W_II has an interior maximum at t1 = 4 at t2 = 36, the hot "
+                   "stroke of (5, 36) has a backflow window inside [1.8, 3.8], "
+                   "and TCL2 W_II/lam at lam = 1e-6 lies within 1e-4 of it",
+               ok_sigma and ok_peak and ok_window and off_weak <= 1e-4,
+               f"min Sigma_II/lam {sigma_2.min():.4f}, min Sigma_I/lam "
+               f"{sigma_1.min():.4e}, W_II/lam maxima at t1 = {peaks}, window "
+               f"[{window[0]:g}, {window[1]:g}] at P_h {p_h:.6f}, TCL2 off by "
+               f"{off_weak:.1e} at lam = 1e-6 and {off_paper:.3f} at lam = 0.01 "
+               f"of a largest |W_II/lam| {np.abs(w_2).max():.2f}")

@@ -14,6 +14,7 @@ from nmotto import (
     DegenerateCycle,
     EngineParams,
     ReservoirSpec,
+    energy_flow,
     evaluate_cycle,
     evolve_branch_pair,
     stroke_balance,
@@ -207,45 +208,80 @@ def first_order_ledger(engine):
 
 
 def two_point_measurement(reservoir, omega, p, t):
-    """(dE_S, dE_B, E_I) / lam as lam -> 0 of a stroke of duration t from
-    ground population p, from the two-point measurement's definition:
+    """(dE_S, dE_B, E_I, theta) / lam as lam -> 0 of a stroke of duration(s)
+    t from ground population p, from the two-point measurement's definition:
     second-order transition probabilities of the Hamiltonian, with no
     kernel, counting field or time lattice.  A boson of energy nu is
     absorbed from |0> (k = nu - omega) or emitted while exciting (k = nu +
     omega), and the mirror processes from |1>, each weighted by
-    F(k) = (1 - cos kt) / k^2 = 2 sin^2(kt/2) / k^2.  Composite
-    Gauss-Legendre, 400 panels of 40 nodes on [0, 45 cutoff]."""
+    F(k) = (1 - cos kt) / k^2 = 2 sin^2(kt/2) / k^2; the flow theta =
+    d(dE_B)/dt weighs them by dF/dt = sin(kt) / k.  Composite
+    Gauss-Legendre, 400 panels of 40 nodes on [0, 45 cutoff]; each value
+    has the shape of t."""
     x, w = np.polynomial.legendre.leggauss(40)
     edges = np.linspace(0.0, 45.0 * reservoir.cutoff, 401)
     half = np.diff(edges)[:, None] / 2
     nu = (edges[:-1, None] + half * (1 + x)).ravel()
-    weight = (half * w).ravel()
-    two_j = 2 * nu * np.exp(-nu / reservoir.cutoff)
+    two_j = 2 * nu * np.exp(-nu / reservoir.cutoff) * (half * w).ravel()  # with the weights
     n = 1 / np.expm1(nu / reservoir.temperature)
-    f_rot, f_counter = (2 * np.sin(k * t / 2) ** 2 / k**2 for k in (nu - omega, nu + omega))
-    d_eb = weight @ (two_j * nu * (p * (-n * f_rot + (n + 1) * f_counter)
-                                   + (1 - p) * ((n + 1) * f_rot - n * f_counter)))
-    d_es = omega * (weight @ (two_j * (p * (n * f_rot + (n + 1) * f_counter)
-                                       - (1 - p) * ((n + 1) * f_rot + n * f_counter))))
-    return d_es, d_eb, -(d_es + d_eb)
+    # each process's weight in dE_S and dE_B, rotating then counter-rotating
+    rot_s = omega * two_j * (p * n - (1 - p) * (n + 1))
+    counter_s = omega * two_j * (p * (n + 1) - (1 - p) * n)
+    rot_b = two_j * nu * ((1 - p) * (n + 1) - p * n)
+    counter_b = two_j * nu * (p * (n + 1) - (1 - p) * n)
+    t = np.asarray(t, dtype=float)[..., None]
+    k_rot, k_counter = nu - omega, nu + omega
+    f_rot, f_counter = (2 * np.sin(k * t / 2) ** 2 / k**2 for k in (k_rot, k_counter))
+    d_es = f_rot @ rot_s + f_counter @ counter_s
+    d_eb = f_rot @ rot_b + f_counter @ counter_b
+    g_rot, g_counter = (np.sin(k * t) / k for k in (k_rot, k_counter))
+    return d_es, d_eb, -(d_es + d_eb), g_rot @ rot_b + g_counter @ counter_b
+
+
+def two_point_ledger(engine, t1_values, t2_values):
+    """(P, W_I, W_II, Sigma_I, Sigma_II) of the limit cycle as lam -> 0 on
+    the (t1, t2) grid, each but P per unit lam, from the two-point
+    measurement alone.  A stroke moves the ground population by
+    -dE_S / omega = B + A p to first order, so the cycle closes at
+    P_h = P_c = -(B_h + B_c) / (A_h + A_c).  Lam-scaled ends fed to
+    ``_close_cycle`` would mix in lam^2 terms."""
+    def side(reservoir, omega, t):
+        """(dE_S, dE_B) from |1>, and their slope in the start p: both
+        are affine in p."""
+        from_1, from_0 = (np.array(two_point_measurement(reservoir, omega, p, t)[:2])
+                          for p in (0.0, 1.0))
+        return from_1, from_0 - from_1
+
+    (hot, d_hot), (cold, d_cold) = (side(engine.hot_reservoir, engine.omega_h, t1_values[:, None]),
+                                    side(engine.cold_reservoir, engine.omega_c, t2_values[None]))
+    w_h, w_c = engine.omega_h, engine.omega_c
+    p = -(hot[0] / w_h + cold[0] / w_c) / (d_hot[0] / w_h + d_cold[0] / w_c)
+    (es_h, eb_h), (es_c, eb_c) = hot + p * d_hot, cold + p * d_cold
+    return (p, es_h + es_c, -(eb_h + eb_c), -es_h / engine.T_h - es_c / engine.T_c,
+            eb_h / engine.T_h + eb_c / engine.T_c)
 
 
 class TestTwoPointMeasurement:
-    """The counting-field balances of ``stroke_balance`` against the
-    two-point measurement from first principles: they agree to first order
-    in lam, each deviation shrinking with lam."""
+    """The counting-field balances of ``stroke_balance`` and the flow of
+    ``energy_flow`` against the two-point measurement from first
+    principles: they agree to first order in lam, each deviation shrinking
+    with lam."""
 
     DURATIONS = (0.5, 2.0, 3.5, 60.0)
 
     def deviations(self, reservoir, omega, p, lam):
-        """Relative deviation of (dE_S, dE_B, E_I) per duration at lam."""
+        """Per duration, the deviation of (dE_S, dE_B, E_I) relative to
+        each, and of the end's theta relative to the largest |theta| of the
+        stroke, since theta crosses zero."""
         coupled = replace(reservoir, lam=lam)
         out = []
         for t in self.DURATIONS:
-            bal = stroke_balance(p, evolve_branch_pair(coupled, omega, t))
-            got = np.array([bal.dES[-1], bal.dEB[-1], bal.E_I[-1]]) / lam
+            stroke = evolve_branch_pair(coupled, omega, t)
+            bal, (_, theta) = stroke_balance(p, stroke), energy_flow(p, stroke)
+            got = np.array([bal.dES[-1], bal.dEB[-1], bal.E_I[-1], theta[-1]]) / lam
             want = np.array(two_point_measurement(reservoir, omega, p, t))
-            out.append(np.abs(got - want) / np.abs(want))
+            scale = np.abs(np.append(want[:3], np.abs(theta).max() / lam))
+            out.append(np.abs(got - want) / scale)
         return np.array(out)
 
     @pytest.mark.parametrize("p", [1.0, 0.0])
@@ -254,16 +290,19 @@ class TestTwoPointMeasurement:
     ], ids=["hot", "cold"])
     def test_balances_agree_to_first_order(self, reservoir, omega, p):
         # deviations reach 2.6e-4 at lam = 1e-6 (cold, t = 60) and scale
-        # with lam: the 1e-9 ones are a thousandth of them
+        # with lam: the 1e-9 ones are a thousandth of them.  theta's reach
+        # 4.7e-4 there, near the relaxation's own second-order term: the
+        # decay exponent Gamma t is 482 lam on the cold side at t = 60
         weak, weaker = (self.deviations(reservoir, omega, p, lam) for lam in (1e-6, 1e-9))
-        assert np.all(weak <= 300 * 1e-6) and np.all(weaker <= 300 * 1e-9)
+        bound = np.array([300, 300, 300, 600])
+        assert np.all(weak <= bound * 1e-6) and np.all(weaker <= bound * 1e-9)
         ratio = weaker / weak
         assert np.all((3e-4 <= ratio) & (ratio <= 3e-3)), ratio
 
     def test_interaction_energy_is_negative_from_the_ground_state(self):
         # the paper's "finite and negative" E_I follows from the definition
         hot = ReservoirSpec(5.0, 1.0, 0.4)
-        e_i = [two_point_measurement(hot, 1.0, 1.0, t)[2] for t in self.DURATIONS]
+        e_i = two_point_measurement(hot, 1.0, 1.0, self.DURATIONS)[2]
         assert e_i == pytest.approx([-0.990, -9.137, -11.226, -8.774], abs=1e-3)
 
 

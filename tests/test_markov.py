@@ -12,6 +12,7 @@ from nmotto import (
     relaxation_rate,
     stationary_rho00,
 )
+from nmotto.kernels import SCALE
 from nmotto.markov import branch_pair, evolve_branch_pair, family_ends
 
 COLD = ReservoirSpec(temperature=1.0, lam=0.01, cutoff=0.4)
@@ -37,8 +38,10 @@ class TestBose:
         assert bose_n(0.18, 1.0) == pytest.approx(5.0705, abs=1e-4)
 
     def test_domain(self):
-        for omega, temp in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
-            with pytest.raises(ValueError):
+        for omega, temp, name in ((0.0, 1.0, "omega"), (-1.0, 1.0, "omega"),
+                                  (float("nan"), 1.0, "omega"), (float("inf"), 1.0, "omega"),
+                                  (1.0, 0.0, "temperature")):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \["):
                 bose_n(omega, temp)
 
 
@@ -74,8 +77,11 @@ class TestRelaxation:
         assert relaxation_rate(1.0, COLD) > 0.0
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            branch_pair(COLD, 0.18, [0.0, -1.0])
+        # unjudged, inf would give the stationary population and nan a nan pair
+        for bad in (-1.0, float("nan"), float("inf"), 2.0**101):
+            with pytest.raises(ValueError) as err:
+                branch_pair(COLD, 0.18, [0.0, bad])
+            assert str(err.value) == f"t must lie in [0.0, {SCALE!r}], got {bad!r}"
 
 
 def bits(values):
@@ -98,11 +104,11 @@ class TestSplittingArrays:
             assert bits(got) == bits(want)
         assert bose_n(column, COLD.temperature)[-1, 0] == 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 2.0**101])
     def test_column_with_one_bad_splitting_refused(self, bad):
         with pytest.raises(ValueError) as err:
             bose_n(np.array([[0.18], [bad], [1.0]]), COLD.temperature)
-        assert str(err.value) == "bose_n needs omega > 0 and temperature > 0"
+        assert str(err.value) == f"omega must lie in [{1 / SCALE!r}, {SCALE!r}], got {bad!r}"
 
 
 class TestStrokeCalls:

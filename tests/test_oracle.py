@@ -224,7 +224,8 @@ class TestExactEvolve:
     @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
     def test_ground_probability_validated(self, p):
         bath = discretize_bath(COLDISH, 1, 0.8, 2)
-        with pytest.raises(ValueError):
+        message = r"^ground probability p must lie in \[0\.0, 1\.0\], got "
+        with pytest.raises(ValueError, match=message):
             exact_evolve(p, 1.0, bath, [0.0])
 
     def test_level_splitting_validated(self):

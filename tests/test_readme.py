@@ -75,7 +75,7 @@ def test_input_range_stated_as_printed():
 
 def test_acceptance_criteria_counted_as_in_the_suite():
     # the count and the numbers of the acceptance module's criteria, as
-    # its test names give them: "all 16 pass: criteria 1 to 15 and 17"
+    # its test names give them: "all 17 pass: criteria 1 to 15, 17 and 19"
     source = (README.parent / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
     numbers = [int(n) for n in re.findall(r"^def test_criterion_(\d+)_", source, re.M)]
     runs = []

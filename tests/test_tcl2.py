@@ -1,5 +1,6 @@
 """Time-convolutionless stroke solver: coefficients, solution, regime."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -457,6 +458,22 @@ class TestFamilyEnds:
         for durations in ([60.0, bad], [bad, 60.0]):
             with pytest.raises(ValueError, match=rf"stroke duration .* got {bad!r}"):
                 backend.family_ends(COLD, [0.18], durations, 1e-5)
+
+    @pytest.mark.parametrize("backend", [tcl2, markov])
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0, float("inf"), 2.0**101])
+    def test_splitting_out_of_range_is_refused_not_a_violation(self, backend, bad):
+        # a nan splitting must not reach the TCL2 solve, where it reads as a
+        # positivity failure; PositivityViolation is no ValueError, so it escapes
+        message = rf"omega must lie in \[.*\], got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            backend.evolve_branch_pair(COLD, bad, 1.0)
+        with pytest.raises(ValueError, match=message):
+            backend.family_ends(COLD, np.array([0.18, bad]), [1.0])
+        # with a bad duration as well, both backends name the duration
+        with pytest.raises(ValueError, match="stroke duration must lie in"):
+            backend.evolve_branch_pair(COLD, bad, 0.0)
+        with pytest.raises(ValueError, match="stroke duration must lie in"):
+            backend.family_ends(COLD, np.array([bad]), [1.0, 0.0])
 
     def test_own_closing_sample_outside_marks_only_its_stroke(self, monkeypatch):
         # the odd-step stroke 3 h + h/2 closes its last whole step on a
