@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from itertools import chain, repeat, tee
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from . import energetics
 from .engine import EngineParams
 from .errors import ConfigError, DegenerateCycle, PositivityViolation
-from .oracle import DiscretizedBath, discretize_bath, exact_evolve
+from .oracle import discretize_bath, exact_evolve
 from .tcl2 import POSITIVITY_TOL, lattice
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
@@ -40,7 +39,10 @@ MAX_SWEEP_POINTS = 10**6
 @dataclass(frozen=True)
 class RunConfig:
     """One fully resolved run; a rule across its keys raises ``ValueError``.
-    The swept engine and the oracle bath that its checks build are kept."""
+    Its checks build two values once and keep them: ``bath``, the few-mode
+    stand-in for the hot reservoir of the exact run, and ``swept_engine``,
+    the engine with the omega pairs' splittings as arrays (the engine's
+    own pair where ``omega_pairs`` is none)."""
 
     engine: EngineParams = EngineParams(omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
                                         lam=0.01, cutoff=0.4, t1=5.0, t2=60.0)
@@ -69,20 +71,13 @@ class RunConfig:
         for name in ("t1", "t2"):
             if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
                 raise ValueError(f"need {name}_min <= {name}_max")
-        self.bath, self.swept_engine  # discretize_bath and EngineParams check them here
-
-    @cached_property
-    def swept_engine(self) -> EngineParams:
-        """The engine with the omega pairs' splittings as arrays; none means its own."""
+        # discretize_bath checks the oracle keys, and EngineParams the pairs
+        object.__setattr__(self, "bath", discretize_bath(
+            self.engine.hot_reservoir, self.oracle_modes, self.oracle_omega_max,
+            self.oracle_fock))
         pairs = self.omega_pairs or ((self.engine.omega_h, self.engine.omega_c),)
         his, los = np.transpose(pairs)
-        return replace(self.engine, omega_h=his, omega_c=los)
-
-    @cached_property
-    def bath(self) -> DiscretizedBath:
-        """The few-mode stand-in for the hot reservoir of the exact run."""
-        return discretize_bath(self.engine.hot_reservoir, self.oracle_modes,
-                               self.oracle_omega_max, self.oracle_fock)
+        object.__setattr__(self, "swept_engine", replace(self.engine, omega_h=his, omega_c=los))
 
 
 def _show_float(value: float) -> str:

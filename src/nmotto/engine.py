@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,9 @@ class EngineParams:
     t1 / t2 the contact durations.  Degenerate settings are representable
     (omega_h == omega_c, T_h == T_c, lam == 0); a working engine has
     omega_h > omega_c > 0 and T_h > T_c > 0.  Each value lies in
-    [1 / SCALE, SCALE] (``kernels.SCALE``), lam in [0, SCALE].
+    [1 / SCALE, SCALE] (``kernels.SCALE``), lam in [0, SCALE].  The
+    check builds ``hot_reservoir`` and ``cold_reservoir`` once and keeps
+    them; ``ReservoirSpec`` judges T, lam and cutoff.
     """
 
     omega_h: float | np.ndarray
@@ -40,7 +42,8 @@ class EngineParams:
                 value.flags.writeable = False
                 object.__setattr__(self, name, value)
             check_range(name, value)
-        self.hot_reservoir, self.cold_reservoir  # ReservoirSpec checks lam, cutoff, T
+        for name, T in (("hot_reservoir", self.T_h), ("cold_reservoir", self.T_c)):
+            object.__setattr__(self, name, ReservoirSpec(T, self.lam, self.cutoff))
         if np.shape(self.omega_h) != np.shape(self.omega_c):
             raise ValueError("omega_h and omega_c need one shape")
         his, los = np.atleast_1d(self.omega_h, self.omega_c)
@@ -51,22 +54,15 @@ class EngineParams:
         if not (self.T_h >= self.T_c > 0):
             raise ValueError("need T_h >= T_c > 0")
 
-    def _key(self):  # every field by value, array splittings too
-        return tuple((np.shape(v), *np.ravel(v).tolist()) for v in vars(self).values())
+    def _key(self):  # the eight fields by value, array splittings too
+        values = (getattr(self, f.name) for f in fields(self))  # not the kept reservoirs
+        return tuple((np.shape(v), *np.ravel(v).tolist()) for v in values)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
-
-    @property
-    def hot_reservoir(self) -> ReservoirSpec:
-        return ReservoirSpec(self.T_h, self.lam, self.cutoff)
-
-    @property
-    def cold_reservoir(self) -> ReservoirSpec:
-        return ReservoirSpec(self.T_c, self.lam, self.cutoff)
 
     @property
     def eta_otto(self) -> float | np.ndarray:

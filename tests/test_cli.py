@@ -212,6 +212,16 @@ class TestConfig:
         again = build_config(parse_config(serialize_config(cfg)))
         assert again == cfg
 
+    def test_checks_keep_what_they_build(self):
+        # the swept engine and the bath are built once, by the config's checks
+        cfg = build_config({"omega_pairs": "1.0:0.18,0.9:0.2"})
+        assert cfg.swept_engine is cfg.swept_engine and cfg.bath is cfg.bath
+        assert cfg.swept_engine == replace(cfg.engine, omega_h=np.array([1.0, 0.9]),
+                                           omega_c=np.array([0.18, 0.2]))
+        bath = discretize_bath(cfg.engine.hot_reservoir, cfg.oracle_modes,
+                               cfg.oracle_omega_max, cfg.oracle_fock)
+        assert all(map(np.array_equal, astuple(cfg.bath), astuple(bath)))
+
     def test_defaults_serialize_literally(self):
         # the benchmark records this form of every run: order and format are a contract
         assert serialize_config(build_config({})) == (
@@ -767,6 +777,22 @@ class TestOracleCommand:
 
 
 class TestMain:
+    @pytest.mark.parametrize("command", ["sweep", "dynamics", "oracle"])
+    def test_each_command_builds_four_reservoirs(self, monkeypatch, tmp_path, command):
+        # two per engine, the configured and the swept one; every reader
+        # takes the reservoirs that the engine's check built
+        builds = Counter()
+        post_init = nmotto.ReservoirSpec.__post_init__
+
+        def counting(spec):
+            builds["reservoirs"] += 1
+            post_init(spec)
+        monkeypatch.setattr(nmotto.ReservoirSpec, "__post_init__", counting)
+        assert main([command, f"--out={tmp_path / 'run.csv'}",
+                     *set_args(*(f"{k}={v}" for k, v in TestOracleCommand.CFG.items()),
+                               "t1_count=2", "t2_count=2")]) == 0
+        assert builds["reservoirs"] == 4
+
     def test_dynamics_to_file(self, tmp_path):
         out = tmp_path / "dyn.csv"
         rc = main(["dynamics", "--set", "t1=1", "--out", str(out)])

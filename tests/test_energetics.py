@@ -9,6 +9,7 @@ from scipy.integrate import cumulative_simpson
 
 from nmotto import (
     EngineParams,
+    ReservoirSpec,
     bose_n,
     energetics,
     energy_flow,
@@ -109,6 +110,18 @@ class TestSweptEngine:
         assert swept([1.0], [0.18]) != ref_engine  # one pair is not the float engine
         copy = replace(ref_engine)
         assert ref_engine == copy and hash(ref_engine) == hash(copy)
+
+    def test_engine_keeps_its_reservoirs(self, ref_engine):
+        # built once by the check, read as the same object, outside the key
+        for engine in (ref_engine, replace(ref_engine, omega_h=np.array([1.0, 0.9]),
+                                           omega_c=np.array([0.18, 0.2]))):
+            for spec, T in ((engine.hot_reservoir, engine.T_h),
+                            (engine.cold_reservoir, engine.T_c)):
+                assert spec == ReservoirSpec(T, engine.lam, engine.cutoff)
+            assert engine.hot_reservoir is engine.hot_reservoir
+            assert engine.cold_reservoir is engine.cold_reservoir
+            copy = replace(engine)
+            assert copy == engine and hash(copy) == hash(engine)
 
     def test_engine_keeps_its_own_splittings(self, ref_engine):
         his = np.array([1.0, 0.9])
