@@ -8,8 +8,9 @@ repeat for one configuration on one machine and numpy build; across
 numpy's CPU dispatch levels the cells agree to 1e-10 (at most 1.0e-13
 absolute on sweeps).  Every command runs in one process.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(positivity violation or degenerate cycle).
+Exit codes: 0 success, 2 configuration error (a failed write to stdout
+or to the --out file included), 3 numerical failure (positivity
+violation or degenerate cycle).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat, tee
 
 import numpy as np
@@ -34,50 +35,6 @@ _BACKENDS = tuple(energetics.BACKENDS)
 # A sweep at this many points (t1 x t2 x omega pairs) peaks at about
 # 0.5 GB, as ``dynamics`` does at ``tcl2.MAX_STEPS`` steps.
 MAX_SWEEP_POINTS = 10**6
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved run; a rule across its keys raises ``ValueError``.
-    Its checks build two values once and keep them: ``bath``, the few-mode
-    stand-in for the hot reservoir of the exact run, and ``swept_engine``,
-    the engine with the omega pairs' splittings as arrays (the engine's
-    own pair where ``omega_pairs`` is none)."""
-
-    engine: EngineParams = EngineParams(omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
-                                        lam=0.01, cutoff=0.4, t1=5.0, t2=60.0)
-    backend: str = "tcl2"
-    step: float | None = None
-    out: str | None = None
-    t1_min: float = 1.0
-    t1_max: float = 60.0
-    t1_count: int = 60
-    t2_min: float = 1.0
-    t2_max: float = 60.0
-    t2_count: int = 60
-    omega_pairs: tuple[tuple[float, float], ...] | None = None
-    oracle_modes: int = 4
-    oracle_fock: int = 4
-    oracle_omega_max: float = 2.0
-    oracle_samples: int = 51
-
-    def __post_init__(self):
-        points = self.t1_count * self.t2_count * max(1, len(self.omega_pairs or ()))
-        if points > MAX_SWEEP_POINTS:
-            raise ValueError(f"a sweep of {points} points exceeds {MAX_SWEEP_POINTS}")
-        # longest first: a step too fine for every duration is named at the longest
-        lattice(sorted((self.engine.t1, self.engine.t2, self.t1_min, self.t1_max,
-                        self.t2_min, self.t2_max), reverse=True), self.step)
-        for name in ("t1", "t2"):
-            if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
-                raise ValueError(f"need {name}_min <= {name}_max")
-        # discretize_bath checks the oracle keys, and EngineParams the pairs
-        object.__setattr__(self, "bath", discretize_bath(
-            self.engine.hot_reservoir, self.oracle_modes, self.oracle_omega_max,
-            self.oracle_fock))
-        pairs = self.omega_pairs or ((self.engine.omega_h, self.engine.omega_c),)
-        his, los = np.transpose(pairs)
-        object.__setattr__(self, "swept_engine", replace(self.engine, omega_h=his, omega_c=los))
 
 
 def _show_float(value: float) -> str:
@@ -119,26 +76,65 @@ def _pairs(text: str):
 # the config key of each EngineParams field: the paper's lambda is lam
 _ENGINE_FIELDS = {"lambda" if f.name == "lam" else f.name: f.name
                   for f in fields(EngineParams)}
-_FLOAT = (float, _show_float)
-_INT = (int, str)
-_COUNT = (_at_least(1), str)
 
-# Every config key, in canonical order: key -> (parser, printer).  A parser
-# raises ValueError on text it cannot read, and ConfigError on a failed
-# check, with the rest of a sentence that starts with the key.
-_KEYS = {
-    **dict.fromkeys(_ENGINE_FIELDS, _FLOAT),
-    "backend": (_backend, str),
-    "step": (lambda text: None if text.lower() == "auto" else float(text),
-             lambda h: "auto" if h is None else _show_float(h)),
-    "out": (_out, lambda out: "-" if out is None else out),
-    "t1_min": _FLOAT, "t1_max": _FLOAT, "t1_count": _COUNT,
-    "t2_min": _FLOAT, "t2_max": _FLOAT, "t2_count": _COUNT,
-    "omega_pairs": (_pairs, lambda pairs: "none" if pairs is None else ",".join(
-        f"{_show_float(hi)}:{_show_float(lo)}" for hi, lo in pairs)),
-    "oracle_modes": _INT, "oracle_fock": _INT, "oracle_omega_max": _FLOAT,
-    "oracle_samples": (_at_least(2), str),
-}
+
+def _key(default, parse, show=str):
+    """A run key's one declaration: its default and (parser, printer) pair."""
+    return field(default=default, metadata={"codec": (parse, show)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One fully resolved run; a rule across its keys raises ``ValueError``.
+    Every field after ``engine`` is a run key.  Its checks build two values
+    once and keep them: ``bath``, the few-mode stand-in for the hot reservoir
+    of the exact run, and ``swept_engine``, the engine with the omega pairs'
+    splittings as arrays (the engine's own pair where ``omega_pairs`` is none)."""
+
+    engine: EngineParams = EngineParams(omega_h=1.0, omega_c=0.18, T_h=5.0, T_c=1.0,
+                                        lam=0.01, cutoff=0.4, t1=5.0, t2=60.0)
+    backend: str = _key("tcl2", _backend)
+    step: float | None = _key(None, lambda t: None if t.lower() == "auto" else float(t),
+                              lambda h: "auto" if h is None else _show_float(h))
+    out: str | None = _key(None, _out, lambda out: "-" if out is None else out)
+    t1_min: float = _key(1.0, float, _show_float)
+    t1_max: float = _key(60.0, float, _show_float)
+    t1_count: int = _key(60, _at_least(1))
+    t2_min: float = _key(1.0, float, _show_float)
+    t2_max: float = _key(60.0, float, _show_float)
+    t2_count: int = _key(60, _at_least(1))
+    omega_pairs: tuple[tuple[float, float], ...] | None = _key(
+        None, _pairs, lambda pairs: "none" if pairs is None else ",".join(
+            f"{_show_float(hi)}:{_show_float(lo)}" for hi, lo in pairs))
+    oracle_modes: int = _key(4, int)
+    oracle_fock: int = _key(4, int)
+    oracle_omega_max: float = _key(2.0, float, _show_float)
+    oracle_samples: int = _key(51, _at_least(2))
+
+    def __post_init__(self):
+        points = self.t1_count * self.t2_count * max(1, len(self.omega_pairs or ()))
+        if points > MAX_SWEEP_POINTS:
+            raise ValueError(f"a sweep of {points} points exceeds {MAX_SWEEP_POINTS}")
+        # longest first: a step too fine for every duration is named at the longest
+        lattice(sorted((self.engine.t1, self.engine.t2, self.t1_min, self.t1_max,
+                        self.t2_min, self.t2_max), reverse=True), self.step)
+        for name in ("t1", "t2"):
+            if not getattr(self, f"{name}_min") <= getattr(self, f"{name}_max"):
+                raise ValueError(f"need {name}_min <= {name}_max")
+        # discretize_bath checks the oracle keys, and EngineParams the pairs
+        object.__setattr__(self, "bath", discretize_bath(
+            self.engine.hot_reservoir, self.oracle_modes, self.oracle_omega_max,
+            self.oracle_fock))
+        pairs = self.omega_pairs or ((self.engine.omega_h, self.engine.omega_c),)
+        his, los = np.transpose(pairs)
+        object.__setattr__(self, "swept_engine", replace(self.engine, omega_h=his, omega_c=los))
+
+
+# Every config key, the engine's then RunConfig's: key -> (parser, printer).
+# A parser raises ValueError on text it cannot read, and ConfigError on a
+# failed check, with the rest of a sentence that starts with the key.
+_KEYS = {**dict.fromkeys(_ENGINE_FIELDS, (float, _show_float)),
+         **{f.name: f.metadata["codec"] for f in fields(RunConfig) if f.name != "engine"}}
 
 # workers is still read, so that configs written when sweeps ran on a
 # process pool keep working; its only valid value is 1
@@ -310,14 +306,18 @@ def _load_config(args) -> RunConfig:
 
 
 def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from exc
+    except OSError as exc:
+        if out is None:  # what stdout still buffers goes to devnull at exit
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 _COMMANDS = {"dynamics": run_dynamics, "sweep": run_sweep, "oracle": run_oracle}

@@ -1,5 +1,6 @@
 """Command-line surface: config handling, CSV contracts, determinism."""
 
+import errno
 import io
 import math
 import os
@@ -250,6 +251,13 @@ class TestConfig:
         cfg = build_config({key: self.NON_DEFAULT[key]})
         assert cfg != build_config({})
         assert build_config(parse_config(serialize_config(cfg))) == cfg
+
+    def test_run_keys_are_read_off_run_config(self):
+        # each run key is declared once, as a RunConfig field, after the
+        # engine's keys: a field without its codec, or a key without its
+        # field, fails here
+        run_keys = [f.name for f in fields(cli.RunConfig) if f.name != "engine"]
+        assert list(cli._KEYS) == [*cli._ENGINE_FIELDS, *run_keys]
 
     @settings(max_examples=100, deadline=None)
     @given(out=st.text())
@@ -948,18 +956,55 @@ class TestMain:
         assert fresh_process("-m", "nmotto.cli", *args) == out.read_bytes()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_write_failure_after_the_run(self, capsys):
+    def test_write_failure_after_the_run(self, capsys, monkeypatch, tmp_path):
         # a full device passes the checks made as the config is read, and
-        # fails only when the CSV is written
+        # fails only when the CSV is written, to the --out file or to stdout
         assert main(["dynamics", "--set", "t1=1", "--out", "/dev/full"]) == 2
-        assert capsys.readouterr().err == (
-            "configuration error: cannot write output: [Errno 28] No space left on device\n")
+        assert capsys.readouterr().err == FULL_DEVICE
+        with open(tmp_path / "stdout", "wb") as fh:
+            monkeypatch.setattr(sys, "stdout", FullStdout(fh.fileno()))
+            assert main(["dynamics", "--set", "t1=1"]) == 2
+            # what stdout still holds is flushed at exit into the null device
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == FULL_DEVICE
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_stdout_on_a_full_device(self, flags):
+        # one line and exit 2, as for --out: no traceback, and no second
+        # error from the interpreter's flush at exit, which would exit 120
+        env = dict(os.environ, PYTHONPATH=str(Path(nmotto.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, *flags, "-m", "nmotto.cli", "sweep",
+                                   "--set", "t1_count=2", "--set", "t2_count=2"],
+                                  env=env, stdout=full, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr.decode()) == (2, FULL_DEVICE)
 
     def test_exit_code_numerical_failure(self, capsys):
         rc = main(["dynamics", "--set", "omega_h=4", "--set", "omega_c=0.5",
                    "--set", "T_h=50", "--set", "lambda=0.3", "--set", "t1=10"])
         assert rc == 3
         assert "PositivityViolation" in capsys.readouterr().err
+
+
+FULL_DEVICE = "configuration error: cannot write output: [Errno 28] No space left on device\n"
+
+
+class FullStdout:
+    """A stdout on a full device, at file descriptor ``fd``: every write
+    and flush fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text=""):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    flush = write
 
 
 def fresh_process(*args):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, trapezoid
 
 from nmotto import (
     EngineParams,
@@ -280,6 +280,25 @@ class TestEnergyFlow:
         d_eb = stroke_balance(p, ev.hot).dEB
         scale = max(np.max(np.abs(d_eb)), 1e-30)
         assert np.max(np.abs(integral - d_eb)) < 1e-8 * scale
+
+    def test_backflow_accounts_for_the_rise_of_w2(self, ref_engine):
+        # finding (2): at t2 = 36, TCL2's W_II rises with t1 over about
+        # [2.20, 4.05], and a hot stroke of such a t1 ends in backflow,
+        # theta_h < 0 at its limit-cycle P_h, for t1 in about [1.90, 3.50]
+        engine = replace(ref_engine, t2=36.0)
+        t1 = np.linspace(1.0, 6.0, 101)
+        for backend in ("tcl2", "markov"):
+            w2 = evaluate_grid(engine, t1, [36.0], backend)[0].W_II[0, :, 0]
+            theta = np.array([energy_flow(ev.P_h, ev.hot)[1][-1] for ev in (
+                evaluate_cycle(replace(engine, t1=t), backend) for t in t1)])
+            rising = np.flatnonzero(np.diff(w2) > 0.0)
+            if backend == "markov":
+                assert rising.size == 0 and theta.min() > 0.0
+                continue
+            start, end = rising[0], rising[-1] + 1
+            assert theta[start] < 0.0  # the rise starts inside the backflow window
+            backflow = trapezoid(np.maximum(-theta[start:end + 1], 0.0), t1[start:end + 1])
+            assert backflow >= 0.5 * (w2[end] - w2[start])  # 78 % measured
 
 
 class TestEffectiveTemperature:
