@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, repeat, tee
+from itertools import tee
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
 _BACKENDS = tuple(energetics.BACKENDS)
 # A sweep at this many points (t1 x t2 x omega pairs) peaks at about
-# 0.5 GB, as ``dynamics`` does at ``tcl2.MAX_STEPS`` steps.
+# 410 MB resident, near ``dynamics`` at ``tcl2.MAX_STEPS`` steps.
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -213,6 +213,7 @@ def run_dynamics(cfg: RunConfig) -> str:
     """Hot-stroke observables at the limit cycle, one row per grid time."""
     ev = energetics.evaluate_cycle(cfg.engine, cfg.backend, cfg.step)
     hot, p_h = ev.hot, ev.P_h
+    del ev  # frees the cold stroke's profiles before the hot one is formatted
     bal = energetics.stroke_balance(p_h, hot)
     t_eff = energetics.effective_temperature_profile(bal.rho00, hot.omega)
     theta = energetics.energy_flow(p_h, hot)[1]
@@ -229,25 +230,22 @@ def run_sweep(cfg: RunConfig) -> str:
     engine = cfg.swept_engine
     ledger, errors = energetics.evaluate_grid(engine, t1_values, t2_values, cfg.backend,
                                               cfg.step)
-    pairs, rows = engine.omega_h.size, t1_values.size * t2_values.size  # rows per pair
 
-    def per_pair(values):  # each pair's cell, formatted once, on each of its rows
-        cells = _cells(np.broadcast_to(values, pairs))
-        return chain.from_iterable(map(repeat, cells, repeat(rows)))
-    # the duration cells of one pair, formatted once and read again for each pair
-    t1_cells = [c for c in _cells(t1_values) for _ in t2_values]
-    t2_cells = list(_cells(t2_values)) * len(t1_values)
+    def spread(values):  # each distinct cell formatted once, read over the grid in C order
+        cells = np.array([*_cells(values)], dtype=object).reshape(np.shape(values))
+        return np.broadcast_to(cells, errors.shape).flat
     # a W_II equal to W_I (every Markov sweep) takes W_I's cells, formatted
     # once: _csv reads the two columns in step, so tee holds one cell
     works = (tee(_cells(ledger.W_I))
              if np.array_equal(ledger.W_I, ledger.W_II, equal_nan=True)
              else map(_cells, (ledger.W_I, ledger.W_II)))
+    his, los, etas = np.reshape([engine.omega_h, engine.omega_c, engine.eta_otto],
+                                (3, -1, 1, 1))  # per pair, down axis 0
     lead = "omega_h,omega_c," if cfg.omega_pairs is not None else ""
     return _csv(lead + "t1,t2,W_ad1,W_ad2,W_I,W_II,eta_O,eta_C,error", [
-        *map(per_pair, (engine.omega_h, engine.omega_c) if lead else ()),
-        *(chain.from_iterable(repeat(c, pairs)) for c in (t1_cells, t2_cells)),
-        *map(_cells, (ledger.W_ad1, ledger.W_ad2)), *works,
-        *map(per_pair, (engine.eta_otto, engine.eta_carnot)), errors.ravel().tolist()])
+        *map(spread, (his, los) if lead else ()), spread(t1_values[:, None]),
+        spread(t2_values), *map(_cells, (ledger.W_ad1, ledger.W_ad2)), *works,
+        spread(etas), spread(engine.eta_carnot), errors.flat])
 
 
 def run_oracle(cfg: RunConfig) -> str:

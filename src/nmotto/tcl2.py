@@ -63,8 +63,8 @@ __all__ = [
 POSITIVITY_TOL = 1e-9
 
 # Steps per stroke that ``lattice`` allows.  At this bound a TCL2 sweep,
-# which keeps stroke ends only, peaks at about 210 MB resident, and
-# ``nmotto dynamics``, which keeps and prints every sample, at about 520 MB.
+# which keeps stroke ends only, peaks at about 175 MB resident, and
+# ``nmotto dynamics``, which keeps and prints every sample, at about 515 MB.
 MAX_STEPS = 10**6
 
 

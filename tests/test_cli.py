@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple, fields, replace
@@ -604,6 +605,27 @@ class TestSweep:
         assert w_ii == ["0", "0.25", "0.7", "-1e-300"]
         assert formatted == 4
 
+    def test_each_distinct_cell_is_formatted_once(self, monkeypatch):
+        # omega_h, omega_c and eta_O once per pair, each t1 and t2 once,
+        # eta_C once, and the four work columns once per point
+        pairs, n1, n2 = 3, 2, 2
+        ledger = EnergyLedger(*np.arange(N_FIELDS * pairs * n1 * n2, dtype=float).reshape(
+            N_FIELDS, pairs, n1, n2))
+        errors = np.full((pairs, n1, n2), "", dtype=object)
+        monkeypatch.setattr(energetics, "evaluate_grid", lambda *args: (ledger, errors))
+        formatted = Counter()
+        cells = cli._cells
+
+        def counting(values):
+            for cell in cells(values):
+                formatted["cells"] += 1
+                yield cell
+        monkeypatch.setattr(cli, "_cells", counting)
+        _, rows = read_rows(run_sweep(build_config({
+            "t1_count": "2", "t2_count": "2", "omega_pairs": "1:0.18,0.9:0.2,0.8:0.1"})))
+        assert len(rows) == pairs * n1 * n2
+        assert formatted["cells"] == 3 * pairs + n1 + n2 + 1 + 4 * pairs * n1 * n2 == 62
+
     def test_per_point_failures_recorded(self):
         cfg = build_config({
             "omega_h": "4", "omega_c": "0.5", "T_h": "50", "T_c": "1",
@@ -800,6 +822,26 @@ class TestMain:
                      *set_args(*(f"{k}={v}" for k, v in TestOracleCommand.CFG.items()),
                                "t1_count=2", "t2_count=2")]) == 0
         assert builds["reservoirs"] == 4
+
+    @pytest.mark.parametrize("command", [run_dynamics, run_oracle])
+    def test_cold_stroke_freed_before_formatting(self, monkeypatch, command):
+        # the cold stroke's full profiles are dropped once the hot stroke
+        # and P_h are read, before any column is formatted
+        cold = []
+        evaluate = energetics.evaluate_cycle
+
+        def keeping(*args):
+            ev = evaluate(*args)
+            cold.append(weakref.ref(ev.cold))
+            return ev
+        monkeypatch.setattr(energetics, "evaluate_cycle", keeping)
+        csv = cli._csv
+
+        def checking(header, columns):
+            assert [ref() for ref in cold] == [None]
+            return csv(header, columns)
+        monkeypatch.setattr(cli, "_csv", checking)
+        command(build_config(TestOracleCommand.CFG))
 
     def test_dynamics_to_file(self, tmp_path):
         out = tmp_path / "dyn.csv"

@@ -301,6 +301,65 @@ class TestEnergyFlow:
             assert backflow >= 0.5 * (w2[end] - w2[start])  # 78 % measured
 
 
+    def test_analytic_rise_of_w2_matches_central_differences(self, ref_engine):
+        # dW_II/dt1 at t2 = 36 from the hot stroke's end rates, by complex
+        # step through _close_cycle: d rho00_1/dt = a rho00_1 - b, dA/dt = a
+        # and dC/dt = dcorr.  Measured: at most 5.0e-8 relative from central
+        # differences at delta = 1e-4; at t1 = 2.5, dW_II/dt1 = 2.58e-4 and
+        # theta_h = -3.73e-4, so F = dW_II/dt1 + theta_h = -1.16e-4
+        engine = replace(ref_engine, t2=36.0)
+        t1, step, delta = np.arange(1.5, 5.01, 0.25), 1e-30, 1e-4
+        slopes, theta = [], []
+        for t in t1:
+            ev = evaluate_cycle(replace(engine, t1=t), "tcl2")
+            hot = ev.hot
+            rates = (hot.a_vals[-1] * hot.rho00_1[-1] - hot.b_vals[-1], hot.a_vals[-1],
+                     hot.dcorr_0[-1], hot.dcorr_1[-1])
+            probe = StrokeEnds._make(end + 1j * step * rate
+                                     for end, rate in zip(map(np.complex128, hot.ends), rates))
+            ledger = _close_cycle(engine.lam, engine.omega_h, engine.omega_c, probe,
+                                  ev.cold.ends)[4]
+            slopes.append(ledger.W_II.imag / step)
+            theta.append(energy_flow(ev.P_h, hot)[1][-1])
+        slopes, theta = np.array(slopes), np.array(theta)
+        w2 = evaluate_grid(engine, np.ravel([t1 - delta, t1 + delta], "F"), [36.0])[0].W_II
+        central = np.diff(w2[0, :, 0].reshape(-1, 2), axis=1)[:, 0] / (2 * delta)
+        np.testing.assert_allclose(slopes, central, rtol=1e-6, atol=0.0)
+        turns = np.flatnonzero((slopes[:-1] <= 0.0) & (slopes[1:] > 0.0))[0] + 1
+        assert theta[turns] < 0.0  # W_II starts to rise inside the backflow window
+        at = np.flatnonzero(t1 == 2.5)[0]
+        assert slopes[at] + theta[at] == pytest.approx(-1.16e-4, rel=0.01)
+
+
+class TestStepError:
+    """Richardson's estimate |X_h - X_2h| / 15 of the fourth-order rule's
+    step error in ``W_I`` and ``W_II``, against a finer reference."""
+
+    @staticmethod
+    def errors(engine, durations, h, refine):
+        """(actual, estimated) step error at h of W_I, then of W_II."""
+        fine, coarse, ref = (evaluate_grid(engine, durations, durations, "tcl2", step)[0]
+                             for step in (h, 2 * h, h / refine))
+        return [(np.abs(getattr(fine, name) - getattr(ref, name)),
+                 np.abs(getattr(fine, name) - getattr(coarse, name)) / 15)
+                for name in ("W_I", "W_II")]
+
+    def test_estimate_bounds_the_error_where_every_end_is_on_the_lattice(self, ref_engine):
+        # integer durations end on both lattices; actual / estimated measured
+        # W_I median 0.999, max 1.191, W_II median 1.000, max 1.009
+        for actual, estimate in self.errors(ref_engine, np.arange(1.0, 61.0), 0.01, 16):
+            assert np.all(actual <= 1.25 * estimate)
+
+    def test_estimate_bounds_the_largest_error_off_the_lattice(self, ref_engine):
+        # most ends fall between lattice points; where the estimate nearly
+        # vanishes a point's error can exceed it many times, but the largest
+        # error stays under the largest estimate: W_I 8.96e-13 <= 1.05e-12,
+        # W_II 7.40e-13 <= 8.65e-13 measured
+        for actual, estimate in self.errors(ref_engine, np.linspace(1.0, 60.0, 120), 0.005,
+                                            8):
+            assert actual.max() <= estimate.max()
+
+
 class TestEffectiveTemperature:
     def test_euler_ratio(self):
         assert t_eff(math.e / (1 + math.e), 1.0) == pytest.approx(1.0, rel=1e-12)
